@@ -1,9 +1,21 @@
 """Exact small-system computations on the joint catalyst/walker state space.
 
-The joint basis is indexed as eta_index * n_sites^p + walker_multi_index with
-configurations enumerated as bit masks. Everything is plain scipy sparse
-linear algebra; moments use a spectral shift so arbitrary horizons stay in
-range.
+The full joint basis is indexed as eta_index * n_sites^p + walker_multi_index
+(x_1 most significant) with configurations enumerated as bit masks.
+
+The joint generator commutes with lattice translations, and both nu_rho and
+V are translation invariant, so moments and the top eigenvalue live on the
+walker frame: the quotient by translations with walker 1 pinned at the
+origin. Its basis is indexed as eta' * n_sites^(p-1) + multi-index of
+(y_2, ..., y_p), where eta'(z) = eta(x_1 + z) and y_i = x_i - x_1; it is
+n_sites times smaller than the full basis. A state's frame image is
+(tau_{x_1} eta, x - x_1), and a frame function g lifts to the full basis as
+f(eta, x) = g(tau_{x_1} eta, x - x_1). In the frame, walker 1 stepping by e
+moves the catalyst and the other walkers the opposite way:
+eta' -> eta'(. + e), y_i -> y_i - e.
+
+Everything is plain scipy sparse linear algebra; moments use a spectral
+shift so arbitrary horizons stay in range.
 """
 
 from __future__ import annotations
@@ -15,7 +27,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import expm_multiply
 
 from .exclusion import torus_bonds
-from .lattice import Kernel, Torus
+from .lattice import Kernel, Torus, srw_kernel
 
 DEFAULT_STATE_CAP = 2**14 * 16
 
@@ -70,13 +82,6 @@ class SparseOperator:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
-    def to_coo_text(self, path: str) -> None:
-        coo = self.matrix.tocoo()
-        with open(path, "w") as fh:
-            fh.write(f"# dim={self.dim} n_eta={self.n_eta} n_walker={self.n_walker}\n")
-            for i, j, v in zip(coo.row, coo.col, coo.data):
-                fh.write(f"{i} {j} {float(v)!r}\n")
-
 
 def occupation_bits(n_sites: int) -> np.ndarray:
     """(2^n, n) matrix of site occupations per configuration index."""
@@ -88,6 +93,14 @@ def nu_weights(n_sites: int, rho: float) -> np.ndarray:
     """Bernoulli product weights over all 2^n configurations."""
     counts = occupation_bits(n_sites).sum(axis=1)
     return rho**counts * (1.0 - rho) ** (n_sites - counts)
+
+
+def shifted_configs(torus: Torus, offset) -> np.ndarray:
+    """Index of the translated configuration eta(. + offset), for every
+    configuration index eta."""
+    n = torus.n_sites
+    bits = occupation_bits(n)[:, torus.shift_table(offset)].astype(np.int64)
+    return bits @ (np.int64(1) << np.arange(n, dtype=np.int64))
 
 
 def build_se_generator(torus: Torus, kernel: Kernel) -> sp.csr_matrix:
@@ -150,49 +163,101 @@ def walker_laplacian(torus: Torus) -> sp.csr_matrix:
     """Nearest-neighbour Laplacian Delta f(x) = sum_{|y-x|=1} [f(y) - f(x)]."""
     n = torus.n_sites
     rows, cols = [], []
-    for j in range(torus.d):
-        for sign in (1, -1):
-            vec = tuple(sign if i == j else 0 for i in range(torus.d))
-            perm = torus.shift_table(vec)
-            rows.append(np.arange(n))
-            cols.append(perm)
+    for vec, _ in srw_kernel(torus.d).offsets:
+        rows.append(np.arange(n))
+        cols.append(torus.shift_table(vec))
     rows = np.concatenate(rows)
     cols = np.concatenate(cols)
     lap = sp.coo_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, n)).tocsr()
     return lap - sp.diags(np.asarray(lap.sum(axis=1)).ravel())
 
 
-def potential_diag(spec: OperatorSpec) -> np.ndarray:
-    """V over the joint basis: gamma * sum_i eta(x_i)."""
+def _free_walkers(spec: OperatorSpec, walker_frame: bool) -> int:
+    """Walker coordinates carried by the basis: x_1..x_p on the full basis,
+    y_2..y_p in the walker frame (with p = 0 there is no walker to pin and
+    the frame is the full basis)."""
+    return spec.p - 1 if walker_frame and spec.p > 0 else spec.p
+
+
+def potential_diag(spec: OperatorSpec, *, walker_frame: bool = False) -> np.ndarray:
+    """V over the joint basis: gamma * sum_i eta(x_i); in the walker frame
+    gamma * (eta'(0) + sum_{i >= 2} eta'(y_i))."""
     bits = occupation_bits(spec.n_sites)
-    n, p = spec.n_sites, spec.p
-    walker = np.arange(spec.n_walker)
-    v = np.zeros((spec.n_eta, spec.n_walker))
-    for i in range(p):
-        x_i = (walker // n ** (p - 1 - i)) % n
+    n = spec.n_sites
+    free = _free_walkers(spec, walker_frame)
+    walker = np.arange(n**free)
+    v = np.zeros((spec.n_eta, n**free))
+    if free < spec.p:
+        v += bits[:, :1]  # walker 1 pinned at the origin
+    for i in range(free):
+        x_i = (walker // n ** (free - 1 - i)) % n
         v += bits[:, x_i]
     return spec.gamma * v.ravel()
 
 
+def _recentring_moves(spec: OperatorSpec) -> sp.csr_matrix:
+    """Walker 1 stepping by each unit vector e, seen from the walker frame:
+    eta' -> eta'(. + e) and every y_i -> y_i - e, at rate 1 per direction."""
+    trs = spec.torus
+    moves = None
+    for vec, _ in srw_kernel(trs.d).offsets:
+        dst = shifted_configs(trs, vec)
+        term = sp.csr_matrix((np.ones(dst.size), (np.arange(dst.size), dst)),
+                             shape=(dst.size, dst.size))
+        back = trs.shift_table(tuple(-v for v in vec))
+        step_back = sp.csr_matrix((np.ones(trs.n_sites), (np.arange(trs.n_sites), back)),
+                                  shape=(trs.n_sites, trs.n_sites))
+        for _ in range(spec.p - 1):
+            term = sp.kron(term, step_back, format="csr")
+        moves = term if moves is None else moves + term
+    return moves - sp.diags(np.asarray(moves.sum(axis=1)).ravel())
+
+
 def _joint_free_generator(spec: OperatorSpec, se_rate_factor: float,
-                          walker_factor: float) -> sp.csr_matrix:
+                          walker_factor: float, walker_frame: bool = False) -> sp.csr_matrix:
     gen_se = build_se_generator(spec.torus, spec.kernel) * se_rate_factor
     lap = walker_laplacian(spec.torus)
     n = spec.n_sites
-    joint = sp.kron(gen_se, sp.identity(spec.n_walker, format="csr"), format="csr")
-    for i in range(spec.p):
+    free = _free_walkers(spec, walker_frame)
+    joint = sp.kron(gen_se, sp.identity(n**free, format="csr"), format="csr")
+    for i in range(free):
         left = sp.identity(spec.n_eta * n**i, format="csr")
-        right = sp.identity(n ** (spec.p - 1 - i), format="csr")
+        right = sp.identity(n ** (free - 1 - i), format="csr")
         joint = joint + walker_factor * sp.kron(sp.kron(left, lap), right, format="csr")
+    if free < spec.p:
+        joint = joint + walker_factor * _recentring_moves(spec)
     return joint
 
 
-def build_joint_generator(spec: OperatorSpec, include_potential: bool = True) -> SparseOperator:
-    """G^kappa_V = L + kappa * sum_i Delta_i (+ V on the diagonal)."""
-    joint = _joint_free_generator(spec, 1.0, spec.kappa)
+def build_joint_generator(spec: OperatorSpec, include_potential: bool = True, *,
+                          walker_frame: bool = False) -> SparseOperator:
+    """G^kappa_V = L + kappa * sum_i Delta_i (+ V on the diagonal), on the
+    full basis or, with walker_frame, on the walker-frame basis of the
+    module docstring (n_walker then counts the relative positions)."""
+    joint = _joint_free_generator(spec, 1.0, spec.kappa, walker_frame)
     if include_potential:
-        joint = joint + sp.diags(potential_diag(spec))
-    return SparseOperator(joint.tocsr(), spec.n_eta, spec.n_walker)
+        joint = joint + sp.diags(potential_diag(spec, walker_frame=walker_frame))
+    n_rel = spec.n_sites ** _free_walkers(spec, walker_frame)
+    return SparseOperator(joint.tocsr(), spec.n_eta, n_rel)
+
+
+def lift_frame_vector(spec: OperatorSpec, g: np.ndarray) -> np.ndarray:
+    """Full-basis values f(eta, x) = g(tau_{x_1} eta, x - x_1) of a function
+    g on the walker frame."""
+    g = np.asarray(g)
+    if spec.p == 0:
+        return g.copy()
+    trs, n, p = spec.torus, spec.n_sites, spec.p
+    coords = trs.all_coords()
+    place = trs.L ** np.arange(trs.d - 1, -1, -1)
+    walker = np.arange(spec.n_walker)
+    x = [(walker // n ** (p - 1 - i)) % n for i in range(p)]
+    rel = np.zeros(spec.n_walker, dtype=np.int64)
+    for x_i in x[1:]:
+        rel = rel * n + ((coords[x_i] - coords[x[0]]) % trs.L) @ place
+    recentred = np.stack([shifted_configs(trs, coords[s]) for s in range(n)])
+    idx = recentred[x[0]].T * n ** (p - 1) + rel[None, :]
+    return g[idx.ravel()]
 
 
 def build_scaled_generator(spec: OperatorSpec) -> SparseOperator:
@@ -212,6 +277,22 @@ def start_vector(spec: OperatorSpec) -> np.ndarray:
     return pi
 
 
+def _frozen_walker_generator(spec: OperatorSpec) -> sp.csr_matrix:
+    """kappa = 0: the walkers stay at the origin, so the generator seen from
+    the start is L + gamma * p * eta(0) on configurations alone."""
+    gen = build_se_generator(spec.torus, spec.kernel)
+    bits = occupation_bits(spec.n_sites)
+    return (gen + sp.diags(spec.gamma * spec.p * bits[:, 0].astype(float))).tocsr()
+
+
+def _frame_semigroup(spec: OperatorSpec, t: float):
+    """(shifted frame generator G - gamma p, e^{t (G - gamma p)} 1, stride of
+    the start states nu_rho x {y = 0} in the frame basis)."""
+    op = build_joint_generator(spec, walker_frame=True)
+    mat = op.matrix - sp.identity(op.dim) * (spec.gamma * spec.p)
+    return mat, expm_multiply(mat * t, np.ones(op.dim)), op.n_walker
+
+
 def log_moment(spec: OperatorSpec, t: float) -> float:
     """log E_{nu_rho, 0..0} exp[int_0^t V(Y(s)) ds], spectrally shifted."""
     if t < 0:
@@ -219,19 +300,13 @@ def log_moment(spec: OperatorSpec, t: float) -> float:
     if t == 0:
         return 0.0
     shift = spec.gamma * spec.p
+    nu = nu_weights(spec.n_sites, spec.rho)
     if spec.kappa == 0.0 and spec.p >= 1:
-        # walkers frozen at the origin: V = gamma * p * eta(0)
-        gen = build_se_generator(spec.torus, spec.kernel)
-        bits = occupation_bits(spec.n_sites)
-        diag = spec.gamma * spec.p * bits[:, 0].astype(float)
-        mat = (gen + sp.diags(diag - shift)).tocsr()
-        v = expm_multiply(mat * t, np.ones(spec.n_eta))
-        val = float(nu_weights(spec.n_sites, spec.rho) @ v)
+        mat = _frozen_walker_generator(spec) - sp.identity(spec.n_eta) * shift
+        val = float(nu @ expm_multiply(mat * t, np.ones(spec.n_eta)))
     else:
-        op = build_joint_generator(spec)
-        mat = op.matrix - sp.identity(op.dim) * shift
-        v = expm_multiply(mat * t, np.ones(op.dim))
-        val = float(start_vector(spec) @ v)
+        _, v, stride = _frame_semigroup(spec, t)
+        val = float(nu @ v[::stride])
     return np.log(val) + shift * t
 
 
@@ -252,12 +327,9 @@ def exact_lambda_profile(spec: OperatorSpec, t_grid) -> np.ndarray:
 
 def moment_slope(spec: OperatorSpec, t: float) -> float:
     """d/dt log E exp[int V] at time t (exact resolvent-free form)."""
-    shift = spec.gamma * spec.p
-    op = build_joint_generator(spec)
-    mat = op.matrix - sp.identity(op.dim) * shift
-    v = expm_multiply(mat * t, np.ones(op.dim))
-    pi = start_vector(spec)
-    return shift + float(pi @ (mat @ v)) / float(pi @ v)
+    mat, v, stride = _frame_semigroup(spec, t)
+    nu = nu_weights(spec.n_sites, spec.rho)
+    return spec.gamma * spec.p + float(nu @ (mat @ v)[::stride]) / float(nu @ v[::stride])
 
 
 def reversibility_defect(spec: OperatorSpec) -> float:

@@ -8,7 +8,7 @@ time integrals are exact per trajectory.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -102,11 +102,13 @@ def build_schedule(torus: Torus, kernel: Kernel, horizon: float, seed) -> LinkSc
 
 @dataclass
 class Trajectory:
-    """Deterministic function of (initial, schedule); optional state cache."""
+    """Deterministic function of (initial, schedule). `checkpoint` caches the
+    most recently reached state as (number of events applied, bits), so a
+    later query replays only the events in between."""
 
     initial: Configuration
     schedule: LinkSchedule
-    checkpoints: dict = field(default_factory=dict)
+    checkpoint: tuple | None = None
 
     def state_at(self, t: float) -> Configuration:
         return evolve(self, t)
@@ -120,23 +122,16 @@ def evolve(trajectory: Trajectory, t: float) -> Configuration:
     sched = trajectory.schedule
     if t > sched.horizon:
         raise ValueError("t beyond schedule horizon")
-    bits = trajectory.initial.bits.copy()
     hi = int(np.searchsorted(sched.times, t, side="right"))
-    if trajectory.checkpoints:
-        done = [k for k in trajectory.checkpoints if k <= hi]
-        if done:
-            k0 = max(done)
-            bits = trajectory.checkpoints[k0].copy()
-            lo = k0
-        else:
-            lo = 0
+    if trajectory.checkpoint is not None and trajectory.checkpoint[0] <= hi:
+        lo, bits = trajectory.checkpoint[0], trajectory.checkpoint[1].copy()
     else:
-        lo = 0
+        lo, bits = 0, trajectory.initial.bits.copy()
     a, b = sched.bond_a, sched.bond_b
     for i in range(lo, hi):
         ai, bi = a[i], b[i]
         bits[ai], bits[bi] = bits[bi], bits[ai]
-    trajectory.checkpoints[hi] = bits.copy()
+    trajectory.checkpoint = (hi, bits.copy())
     return Configuration(trajectory.initial.torus, bits)
 
 

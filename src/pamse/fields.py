@@ -143,7 +143,7 @@ class PsiBoundsReport:
     swap_diff_bound: float
     max_swap_square_sum: float
     swap_square_bound: float
-    zero_swap_exact: bool
+    swap_delta_matches_chi: bool
     quad_nodes: int
 
     @property
@@ -151,7 +151,7 @@ class PsiBoundsReport:
         return (self.max_site_diff <= self.site_diff_bound
                 and self.max_swap_diff <= self.swap_diff_bound
                 and self.max_swap_square_sum <= self.swap_square_bound
-                and self.zero_swap_exact)
+                and self.swap_delta_matches_chi)
 
 
 def psi_bounds_check(spec: PsiSpec, n_samples: int, seed,
@@ -163,9 +163,10 @@ def psi_bounds_check(spec: PsiSpec, n_samples: int, seed,
 
     Swap differences factor through the chi table, so their bounds are
     checked at the table level (supremum over configurations); psi itself is
-    evaluated on random Bernoulli configurations for the first bound, and a
-    swap across an equal-occupation bond is checked to leave psi unchanged
-    bit for bit.
+    evaluated on random Bernoulli configurations for the first bound. On each
+    configuration a swap across a random bond (a, b) with unequal occupations
+    is checked to move psi at every site x by exactly
+    (eta(b) - eta(a)) (chi(a - x) - chi(b - x)), to tol * T.
     """
     trs = spec.torus
     d = trs.d
@@ -181,8 +182,16 @@ def psi_bounds_check(spec: PsiSpec, n_samples: int, seed,
         swap_mag = max(swap_mag, float(np.max(np.abs(diff))))
         sq_sum += float(np.sum(diff**2))
 
+    axes = tuple(range(d))
+    reflected = np.roll(np.flip(dgrid), 1, axis=axes)  # chi(-x)
+
+    def chi_from(site):
+        """chi(site - x) at every site x."""
+        return np.roll(reflected, trs.coords(site), axis=axes).ravel()
+
+    perm = trs.shift_table(tuple(1 if i == 0 else 0 for i in range(d)))
     max_site = 0.0
-    zero_swap_ok = True
+    swap_ok = True
     for _ in range(n_samples):
         bits = (rng.random(trs.n_sites) < spec.rho).astype(float)
         psi_all = psi_field(bits, spec)
@@ -190,18 +199,15 @@ def psi_bounds_check(spec: PsiSpec, n_samples: int, seed,
         for axis in range(d):
             max_site = max(max_site, float(np.max(np.abs(
                 np.roll(grid, -1, axis=axis) - grid))))
-        # a swap across a bond with equal endpoint states leaves psi unchanged
-        vec = tuple(1 if i == 0 else 0 for i in range(d))
-        perm = trs.shift_table(vec)
-        eq = np.nonzero(bits[perm] == bits)[0]
-        if len(eq):
-            a = int(eq[rng.integers(len(eq))])
+        unequal = np.nonzero(bits[perm] != bits)[0]
+        if len(unequal):
+            a = int(unequal[rng.integers(len(unequal))])
             b = int(perm[a])
             swapped = bits.copy()
             swapped[a], swapped[b] = swapped[b], swapped[a]
-            x = int(rng.integers(trs.n_sites))
-            delta = psi_field(swapped, spec, sites=[x])[0] - psi_field(bits, spec, sites=[x])[0]
-            zero_swap_ok = zero_swap_ok and delta == 0.0
+            want = (bits[b] - bits[a]) * (chi_from(a) - chi_from(b))
+            delta = psi_field(swapped, spec) - psi_all
+            swap_ok = swap_ok and float(np.max(np.abs(delta - want))) <= tol * spec.T
     return PsiBoundsReport(
         n_samples=n_samples,
         max_site_diff=max_site,
@@ -210,7 +216,7 @@ def psi_bounds_check(spec: PsiSpec, n_samples: int, seed,
         swap_diff_bound=2 * green_value + tol,
         max_swap_square_sum=sq_sum,
         swap_square_bound=green_value / (2 * d) + tol,
-        zero_swap_exact=zero_swap_ok,
+        swap_delta_matches_chi=swap_ok,
         quad_nodes=spec.quad_node_count,
     )
 

@@ -8,6 +8,7 @@ parallel runs merge trial arrays by index.
 
 from __future__ import annotations
 
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -90,7 +91,9 @@ def _run_trials(worker, n: int, n_workers: int, chunk: int = 256) -> np.ndarray:
     try:
         with ProcessPoolExecutor(max_workers=n_workers) as pool:
             parts = list(pool.map(worker, ranges))
-    except (OSError, PermissionError):  # restricted environments: fall back
+    except (OSError, PermissionError) as exc:  # restricted environments
+        warnings.warn(f"process pool unavailable ({exc!r}); running all {n} "
+                      f"trials serially in this process", RuntimeWarning, stacklevel=3)
         return worker(range(n))
     return np.concatenate(parts)
 

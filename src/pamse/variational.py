@@ -4,6 +4,8 @@ lower bound, occupation-time tilt maximization, and Dirichlet eigenvalues.
 The joint operator is self-adjoint in the Bernoulli-weighted inner product,
 so iteration happens on its diagonal similarity transform D^{1/2} G D^{-1/2},
 which is symmetric in the plain Euclidean sense and has the same spectrum.
+The top eigenvalue is solved in the walker frame (see `pamse.exact`); test
+functions and Rayleigh quotients live on the full joint basis.
 """
 
 from __future__ import annotations
@@ -14,8 +16,8 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import eigsh
 
-from .exact import (OperatorSpec, build_joint_generator, nu_weights,
-                    occupation_bits, potential_diag)
+from .exact import (OperatorSpec, build_joint_generator, lift_frame_vector,
+                    nu_weights, occupation_bits, potential_diag)
 from .exclusion import torus_bonds
 from .lattice import Torus
 
@@ -96,21 +98,23 @@ class TopEigen:
     method: str
 
 
-def _symmetrized(spec: OperatorSpec):
-    op = build_joint_generator(spec).matrix
-    w = np.repeat(nu_weights(spec.n_sites, spec.rho), spec.n_walker)
-    sq = np.sqrt(w)
-    sym = sp.diags(sq) @ op @ sp.diags(1.0 / sq)
-    return op, sym, sq
-
-
 def top_eigenvalue(spec: OperatorSpec, tol: float = 1e-10,
                    dense_cutoff: int = 1200) -> TopEigen:
     """Largest spectral point of the joint operator; Lanczos on the
-    symmetrized matrix, dense solve below the cutoff."""
-    op, sym, sq = _symmetrized(spec)
-    dim = sym.shape[0]
-    if dim <= dense_cutoff:
+    symmetrized walker-frame matrix, dense solve when the frame dimension is
+    at most the cutoff.
+
+    The top eigenvalue has a nonnegative eigenvector, and its average over
+    translations is a translation-invariant one, so the frame loses nothing.
+    The eigenvector is lifted back to the full basis and normalized in
+    L^2(nu_rho x counting); the residual is the nu-weighted relative residual,
+    the same in the frame as on the full basis.
+    """
+    op = build_joint_generator(spec, walker_frame=True)
+    nu = nu_weights(spec.n_sites, spec.rho)
+    sq = np.sqrt(np.repeat(nu, op.n_walker))
+    sym = sp.diags(sq) @ op.matrix @ sp.diags(1.0 / sq)
+    if op.dim <= dense_cutoff:
         dense = 0.5 * (sym.toarray() + sym.toarray().T)
         evals, evecs = np.linalg.eigh(dense)
         mu = float(evals[-1])
@@ -123,8 +127,8 @@ def top_eigenvalue(spec: OperatorSpec, tol: float = 1e-10,
         u = evecs[:, 0]
         method = "lanczos"
     resid = float(np.linalg.norm(sym @ u - mu * u))
-    vec = u / sq
-    vec /= np.sqrt(np.sum((sq * vec) ** 2))
+    vec = lift_frame_vector(spec, u / sq)
+    vec /= np.sqrt(np.sum(np.repeat(nu, spec.n_walker) * vec**2))
     return TopEigen(mu=mu, lam=mu / max(spec.p, 1), vector=vec,
                     residual=resid, converged=resid <= max(tol * 100, 1e-8),
                     method=method)

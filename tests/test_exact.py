@@ -79,14 +79,68 @@ class TestJointGenerator:
             exact.OperatorSpec(torus=Torus(1, 14), kernel=srw_kernel(1),
                                kappa=1.0, p=3, rho=0.5, cap=10_000)
 
-    def test_coo_export(self, spec6, tmp_path):
-        op = exact.build_joint_generator(spec6)
-        path = tmp_path / "op.txt"
-        op.to_coo_text(str(path))
-        lines = path.read_text().strip().split("\n")
-        assert lines[0].startswith("#")
-        i, j, v = lines[1].split()
-        assert float(v) == op.matrix[int(i), int(j)]
+
+def _frame_cases():
+    for d, sides, ps in ((1, (2, 5, 6), (1, 2, 3)), (2, (2, 3), (1, 2))):
+        for L in sides:
+            for p in ps:
+                for kappa in (0.0, 0.3, 1.3):
+                    for gamma in (0.5, 1.0):
+                        yield d, L, p, kappa, gamma
+
+
+def _frame_spec(d, L, p, kappa, gamma):
+    return exact.OperatorSpec(torus=Torus(d, L), kernel=srw_kernel(d), kappa=kappa,
+                              p=p, rho=0.35, gamma=gamma)
+
+
+class TestWalkerFrame:
+    @pytest.mark.parametrize("d, L, p, kappa, gamma", list(_frame_cases()))
+    def test_log_moment_matches_full_basis(self, d, L, p, kappa, gamma):
+        from scipy.sparse.linalg import expm_multiply
+
+        spec = _frame_spec(d, L, p, kappa, gamma)
+        t = 1.7
+        shift = spec.gamma * spec.p
+        op = exact.build_joint_generator(spec)
+        v = expm_multiply((op.matrix - sp.identity(op.dim) * shift) * t, np.ones(op.dim))
+        full = np.log(float(exact.start_vector(spec) @ v)) + shift * t
+        assert exact.log_moment(spec, t) == pytest.approx(full, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("d, L, p", [(1, 5, 1), (1, 5, 3), (1, 6, 2), (2, 3, 2)])
+    def test_frame_generator_reversible(self, d, L, p):
+        spec = _frame_spec(d, L, p, 1.3, 0.5)
+        op = exact.build_joint_generator(spec, walker_frame=True)
+        assert op.dim * spec.n_sites == spec.joint_dim
+        w = np.repeat(exact.nu_weights(spec.n_sites, spec.rho), op.n_walker)
+        m = sp.diags(w) @ op.matrix
+        assert abs(m - m.T).max() <= 1e-12
+
+    def test_frame_markov_without_potential(self):
+        spec = _frame_spec(2, 3, 2, 0.7, 1.0)
+        op = exact.build_joint_generator(spec, include_potential=False,
+                                         walker_frame=True).matrix
+        np.testing.assert_allclose(np.asarray(op.sum(axis=1)).ravel(), 0.0,
+                                   atol=1e-12)
+
+    def test_kappa_zero_frame_is_fast_path(self):
+        spec = _frame_spec(1, 6, 1, 0.0, 0.5)
+        frame = exact.build_joint_generator(spec, walker_frame=True).matrix
+        fast = exact._frozen_walker_generator(spec)
+        assert frame.shape == fast.shape
+        assert (frame != fast).nnz == 0
+
+    def test_lift_is_translation_covariant(self):
+        spec = _frame_spec(1, 5, 2, 0.3, 1.0)
+        m = spec.n_sites ** (spec.p - 1)
+        g = np.arange(spec.n_eta * m, dtype=float)
+        f = exact.lift_frame_vector(spec, g).reshape(spec.n_eta, spec.n_sites, spec.n_sites)
+        # walker 1 at the origin reads the frame as it is
+        np.testing.assert_array_equal(f[:, 0, :], g.reshape(spec.n_eta, m))
+        # f(tau_1 eta, x - 1) = f(eta, x): one translation of everything
+        shifted = exact.shifted_configs(spec.torus, (1,))
+        back = (np.arange(5) - 1) % 5
+        np.testing.assert_array_equal(f[shifted][:, back][:, :, back], f)
 
 
 class TestMoments:

@@ -133,6 +133,20 @@ class TestEvolve:
         np.testing.assert_array_equal(late_cached.bits, late_fresh.bits)
         np.testing.assert_array_equal(ex.evolve(traj, 3.0).bits, mid.bits)
 
+    def test_checkpoint_keeps_one_state(self):
+        trs = Torus(1, 16)
+        eta = ex.sample_initial(trs, 0.5, 21)
+        sched = ex.build_schedule(trs, srw_kernel(1), 50.0, 22)
+        traj = ex.Trajectory(eta, sched)
+        rng = np.random.default_rng(23)
+        for t in rng.uniform(0.0, 50.0, 200):
+            got = ex.evolve(traj, t)
+            np.testing.assert_array_equal(got.bits, ex.evolve(ex.Trajectory(eta, sched), t).bits)
+            events, bits = traj.checkpoint  # the one stored copy
+            assert events == np.searchsorted(sched.times, t, side="right")
+            np.testing.assert_array_equal(bits, got.bits)
+            assert bits is not got.bits
+
 
 class TestOccupationTime:
     def test_full_and_empty(self, ring6):

@@ -71,6 +71,19 @@ class TestPsiBounds:
         assert rep.max_swap_square_sum <= rep.swap_square_bound
         assert rep.quad_nodes == spec.quad_node_count
 
+    def test_skewed_psi_fails_swap_identity(self, monkeypatch):
+        spec = fields.PsiSpec(kappa=2.0, T=1.0, torus=Torus(2, 9))
+        rep = fields.psi_bounds_check(spec, 4, 5, green_value=1.5163860592)
+        assert rep.swap_delta_matches_chi and rep.passed
+        real = fields.psi_field
+
+        def skewed(eta, spec, sites=None):
+            return (1.0 + 1e-6) * real(eta, spec, sites)
+
+        monkeypatch.setattr(fields, "psi_field", skewed)
+        rep = fields.psi_bounds_check(spec, 4, 5, green_value=1.5163860592)
+        assert not rep.swap_delta_matches_chi and not rep.passed
+
     def test_swap_on_equal_bond_is_exact_zero(self):
         trs = Torus(1, 16)
         spec = fields.PsiSpec(kappa=1.0, T=1.0, torus=trs)

@@ -55,6 +55,17 @@ class TestEstimateMoment:
         par = mc.estimate_moment(small_params, 1.0, 400, 11, n_workers=2)
         assert seq.mean == par.mean
 
+    def test_pool_failure_warns_and_runs_serially(self, small_params, monkeypatch):
+        class RefusedPool:
+            def __init__(self, *args, **kwargs):
+                raise PermissionError("no process pool here")
+
+        seq = mc.estimate_moment(small_params, 1.0, 400, 11, n_workers=1)
+        monkeypatch.setattr(mc, "ProcessPoolExecutor", RefusedPool)
+        with pytest.warns(RuntimeWarning, match=r"PermissionError.*400 trials"):
+            fallback = mc.estimate_moment(small_params, 1.0, 400, 11, n_workers=2)
+        assert fallback.mean == seq.mean and fallback.stderr == seq.stderr
+
 
 class TestLambdaCurve:
     def test_bounds_and_plateau(self, small_params):

@@ -78,6 +78,24 @@ class TestTopEigenvalue:
         assert lanczos.mu == pytest.approx(dense.mu, abs=1e-8)
         assert lanczos.converged
 
+    @pytest.mark.parametrize("d, L, p, kappa, dense_cutoff", [
+        (1, 6, 1, 0.7, 1200), (1, 6, 1, 0.7, 0), (1, 5, 2, 0.3, 1200),
+        (1, 5, 3, 1.3, 1200), (2, 3, 2, 0.3, 0), (1, 9, 1, 0.0, 0)])
+    def test_lifted_vector_solves_full_basis(self, d, L, p, kappa, dense_cutoff):
+        spec = exact.OperatorSpec(torus=Torus(d, L), kernel=srw_kernel(d),
+                                  kappa=kappa, p=p, rho=0.35, gamma=0.5)
+        top = var.top_eigenvalue(spec, dense_cutoff=dense_cutoff)
+        op = exact.build_joint_generator(spec).matrix
+        w = np.repeat(exact.nu_weights(spec.n_sites, spec.rho), spec.n_walker)
+        assert top.vector.shape == (spec.joint_dim,)
+        assert np.sum(w * top.vector**2) == pytest.approx(1.0, abs=1e-12)
+        r = op @ top.vector - top.mu * top.vector
+        resid = np.sqrt(np.sum(w * r**2))
+        assert resid <= 1e-8
+        assert top.residual == pytest.approx(resid, abs=1e-12)
+        f = var.TestFunction(top.vector, spec)
+        assert var.rayleigh_quotient(f, spec) == pytest.approx(top.mu, abs=1e-9)
+
     def test_kappa_grid_monotone_convex(self):
         trs = Torus(1, 6)
         lams = []
