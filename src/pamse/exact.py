@@ -21,6 +21,7 @@ shift so arbitrary horizons stay in range.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
@@ -103,8 +104,11 @@ def shifted_configs(torus: Torus, offset) -> np.ndarray:
     return bits @ (np.int64(1) << np.arange(n, dtype=np.int64))
 
 
+@lru_cache(maxsize=2)
 def build_se_generator(torus: Torus, kernel: Kernel) -> sp.csr_matrix:
-    """Stirring generator on {0,1}^sites: swap across each unoriented bond."""
+    """Stirring generator on {0,1}^sites: swap across each unoriented bond.
+    Memoized for the two most recent (torus, kernel) pairs, which bounds the
+    memory it holds; the matrix's arrays are read-only."""
     n = torus.n_sites
     if 2**n > DEFAULT_STATE_CAP:
         raise ValueError("configuration space exceeds cap")
@@ -128,6 +132,8 @@ def build_se_generator(torus: Torus, kernel: Kernel) -> sp.csr_matrix:
         vals = np.concatenate(vals)
     gen = sp.coo_matrix((vals, (rows, cols)), shape=(2**n, 2**n)).tocsr()
     gen = gen - sp.diags(np.asarray(gen.sum(axis=1)).ravel())
+    for arr in (gen.data, gen.indices, gen.indptr):
+        arr.flags.writeable = False
     return gen
 
 
@@ -162,12 +168,8 @@ def oriented_se_generator(torus: Torus, kernel: Kernel) -> sp.csr_matrix:
 def walker_laplacian(torus: Torus) -> sp.csr_matrix:
     """Nearest-neighbour Laplacian Delta f(x) = sum_{|y-x|=1} [f(y) - f(x)]."""
     n = torus.n_sites
-    rows, cols = [], []
-    for vec, _ in srw_kernel(torus.d).offsets:
-        rows.append(np.arange(n))
-        cols.append(torus.shift_table(vec))
-    rows = np.concatenate(rows)
-    cols = np.concatenate(cols)
+    cols = torus.unit_moves().ravel()
+    rows = np.tile(np.arange(n), 2 * torus.d)
     lap = sp.coo_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, n)).tocsr()
     return lap - sp.diags(np.asarray(lap.sum(axis=1)).ravel())
 

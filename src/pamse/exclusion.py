@@ -4,11 +4,19 @@ A trajectory is a Bernoulli(rho) initial configuration plus a time-sorted
 list of Poisson link events on unoriented torus bonds; evolving to time t
 replays the swaps in order. No time discretization anywhere, so occupation
 time integrals are exact per trajectory.
+
+Every replay goes through one engine, `replay`: it swaps the bits in place
+and yields the constant pieces (t0, t1, marks passed) of [0, t], cut at the
+link events and at sorted extra breakpoints ("marks": walker jumps, weight
+slice edges, query times) that the caller acts on. A link event and a mark
+at the same time are applied link first. Callers integrate a functional of
+xi exactly as acc += (t1 - t0) * value, piece by piece.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -31,12 +39,6 @@ class Configuration:
     def particle_count(self) -> int:
         return int(self.bits.sum())
 
-    def density(self) -> float:
-        return self.particle_count / self.torus.n_sites
-
-    def copy(self) -> "Configuration":
-        return Configuration(self.torus, self.bits.copy())
-
 
 def sample_initial(torus: Torus, rho: float, seed) -> Configuration:
     """Bernoulli(rho) product configuration; rho strictly inside (0,1)."""
@@ -47,12 +49,14 @@ def sample_initial(torus: Torus, rho: float, seed) -> Configuration:
     return Configuration(torus, bits)
 
 
+@lru_cache(maxsize=32)
 def torus_bonds(torus: Torus, kernel: Kernel):
     """Unoriented bonds (a, b) with swap rates kernel.rate * p(a, b).
 
     Each +- offset pair contributes one bond per site; on an L=2 torus the
     two wrap edges appear as parallel bonds, which matches the wrapped
-    kernel's total jump rate.
+    kernel's total jump rate. Memoized per (torus, kernel); the arrays are
+    read-only.
     """
     if kernel.d != torus.d:
         raise ValueError("kernel/torus dimension mismatch")
@@ -62,8 +66,10 @@ def torus_bonds(torus: Torus, kernel: Kernel):
         a_list.append(np.arange(torus.n_sites))
         b_list.append(perm)
         r_list.append(np.full(torus.n_sites, kernel.rate * w))
-    return (np.concatenate(a_list), np.concatenate(b_list),
-            np.concatenate(r_list))
+    out = (np.concatenate(a_list), np.concatenate(b_list), np.concatenate(r_list))
+    for arr in out:
+        arr.flags.writeable = False
+    return out
 
 
 @dataclass
@@ -100,6 +106,45 @@ def build_schedule(torus: Torus, kernel: Kernel, horizon: float, seed) -> LinkSc
                         float(rates.sum()))
 
 
+def replay(bits: np.ndarray, schedule: LinkSchedule, t: float, marks=(),
+           start: int = 0):
+    """Carry `bits` through the link events of `schedule` up to time t, in
+    place, yielding the constant pieces (t0, t1, m) of [0, t] in order.
+
+    m counts the sorted `marks` passed so far; the caller applies its own
+    marks up to m before reading the piece. During a piece of positive
+    length, bits hold xi on (t0, t1) and every link event and mark at time
+    <= t0 has been passed. A link event tied with a mark is applied first.
+    Ties and events at t give zero-length pieces; the last piece ends at t,
+    after every link event and mark at time <= t has been passed. `start`
+    > 0 resumes from bits that already hold the state after the first
+    `start` link events.
+    """
+    if t > schedule.horizon:
+        raise ValueError("t beyond schedule horizon")
+    times = schedule.times.tolist()
+    a, b = schedule.bond_a.tolist(), schedule.bond_b.tolist()
+    marks = np.asarray(marks, dtype=float).tolist()
+    n_ev, n_mk = len(times), len(marks)
+    ei, mi = start, 0
+    prev = times[start - 1] if start else 0.0
+    while True:
+        t_ev = times[ei] if ei < n_ev else np.inf
+        t_mk = marks[mi] if mi < n_mk else np.inf
+        t_next = min(t_ev, t_mk)
+        if t_next > t:
+            yield prev, t, mi
+            return
+        yield prev, t_next, mi
+        if t_ev <= t_mk:
+            ai, bi = a[ei], b[ei]
+            bits[ai], bits[bi] = bits[bi], bits[ai]
+            ei += 1
+        else:
+            mi += 1
+        prev = t_next
+
+
 @dataclass
 class Trajectory:
     """Deterministic function of (initial, schedule). `checkpoint` caches the
@@ -110,60 +155,29 @@ class Trajectory:
     schedule: LinkSchedule
     checkpoint: tuple | None = None
 
-    def state_at(self, t: float) -> Configuration:
-        return evolve(self, t)
-
-    def occupation_time(self, site: int, t: float) -> float:
-        return occupation_time(self, site, t)
-
 
 def evolve(trajectory: Trajectory, t: float) -> Configuration:
     """Apply all link events up to time t (stirring swaps), in order."""
     sched = trajectory.schedule
-    if t > sched.horizon:
-        raise ValueError("t beyond schedule horizon")
     hi = int(np.searchsorted(sched.times, t, side="right"))
     if trajectory.checkpoint is not None and trajectory.checkpoint[0] <= hi:
         lo, bits = trajectory.checkpoint[0], trajectory.checkpoint[1].copy()
     else:
         lo, bits = 0, trajectory.initial.bits.copy()
-    a, b = sched.bond_a, sched.bond_b
-    for i in range(lo, hi):
-        ai, bi = a[i], b[i]
-        bits[ai], bits[bi] = bits[bi], bits[ai]
+    for _ in replay(bits, sched, t, start=lo):
+        pass
     trajectory.checkpoint = (hi, bits.copy())
     return Configuration(trajectory.initial.torus, bits)
 
 
 def occupation_time(trajectory: Trajectory, site: int, t: float) -> float:
     """T_t = integral_0^t xi_s(site) ds, exact over inter-event intervals."""
-    sched = trajectory.schedule
-    if t > sched.horizon:
-        raise ValueError("t beyond schedule horizon")
     bits = trajectory.initial.bits.copy()
-    a, b = sched.bond_a, sched.bond_b
     acc = 0.0
-    prev = 0.0
-    hi = int(np.searchsorted(sched.times, t, side="right"))
-    for i in range(hi):
-        ti = sched.times[i]
+    for t0, t1, _ in replay(bits, trajectory.schedule, t):
         if bits[site]:
-            acc += ti - prev
-        prev = ti
-        ai, bi = a[i], b[i]
-        bits[ai], bits[bi] = bits[bi], bits[ai]
-    if bits[site]:
-        acc += t - prev
+            acc += t1 - t0
     return acc
-
-
-def export_checkpoints(trajectory: Trajectory, times, meta: dict | None = None):
-    """(time, bitstring) records for debugging, with run metadata attached."""
-    records = {"meta": dict(meta or {}), "states": []}
-    for t in times:
-        bits = evolve(trajectory, float(t)).bits
-        records["states"].append((float(t), "".join(str(int(b)) for b in bits)))
-    return records
 
 
 def marginal_mc(initial: Configuration, kernel: Kernel, queries, n: int, seed):
@@ -172,21 +186,17 @@ def marginal_mc(initial: Configuration, kernel: Kernel, queries, n: int, seed):
     queries = list(queries)
     t_max = max(t for _, t in queries)
     order = sorted(range(len(queries)), key=lambda i: queries[i][1])
+    query_times = [queries[qi][1] for qi in order]
     torus = initial.torus
     hits = np.zeros(len(queries))
     for trial in range(n):
         sched = build_schedule(torus, kernel, t_max, [seed, trial])
         bits = initial.bits.copy()
-        a, b, times = sched.bond_a, sched.bond_b, sched.times
-        ev = 0
-        n_ev = len(times)
-        for qi in order:
-            site, t = queries[qi]
-            while ev < n_ev and times[ev] <= t:
-                ai, bi = a[ev], b[ev]
-                bits[ai], bits[bi] = bits[bi], bits[ai]
-                ev += 1
-            hits[qi] += bits[site]
+        done = 0
+        for _, _, m in replay(bits, sched, t_max, query_times):
+            for qi in order[done:m]:
+                hits[qi] += bits[queries[qi][0]]
+            done = m
     means = hits / n
     stderrs = np.sqrt(np.maximum(means * (1 - means), 1e-300) / n)
     return means, stderrs
@@ -195,10 +205,15 @@ def marginal_mc(initial: Configuration, kernel: Kernel, queries, n: int, seed):
 def exp_weight_mc(torus: Torus, kernel: Kernel, rho: float, slices, t: float,
                   n: int, seed, initial: Configuration | None = None):
     """MC estimate of E exp[sum_z int_0^t K(z,s) xi_s(z) ds] for a piecewise
-    constant weight given as slices [(t0, t1, site_value_array)].
+    constant weight given as time-sorted, non-overlapping slices
+    [(t0, t1, site_value_array)]; the weight is zero outside them.
 
     Returns (mean, stderr) of the exponential weight.
     """
+    # slice k spans marks 2k and 2k+1: an odd count m lies inside slice m // 2
+    slices = [(t0, min(t1, t), vals) for t0, t1, vals in slices if min(t1, t) > t0]
+    edges = [e for t0, t1, _ in slices for e in (t0, t1)]
+    end = edges[-1] if edges else 0.0
     weights = np.empty(n)
     for trial in range(n):
         rng = np.random.default_rng([seed, trial])
@@ -208,23 +223,9 @@ def exp_weight_mc(torus: Torus, kernel: Kernel, rho: float, slices, t: float,
             bits = initial.bits.copy()
         sched = build_schedule(torus, kernel, t, rng)
         acc = 0.0
-        ev = 0
-        times, a, b = sched.times, sched.bond_a, sched.bond_b
-        n_ev = len(times)
-        for (t0, t1, vals) in slices:
-            t1 = min(t1, t)
-            if t1 <= t0:
-                continue
-            prev = t0
-            while ev < n_ev and times[ev] <= t1:
-                ti = times[ev]
-                if ti > t0:
-                    acc += (ti - prev) * float(vals @ bits)
-                    prev = ti
-                ai, bi = a[ev], b[ev]
-                bits[ai], bits[bi] = bits[bi], bits[ai]
-                ev += 1
-            acc += (t1 - prev) * float(vals @ bits)
+        for t0, t1, m in replay(bits, sched, end, edges):
+            if m % 2:
+                acc += (t1 - t0) * float(slices[m // 2][2] @ bits)
         weights[trial] = np.exp(acc)
     mean = float(weights.mean())
     stderr = float(weights.std(ddof=1) / np.sqrt(n)) if n > 1 else float("nan")

@@ -1,5 +1,5 @@
-"""Independent random walks: reference process, closed-form exponential
-functionals, and the exclusion-vs-IRW exponential-moment comparison.
+"""Independent random walks: closed-form exponential functionals and the
+exclusion-vs-IRW exponential-moment comparison.
 
 For a sign-uniform weight K with finite support, the IRW functional from a
 Bernoulli product start reduces to a product over sites of single-walk
@@ -18,62 +18,6 @@ from scipy.sparse.linalg import expm_multiply
 from .exclusion import exp_weight_mc
 from .fields import Region
 from .lattice import Kernel, Torus
-
-
-@dataclass
-class WalkEnsemble:
-    """Independent walkers on the torus with full jump-time bookkeeping."""
-
-    torus: Torus
-    kernel: Kernel
-    horizon: float
-    starts: np.ndarray
-    jump_times: list  # per particle, ascending within the horizon
-    jump_sites: list  # per particle, site after each jump
-
-    def position_at(self, particle: int, t: float) -> int:
-        if t > self.horizon:
-            raise ValueError("t beyond horizon")
-        k = int(np.searchsorted(self.jump_times[particle], t, side="right"))
-        if k == 0:
-            return int(self.starts[particle])
-        return int(self.jump_sites[particle][k - 1])
-
-    def counts_at(self, t: float) -> np.ndarray:
-        counts = np.zeros(self.torus.n_sites, dtype=int)
-        for q in range(len(self.starts)):
-            counts[self.position_at(q, t)] += 1
-        return counts
-
-
-def sample_walks(torus: Torus, kernel: Kernel, starts, horizon: float, seed) -> WalkEnsemble:
-    rng = np.random.default_rng(seed)
-    starts = np.asarray(starts, dtype=int)
-    offsets = [tuple(v) for v, _ in kernel.offsets]
-    weights = np.array([w for _, w in kernel.offsets])
-    perms = [torus.shift_table(v) for v in offsets]
-    jump_times, jump_sites = [], []
-    for s in starts:
-        times = []
-        sites = []
-        t, here = 0.0, int(s)
-        while True:
-            t += rng.exponential(1.0 / kernel.rate)
-            if t > horizon:
-                break
-            k = int(rng.choice(len(offsets), p=weights))
-            here = int(perms[k][here])
-            times.append(t)
-            sites.append(here)
-        jump_times.append(np.asarray(times))
-        jump_sites.append(np.asarray(sites, dtype=int))
-    return WalkEnsemble(torus=torus, kernel=kernel, horizon=horizon,
-                        starts=starts, jump_times=jump_times, jump_sites=jump_sites)
-
-
-def evolve_irw(ensemble: WalkEnsemble, t: float) -> np.ndarray:
-    """Site occupation counts (multiplicities allowed) at time t."""
-    return ensemble.counts_at(t)
 
 
 @dataclass(frozen=True)
@@ -170,12 +114,10 @@ def irw_exp_functional_eta(eta_bits: np.ndarray, K: WeightFunction, t: float,
 def se_exp_functional(rho_or_eta, K: WeightFunction, t: float, torus: Torus,
                       kernel: Kernel) -> float:
     """Exclusion-side expectation, exact via the configuration-space
-    semigroup (state count 2^sites must fit the cap)."""
+    semigroup (state count 2^sites must fit the cap of build_se_generator)."""
     from .exact import build_se_generator, nu_weights, occupation_bits
 
     n = torus.n_sites
-    if 2**n > 2**20:
-        raise ValueError("configuration space too large for exact route")
     gen = build_se_generator(torus, kernel)
     bits = occupation_bits(n).astype(float)
     v = np.ones(2**n)

@@ -69,6 +69,11 @@ class Torus:
         weights = self.L ** np.arange(self.d - 1, -1, -1)
         return shifted @ weights
 
+    def unit_moves(self) -> np.ndarray:
+        """(2d, n_sites) table of x -> x + e for the unit vectors e, in the
+        offset order of srw_kernel(d)."""
+        return np.stack([self.shift_table(vec) for vec, _ in srw_kernel(self.d).offsets])
+
 
 @dataclass(frozen=True)
 class Kernel:

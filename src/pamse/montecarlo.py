@@ -8,13 +8,14 @@ parallel runs merge trial arrays by index.
 
 from __future__ import annotations
 
+import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .exclusion import build_schedule
+from .exclusion import build_schedule, replay
 from .lattice import Kernel, Torus, heat1d, srw_kernel, green
 
 
@@ -30,23 +31,6 @@ class McEstimate:
 
     def within(self, value: float, n_sigma: float) -> bool:
         return abs(self.mean - value) <= n_sigma * self.stderr
-
-    def to_record(self, **params) -> dict:
-        rec = dict(params)
-        rec.update(mean=self.mean, stderr=self.stderr, n=self.n,
-                   seed=list(flat_seed(self.seed)), seconds=self.seconds)
-        if self.log_mean is not None:
-            rec.update(log_mean=self.log_mean, log_stderr=self.log_stderr)
-        return rec
-
-
-def write_records(path: str, records) -> None:
-    """Append line-delimited JSON records (one estimate per line)."""
-    import json
-
-    with open(path, "a") as fh:
-        for rec in records:
-            fh.write(json.dumps(rec, default=float) + "\n")
 
 
 @dataclass(frozen=True)
@@ -138,57 +122,34 @@ def _moment_trials(params: ModelParams, t: float, seed, trials,
     """Per-trial exponents int_0^t gamma sum_q xi_s(X_q(s)) ds."""
     torus = params.torus
     kernel = params.catalyst_kernel
-    n_sites = torus.n_sites
     walker_rate = params.walker_rate
     d, p, gamma = params.d, params.p, params.gamma
-    # neighbour table for walkers (the 2d unit moves)
-    moves = []
-    for j in range(d):
-        for sign in (1, -1):
-            vec = tuple(sign if i == j else 0 for i in range(d))
-            moves.append(torus.shift_table(vec))
-    moves = np.stack(moves)
+    moves = torus.unit_moves()
     out = np.empty(len(trials))
     for k, trial in enumerate(trials):
         rng = np.random.default_rng(flat_seed(seed) + (trial,))
         if initial_bits is None:
-            bits0 = (rng.random(n_sites) < params.rho).astype(np.uint8)
+            bits0 = (rng.random(torus.n_sites) < params.rho).astype(np.uint8)
         else:
             bits0 = np.array(initial_bits, dtype=np.uint8)
         sched = build_schedule(torus, kernel, t, rng)
         accs = np.empty(walker_resamples)
         for rep in range(walker_resamples):
             bits = bits0.copy()
-            if walker_rate > 0:
-                n_jumps = rng.poisson(walker_rate * t * p)
-                jump_times = np.sort(rng.random(n_jumps) * t)
-                jump_who = rng.integers(0, p, n_jumps)
-                jump_dir = rng.integers(0, 2 * d, n_jumps)
-            else:
-                jump_times = np.empty(0)
-                jump_who = jump_dir = np.empty(0, dtype=int)
+            # at kappa = 0 these are empty draws, which leave rng untouched
+            n_jumps = rng.poisson(walker_rate * t * p)
+            jump_times = np.sort(rng.random(n_jumps) * t)
+            jump_who = rng.integers(0, p, n_jumps)
+            jump_dir = rng.integers(0, 2 * d, n_jumps)
             walkers = np.zeros(p, dtype=int)  # all start at the origin site
             acc = 0.0
-            t_prev = 0.0
-            ei = wi = 0
-            ev_times = sched.times
-            n_ev, n_w = len(ev_times), len(jump_times)
-            while True:
-                t_ev = ev_times[ei] if ei < n_ev else np.inf
-                t_wk = jump_times[wi] if wi < n_w else np.inf
-                t_next = min(t_ev, t_wk, t)
-                acc += (t_next - t_prev) * float(bits[walkers].sum())
-                if t_next >= t:
-                    break
-                if t_ev <= t_wk:
-                    a, b = sched.bond_a[ei], sched.bond_b[ei]
-                    bits[a], bits[b] = bits[b], bits[a]
-                    ei += 1
-                else:
+            wi = 0
+            for t0, t1, jumped in replay(bits, sched, t, jump_times):
+                while wi < jumped:
                     q = jump_who[wi]
                     walkers[q] = moves[jump_dir[wi], walkers[q]]
                     wi += 1
-                t_prev = t_next
+                acc += (t1 - t0) * float(bits[walkers].sum())
             accs[rep] = gamma * acc
         m = accs.max()
         out[k] = m + np.log(np.mean(np.exp(accs - m)))  # log of walker-average
@@ -208,16 +169,12 @@ def estimate_moment(params: ModelParams, t: float, n: int, seed,
     weight being the walker-average of the exponential)."""
     if n < 2:
         raise ValueError("need at least two trials")
-    import time as _time
-
-    t0 = _time.time()
+    t0 = time.time()
     w = _run_trials(_MomentTrialSpec(params, t, seed, initial_bits,
                                      walker_resamples), n, n_workers)
     vals = np.exp(w)
     ess = effective_sample_size(w)
     if ess < 0.01 * n:
-        import warnings
-
         warnings.warn(
             f"exponential weights are heavy-tailed (effective sample size "
             f"{ess:.0f} of {n}); increase the trial count by ~{n / max(ess, 1):.0f}x "
@@ -228,7 +185,7 @@ def estimate_moment(params: ModelParams, t: float, n: int, seed,
         n=n, seed=seed,
         log_mean=_logmeanexp(w),
         log_stderr=_jackknife_log_stderr(w),
-        seconds=_time.time() - t0,
+        seconds=time.time() - t0,
     )
 
 
@@ -350,23 +307,12 @@ def blocking_lower_bound(params: ModelParams, box_sites, t: float, n: int,
         if not np.all(bits[box]):
             continue
         sched = build_schedule(torus, kernel, t, rng)
-        ok = True
-        for a, b, tt in zip(sched.bond_a, sched.bond_b, sched.times):
-            bits[a], bits[b] = bits[b], bits[a]
-            if (a in box or b in box) and not np.all(bits[box]):
-                ok = False
-                break
-        full_hits += ok
+        full_hits += all(np.all(bits[box]) for _ in replay(bits, sched, t))
     p_full = full_hits / n
     p_full_est = McEstimate(p_full, float(np.sqrt(max(p_full * (1 - p_full), 1e-300) / n)), n, seed)
 
     d = params.d
-    moves = []
-    for j in range(d):
-        for sign in (1, -1):
-            vec = tuple(sign if i == j else 0 for i in range(d))
-            moves.append(torus.shift_table(vec))
-    moves = np.stack(moves)
+    moves = torus.unit_moves()
     box_set = set(int(b) for b in box)
     origin = torus.index((0,) * d)
     stay_hits = 0

@@ -68,15 +68,13 @@ def quadratic_form_parts(f: TestFunction, spec: OperatorSpec):
 
     a3 = 0.0
     walker = np.arange(spec.n_walker)
+    moves = spec.torus.unit_moves()
     for i in range(spec.p):
         x_i = (walker // n ** (spec.p - 1 - i)) % n
-        for j in range(spec.torus.d):
-            for sign in (1, -1):
-                vec = tuple(sign if jj == j else 0 for jj in range(spec.torus.d))
-                perm = spec.torus.shift_table(vec)
-                moved = walker + (perm[x_i] - x_i) * n ** (spec.p - 1 - i)
-                diff = grid[:, moved] - grid
-                a3 += 0.5 * float(np.sum(w_eta[:, None] * diff**2))
+        for perm in moves:
+            moved = walker + (perm[x_i] - x_i) * n ** (spec.p - 1 - i)
+            diff = grid[:, moved] - grid
+            a3 += 0.5 * float(np.sum(w_eta[:, None] * diff**2))
     return a1, a2, a3
 
 

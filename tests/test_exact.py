@@ -37,6 +37,18 @@ class TestSeGenerator:
         np.testing.assert_allclose(np.asarray(gen.sum(axis=1)).ravel(), 0.0,
                                    atol=1e-14)
 
+    def test_memoized_read_only(self):
+        trs, k = Torus(1, 5), srw_kernel(1)
+        gen = exact.build_se_generator(trs, k)
+        assert exact.build_se_generator(Torus(1, 5), srw_kernel(1)) is gen
+        with pytest.raises(ValueError):
+            gen.data[0] = 1.0
+
+    def test_state_cap_still_raises(self):
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                exact.build_se_generator(Torus(1, 19), srw_kernel(1))
+
     def test_conserves_particle_sectors(self):
         trs = Torus(1, 4)
         gen = exact.build_se_generator(trs, srw_kernel(1)).tocoo()

@@ -51,6 +51,14 @@ class TestSchedule:
         assert len(rates) == 6  # one bond per site in d=1
         np.testing.assert_allclose(rates, 0.5)
 
+    def test_bond_table_memoized_read_only(self, ring6):
+        trs, k = ring6
+        bonds = ex.torus_bonds(trs, k)
+        assert ex.torus_bonds(Torus(1, 6), srw_kernel(1)) is bonds
+        for arr in bonds:
+            with pytest.raises(ValueError):
+                arr[0] = 0
+
     def test_event_statistics(self):
         # per-bond mean ~ horizon/2 and uniform times at the 1% level
         trs = Torus(1, 8)
@@ -148,6 +156,66 @@ class TestEvolve:
             assert bits is not got.bits
 
 
+def _pieces(bits, sched, t, marks=(), start=0):
+    """(t0, t1, marks passed, bits during the piece) for every piece."""
+    return [(t0, t1, m, "".join(map(str, bits)))
+            for t0, t1, m in ex.replay(bits, sched, t, marks, start)]
+
+
+class TestReplay:
+    def _one_swap(self, time=0.5, horizon=1.0):
+        trs = Torus(1, 4)
+        bits = np.array([0, 0, 1, 0], dtype=np.uint8)
+        sched = ex.LinkSchedule(horizon, np.array([time]), np.array([2]),
+                                np.array([3]), 2.0)
+        return trs, bits, sched
+
+    def test_link_event_before_tied_mark(self):
+        _, bits, sched = self._one_swap()
+        assert _pieces(bits, sched, 1.0, [0.5]) == [
+            (0.0, 0.5, 0, "0010"), (0.5, 0.5, 0, "0001"), (0.5, 1.0, 1, "0001")]
+
+    def test_empty_schedule(self):
+        bits = np.array([1, 0, 1], dtype=np.uint8)
+        sched = ex.build_schedule(Torus(1, 3), srw_kernel(1), 0.0, 1)
+        assert _pieces(bits, sched, 0.0) == [(0.0, 0.0, 0, "101")]
+        empty = ex.LinkSchedule(2.0, np.empty(0), np.empty(0, int), np.empty(0, int), 3.0)
+        assert _pieces(bits, empty, 2.0) == [(0.0, 2.0, 0, "101")]
+        assert _pieces(bits, empty, 2.0, [0.5, 1.5]) == [
+            (0.0, 0.5, 0, "101"), (0.5, 1.5, 1, "101"), (1.5, 2.0, 2, "101")]
+
+    def test_mark_at_t_is_passed(self):
+        _, bits, sched = self._one_swap()
+        assert _pieces(bits, sched, 0.8, [0.2, 0.8, 0.9]) == [
+            (0.0, 0.2, 0, "0010"), (0.2, 0.5, 1, "0010"), (0.5, 0.8, 1, "0001"),
+            (0.8, 0.8, 2, "0001")]
+
+    def test_t_equal_to_horizon(self):
+        _, bits, sched = self._one_swap(time=1.0, horizon=1.0)
+        assert _pieces(bits, sched, 1.0) == [(0.0, 1.0, 0, "0010"),
+                                             (1.0, 1.0, 0, "0001")]
+        with pytest.raises(ValueError):
+            _pieces(bits, sched, 1.0 + 1e-12)
+
+    def test_resume_from_start(self, ring6):
+        trs, k = ring6
+        sched = ex.build_schedule(trs, k, 2.0, 7)
+        eta = ex.sample_initial(trs, 0.5, 8)
+        pieces = _pieces(eta.bits.copy(), sched, 2.0)
+        mid = ex.evolve(ex.Trajectory(eta, sched), sched.times[2]).bits
+        assert _pieces(mid, sched, 2.0, start=3) == pieces[3:]
+
+    def test_pieces_tile_interval(self, ring6):
+        trs, k = ring6
+        sched = ex.build_schedule(trs, k, 3.0, 9)
+        marks = np.sort(np.random.default_rng(10).random(5) * 2.5)
+        pieces = list(ex.replay(np.zeros(6, dtype=np.uint8), sched, 2.5, marks))
+        assert pieces[0][0] == 0.0 and pieces[-1][1] == 2.5
+        assert all(p[1] == q[0] for p, q in zip(pieces, pieces[1:]))
+        n_cuts = int(np.sum(sched.times <= 2.5)) + len(marks)
+        assert len(pieces) == n_cuts + 1 and pieces[-1][2] == len(marks)
+
+
 class TestOccupationTime:
     def test_full_and_empty(self, ring6):
         trs, k = ring6
@@ -223,3 +291,65 @@ class TestGraphicalIdentity:
         diff = (n01 - n10) / n
         sigma = np.sqrt((n01 + n10)) / n
         assert abs(diff) <= 4 * max(sigma, 1e-12)
+
+
+def _hexes(values):
+    return [float(v).hex() for v in values]
+
+
+class TestReplayPin:
+    """Exact float.hex values of every replay entry point at fixed seeds,
+    recorded before the link-event loops were merged into one engine; any
+    change in draw order or accumulation order shows up here."""
+
+    def test_marginal_mc_with_query_at_t_max(self):
+        trs = Torus(1, 8)
+        init = ex.Configuration(trs, [1, 0, 0, 1, 1, 0, 1, 0])
+        means, stderrs = ex.marginal_mc(
+            init, srw_kernel(1), [(0, 0.5), (3, 2.0), (5, 1.2), (1, 2.0), (7, 0.0)],
+            300, 21)
+        assert _hexes(means) == ["0x1.5555555555555p-1", "0x1.1eb851eb851ecp-1",
+                                 "0x1.0369d0369d037p-1", "0x1.962fc962fc963p-2",
+                                 "0x0.0p+0"]
+        assert _hexes(stderrs) == ["0x1.bdea7eefbeaedp-6", "0x1.d58c323fb8e10p-6",
+                                   "0x1.d8ec5d3607e17p-6", "0x1.cec1331bc435ap-6",
+                                   "0x1.830cd1c5d9e0ep-503"]
+
+    def test_exp_weight_mc(self, ring6):
+        from pamse import irw
+
+        trs, k = ring6
+        K = irw.WeightFunction((((0,), (0.0, 1.0), 0.8), ((2,), (0.4, 1.5), 0.5)))
+        slices = K.time_slices(trs)
+        assert _hexes(ex.exp_weight_mc(trs, k, 0.4, slices, 1.5, 300, 31)) == [
+            "0x1.ef9b7075df393p+0", "0x1.9a10038cbd5bfp-5"]
+        fixed = ex.Configuration(trs, [1, 1, 0, 0, 1, 0])
+        assert _hexes(ex.exp_weight_mc(trs, k, 0.4, slices, 1.2, 300, 32,
+                                       initial=fixed)) == [
+            "0x1.203e370e7472fp+1", "0x1.d8b76ca954d87p-6"]
+        # a weight that ends before t
+        short = irw.WeightFunction((((1,), (0.0, 0.8), -0.6), ((3,), (0.2, 0.5), -1.1)))
+        assert _hexes(ex.exp_weight_mc(trs, k, 0.5, short.time_slices(trs), 2.0,
+                                       300, 33)) == [
+            "0x1.55ffd122670f9p-1", "0x1.4091b40765383p-7"]
+        # slices with gaps, the first starting after 0
+        gapped = [(0.3, 0.6, np.array([0.5, 0, 0, 0.2, 0, 0])),
+                  (0.9, 1.4, np.array([0, 0.7, 0.7, 0, 0, 0]))]
+        assert _hexes(ex.exp_weight_mc(trs, k, 0.5, gapped, 1.2, 300, 34)) == [
+            "0x1.65d2830675d49p+0", "0x1.d07c684feb337p-7"]
+
+    def test_occupation_time_and_evolve_sequence(self):
+        trs = Torus(1, 8)
+        eta = ex.Configuration(trs, [1, 0, 1, 1, 0, 1, 0, 0])
+        sched = ex.build_schedule(trs, srw_kernel(1), 3.0, 42)
+        traj = ex.Trajectory(eta, sched)
+        occ = [ex.occupation_time(traj, site, t)
+               for site, t in ((0, 3.0), (2, 1.7), (5, 0.0), (7, 2.4), (3, 3.0))]
+        assert _hexes(occ) == ["0x1.bb3d5813cc861p-1", "0x1.c47b49b6c6a54p-1",
+                               "0x0.0p+0", "0x1.88c7ba5c80236p+0",
+                               "0x1.47741abf73a48p+0"]
+        states = ["".join(map(str, ex.evolve(traj, t).bits))
+                  for t in (0.7, 2.1, 1.0, 3.0, 0.0, 3.0)]
+        assert states == ["00011101", "00100111", "00011011", "00100111",
+                          "10110100", "00100111"]
+        assert traj.checkpoint[0] == sched.n_events == 14

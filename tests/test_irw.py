@@ -9,7 +9,7 @@ from scipy.sparse.linalg import expm_multiply
 
 from pamse import exact, irw
 from pamse.fields import Region
-from pamse.lattice import Torus, srw_kernel, torus_heat_matrix
+from pamse.lattice import Torus, srw_kernel
 
 
 @pytest.fixture
@@ -43,42 +43,6 @@ def joint_chain_value(torus, kernel, occ_sites, slices, t):
     for s in occ_sites:
         start = start * n + s
     return float(v[start])
-
-
-class TestEnsemble:
-    def test_start_positions(self, ring6):
-        trs, k = ring6
-        ens = irw.sample_walks(trs, k, [0, 0, 3], 2.0, 1)
-        counts = irw.evolve_irw(ens, 0.0)
-        assert counts[0] == 2 and counts[3] == 1
-
-    def test_count_conserved(self, ring6):
-        trs, k = ring6
-        ens = irw.sample_walks(trs, k, [0, 2, 2, 5], 4.0, 9)
-        for t in (0.5, 2.0, 4.0):
-            assert irw.evolve_irw(ens, t).sum() == 4
-
-    def test_multiplicities_allowed(self, ring6):
-        trs, k = ring6
-        for seed in range(50):
-            ens = irw.sample_walks(trs, k, [0, 1], 3.0, seed)
-            if irw.evolve_irw(ens, 3.0).max() > 1:
-                return
-        pytest.fail("independent walks never collided")
-
-    def test_single_particle_marginal(self, ring6):
-        trs, k = ring6
-        t = 1.5
-        n = 20_000
-        counts = np.zeros(6)
-        for i in range(n):
-            ens = irw.sample_walks(trs, k, [2], t, [17, i])
-            counts += irw.evolve_irw(ens, t)
-        target = torus_heat_matrix(trs, k, t)[2]
-        for s in range(6):
-            p_hat = counts[s] / n
-            sigma = np.sqrt(max(target[s] * (1 - target[s]), 1e-12) / n)
-            assert abs(p_hat - target[s]) <= 4 * sigma
 
 
 class TestWeightFunction:
@@ -238,25 +202,6 @@ class TestLandimSpotCheck:
                 vals.append(float(h[x0]))
             irw_val = float(np.prod([vals[x] for x in (0, 2)]))
             assert se_val <= irw_val + 1e-12
-
-
-class TestStationaryMarginal:
-    def test_density_preserved_from_product_start(self):
-        trs = Torus(1, 6)
-        k = srw_kernel(1)
-        t = 1.3
-        n = 6000
-        total = 0
-        rng = np.random.default_rng(5)
-        for i in range(n):
-            starts = np.nonzero(rng.random(6) < 0.4)[0]
-            if len(starts) == 0:
-                continue
-            ens = irw.sample_walks(trs, k, starts, t, [71, i])
-            total += int(irw.evolve_irw(ens, t)[2])
-        mean = total / n
-        sigma = np.sqrt(0.4 / n) * 2  # counts can exceed 1; crude envelope
-        assert abs(mean - 0.4) <= 4 * sigma
 
 
 class TestOverflowFlag:

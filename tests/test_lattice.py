@@ -52,6 +52,14 @@ class TestKernels:
         for v, w in table.items():
             assert table[tuple(-x for x in v)] == w
 
+    def test_unit_moves_follow_srw_offsets(self):
+        trs = lat.Torus(2, 3)
+        moves = trs.unit_moves()
+        assert moves.shape == (4, 9)
+        for row, (vec, _) in zip(moves, lat.srw_kernel(2).offsets):
+            for x in range(9):
+                assert row[x] == trs.shift_index(x, vec)
+
     def test_zero_dimension_rejected(self):
         with pytest.raises(ValueError):
             lat.srw_kernel(0)

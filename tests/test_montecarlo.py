@@ -182,30 +182,6 @@ def test_flat_seed_layouts():
 
 
 class TestRecords:
-    def test_checkpoint_export(self):
-        from pamse import exclusion as ex
-        from pamse.lattice import Torus, srw_kernel
-
-        trs = Torus(1, 6)
-        eta = ex.sample_initial(trs, 0.5, 3)
-        sched = ex.build_schedule(trs, srw_kernel(1), 2.0, 4)
-        rec = ex.export_checkpoints(ex.Trajectory(eta, sched), [0.0, 1.0, 2.0],
-                                    meta={"seed": 4, "rho": 0.5})
-        assert rec["meta"]["seed"] == 4
-        assert rec["states"][0][1] == "".join(str(int(b)) for b in eta.bits)
-        assert len(rec["states"]) == 3
-
-    def test_jsonl_records(self, tmp_path):
-        import json
-
-        est = mc.estimate_moment(
-            mc.ModelParams(d=1, L=4, rho=0.5, kappa=1.0, p=1), 0.5, 50, 8)
-        path = tmp_path / "runs.jsonl"
-        mc.write_records(str(path), [est.to_record(d=1, L=4, t=0.5)])
-        line = json.loads(path.read_text().strip())
-        assert line["n"] == 50 and line["seed"] == [8]
-        assert "seconds" in line and "log_mean" in line
-
     def test_walker_resample_unbiased(self):
         from pamse import exact
         from pamse.lattice import Torus, srw_kernel
@@ -215,3 +191,54 @@ class TestRecords:
         spec = exact.OperatorSpec(torus=Torus(1, 4), kernel=srw_kernel(1),
                                   kappa=0.5, p=1, rho=0.5)
         assert est.within(exact.exact_moment(spec, 1.0), 4.0)
+
+
+def _hexes(values):
+    return [float(v).hex() for v in values]
+
+
+class TestReplayPin:
+    """Exact float.hex values of the Monte Carlo replay entry points at fixed
+    seeds, recorded before the link-event loops were merged into one engine."""
+
+    @pytest.mark.parametrize("kw, t, n, seed, extra, want", [
+        (dict(d=1, L=6, rho=0.4, kappa=0.5, p=1), 1.5, 300, 11, {},
+         ("0x1.fe603a30c8f55p+0", "0x1.0536544db20b2p-4",
+          "0x1.6143c0f414d5cp-1", "0x1.064d37a23a82dp-5")),
+        (dict(d=1, L=6, rho=0.5, kappa=2.0, p=2, gamma=0.7), 1.0, 300, 12, {},
+         ("0x1.1b698bac97ba4p+1", "0x1.a9cd05222d207p-5",
+          "0x1.96f9848fb41fbp-1", "0x1.80c33cfa8ef2dp-6")),
+        (dict(d=1, L=4, rho=0.3, kappa=1.0, p=3), 1.0, 300, [13, 2], {},
+         ("0x1.f562e302622a4p+1", "0x1.f8fcaa113d399p-3",
+          "0x1.5d8759ff92a3fp+0", "0x1.02ba0e543b4b7p-4")),
+        (dict(d=1, L=5, rho=0.6, kappa=0.0, p=2), 1.2, 300, 14, {},
+         ("0x1.7c4cdb40d862cp+2", "0x1.07c5d6bca7cedp-2",
+          "0x1.c836420cc0283p+0", "0x1.63275cb6b8754p-5")),
+        (dict(d=2, L=3, rho=0.5, kappa=0.5, p=2), 0.8, 200, 15,
+         {"walker_resamples": 3},
+         ("0x1.5745ddb9dad3ap+1", "0x1.48597c0c41972p-4",
+          "0x1.f915f161c020fp-1", "0x1.e9dbadec13c2dp-6")),
+        (dict(d=1, L=6, rho=0.5, kappa=1.0, p=1), 1.5, 300, 16,
+         {"initial_bits": [1, 0, 1, 1, 0, 0]},
+         ("0x1.2cfb2dd727e44p+1", "0x1.a611bc6d45324p-5",
+          "0x1.b5c4d8601ba7ap-1", "0x1.6721fa28f8c63p-6")),
+    ])
+    def test_estimate_moment(self, kw, t, n, seed, extra, want):
+        est = mc.estimate_moment(mc.ModelParams(**kw), t, n, seed, **extra)
+        assert tuple(_hexes((est.mean, est.stderr, est.log_mean,
+                             est.log_stderr))) == want
+
+    def test_blocking_lower_bound(self):
+        bound = mc.blocking_lower_bound(
+            mc.ModelParams(d=1, L=6, rho=0.7, kappa=0.3, p=1), [0, 1], 0.8, 400, 51)
+        assert _hexes((bound.mc_bound, bound.analytic_bound,
+                       bound.p_catalyst_full.mean, bound.p_walker_stays.mean)) == [
+            "-0x1.1da0b2713da1ap-1", "-0x1.976547e690f7ep-1",
+            "0x1.7851eb851eb85p-2", "0x1.90a3d70a3d70ap-1"]
+        bound = mc.blocking_lower_bound(
+            mc.ModelParams(d=2, L=3, rho=0.8, kappa=0.2, p=1), [(0, 0), (0, 1)],
+            0.5, 400, 52)
+        assert _hexes((bound.mc_bound, bound.analytic_bound,
+                       bound.p_catalyst_full.mean, bound.p_walker_stays.mean)) == [
+            "-0x1.499d8c057cbcep-1", "-0x1.ae84aa99e7ba0p-1",
+            "0x1.1eb851eb851ecp-1", "0x1.91eb851eb851fp-1"]
