@@ -10,14 +10,13 @@ from .exclusion import Configuration, LinkSchedule, Trajectory, build_schedule, 
     evolve, occupation_time, sample_initial
 from .harness import Report, ScenarioConfig, emit_figures_data, run_scenario
 from .irw import WeightFunction, compare_se_irw, irw_exp_functional
-from .lattice import HeatKernelTable, Kernel, Torus, green, srw_kernel, \
-    transition_prob
+from .lattice import Kernel, Torus, green, srw_kernel, transition_prob
 from .montecarlo import McEstimate, ModelParams, estimate_moment, lambda_curve
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Configuration", "HeatKernelTable", "Kernel", "LinkSchedule", "McEstimate",
+    "Configuration", "Kernel", "LinkSchedule", "McEstimate",
     "ModelParams", "OperatorSpec", "Report", "ScenarioConfig", "Torus",
     "Trajectory", "WeightFunction", "build_schedule", "compare_se_irw",
     "emit_figures_data", "estimate_moment", "evolve", "green",

@@ -9,7 +9,6 @@ import sys
 
 from .harness import ConfigError, Report, ScenarioConfig, emit_figures_data, \
     run_scenario, validate_config
-from .lattice import CACHE_ENV_VAR
 
 
 def _cmd_run(args) -> int:
@@ -71,7 +70,6 @@ def main(argv=None) -> int:
         prog="pamse",
         description="Exclusion-catalyst reaction-diffusion toolkit: scenario "
                     "runner and acceptance suite.",
-        epilog=f"Heat-kernel tables are cached under ${CACHE_ENV_VAR} when set.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -363,15 +363,3 @@ def martingale_check(generator: sp.spmatrix, psi: np.ndarray, r: float,
     dev2 = np.max(np.abs(expm_multiply(killed * t, scale) / scale - 1.0))
     return float(max(dev1, dev2))
 
-
-def kappa_sweep_mu(torus: Torus, kernel: Kernel, rho: float, p: int,
-                   kappas, gamma: float = 1.0) -> np.ndarray:
-    """mu_p over a kappa grid (dense top eigenvalue per point)."""
-    from .variational import top_eigenvalue
-
-    out = []
-    for kap in kappas:
-        spec = OperatorSpec(torus=torus, kernel=kernel, kappa=float(kap), p=p,
-                            rho=rho, gamma=gamma)
-        out.append(top_eigenvalue(spec).mu)
-    return np.asarray(out)

@@ -18,7 +18,8 @@ import scipy.sparse as sp
 from scipy.linalg import expm as dense_expm
 from scipy.sparse.linalg import expm_multiply
 
-from .lattice import Kernel, Torus, cycle_heat1d, green, heat1d, srw_kernel
+from .lattice import (Kernel, Torus, _tail_by_power_fit, cycle_heat1d, gauss_legendre,
+                      green, heat1d, outer_power, srw_kernel, transition_prob_many)
 
 GL_NODES_PER_PANEL = 12
 
@@ -29,12 +30,7 @@ def time_quadrature(T: float, n_panels: int = 8, nodes_per_panel: int = GL_NODES
     if T <= 0:
         return np.empty(0), np.empty(0)
     edges = T * (np.linspace(0.0, 1.0, n_panels + 1) ** 2)
-    x, w = np.polynomial.legendre.leggauss(nodes_per_panel)
-    nodes, weights = [], []
-    for a, b in zip(edges[:-1], edges[1:]):
-        nodes.append(0.5 * (b - a) * x + 0.5 * (a + b))
-        weights.append(0.5 * (b - a) * w)
-    return np.concatenate(nodes), np.concatenate(weights)
+    return gauss_legendre(edges, nodes_per_panel)
 
 
 @dataclass(frozen=True)
@@ -77,9 +73,6 @@ class Field:
     def grid(self) -> np.ndarray:
         return self.values.reshape((self.torus.L,) * self.torus.d)
 
-    def to_table(self):
-        return [(self.torus.coords(i), float(v)) for i, v in enumerate(self.values)]
-
 
 @lru_cache(maxsize=32)
 def _chi_grid_cached(spec: PsiSpec) -> np.ndarray:
@@ -89,11 +82,7 @@ def _chi_grid_cached(spec: PsiSpec) -> np.ndarray:
     taus = 2.0 * spec.one_kappa * nodes
     out = np.zeros((trs.L,) * trs.d)
     for tau, w in zip(taus, weights):
-        row = cycle_heat1d(trs.L, tau)
-        prod = row
-        for _ in range(trs.d - 1):
-            prod = np.multiply.outer(prod, row)
-        out += w * prod
+        out += w * outer_power(cycle_heat1d(trs.L, tau), trs.d)
     return out
 
 
@@ -357,7 +346,7 @@ def halfspace_region(torus: Torus) -> Region:
 @dataclass
 class CauchyProblem:
     """Source segments are (t0, t1, values-per-live-site); a moving point
-    source is pre-expanded into segments with :func:`moving_source_segments`."""
+    source is one segment per stretch between its jumps."""
 
     region: Region
     kernel: Kernel
@@ -375,46 +364,6 @@ def static_problem(region: Region, kernel: Kernel, horizon: float,
                    values) -> CauchyProblem:
     return CauchyProblem(region, kernel, horizon,
                          [(0.0, horizon, np.asarray(values, dtype=float))])
-
-
-def moving_source_segments(region: Region, path, profile_of_pos) -> list:
-    """Expand a piecewise-constant path [(t0, t1, position_index)] into
-    source segments, re-expanding the profile at each path jump."""
-    return [(t0, t1, profile_of_pos(pos)) for t0, t1, pos in path]
-
-
-def cauchy_problem_from_config(cfg: dict) -> CauchyProblem:
-    """Build a problem from the harness config format.
-
-    Expected keys: d, L, rate, horizon, optional halfspace (bool), and
-    source with type 'uniform_box' (sites, total default 1) or 'point'
-    (site, strength), or 'static' (values per live site).
-    """
-    torus = Torus(int(cfg["d"]), int(cfg["L"]))
-    region = halfspace_region(torus) if cfg.get("halfspace") else Region(torus)
-    kernel = srw_kernel(torus.d, rate=float(cfg.get("rate", 1.0)))
-    horizon = float(cfg["horizon"])
-    src = cfg["source"]
-    pos = region.local_index()
-    values = np.zeros(len(region.sites))
-    if src["type"] == "uniform_box":
-        sites = [torus.index(tuple(s)) for s in src["sites"]]
-        local = pos[np.asarray(sites)]
-        if np.any(local < 0):
-            raise ValueError("source outside region")
-        values[local] = float(src.get("total", 1.0)) / len(sites)
-    elif src["type"] == "point":
-        local = pos[torus.index(tuple(src["site"]))]
-        if local < 0:
-            raise ValueError("source outside region")
-        values[local] = float(src["strength"])
-    elif src["type"] == "static":
-        values = np.asarray(src["values"], dtype=float)
-        if values.shape != (len(region.sites),):
-            raise ValueError("static source must cover the live sites")
-    else:
-        raise ValueError(f"unknown source type {src['type']!r}")
-    return static_problem(region, kernel, horizon, values)
 
 
 @dataclass
@@ -642,23 +591,13 @@ def green_window_table(kernel: Kernel, torus: Torus, split: float = 2000.0) -> n
     zs = np.where(coords <= half, coords, coords - torus.L)
 
     def window(s: float) -> np.ndarray:
-        from .lattice import transition_prob_many
-
         return transition_prob_many(rate1, s, zs)
 
     nodes, weights = time_quadrature(split, 24, 12)
     body = np.zeros(torus.n_sites)
     for s, w in zip(nodes, weights):
         body += w * window(s)
-    d = kernel.d
-    ss = np.array([split, 2 * split, 4 * split])
-    g = np.stack([window(s) * s ** (d / 2.0) for s in ss])
-    A = np.stack([np.ones(3), 1.0 / ss, 1.0 / ss**2], axis=1)
-    c0, c1, c2 = np.linalg.solve(A, g)
-    a = d / 2.0
-    tail = (c0 * split ** (1 - a) / (a - 1) + c1 * split ** (-a) / a
-            + c2 * split ** (-a - 1) / (a + 1))
-    return body + tail
+    return body + _tail_by_power_fit(window, split, kernel.d)
 
 
 def green_contraction(problem: CauchyProblem,

@@ -66,23 +66,26 @@ class WeightFunction:
         return out
 
 
-def uniform_box_weight(sites, t1: float, value: float) -> WeightFunction:
-    return WeightFunction(tuple((tuple(s), (0.0, float(t1)), float(value))
-                                for s in sites))
+def _pieces_latest_first(K: WeightFunction, torus: Torus, t: float):
+    """(dt, per-site values) of K's constant pieces on [0, t], latest first,
+    with K clipped at t and padded by zero up to t."""
+    slices = [s for s in K.time_slices(torus) if s[0] < t]
+    end = slices[-1][1] if slices else 0.0
+    if end < t:
+        slices.append((end, t, np.zeros(torus.n_sites)))
+    for t0, t1, vals in reversed(slices):
+        dt = min(t1, t) - t0
+        if dt > 0:
+            yield dt, vals
 
 
 def single_walk_values(torus: Torus, kernel: Kernel, K: WeightFunction, t: float) -> np.ndarray:
     """v(x) = E_x exp[int_0^t K(Y_s, s) ds] for one rate-`kernel.rate` walk,
     by exact exponential-integrator factors per constant-K interval."""
     gen = Region(torus).generator(kernel)
-    slices = [s for s in K.time_slices(torus) if s[0] < t]
     v = np.ones(torus.n_sites)
     # backward in time: v = T_0 T_1 ... 1 with chronological factors
-    full = slices + ([] if slices and slices[-1][1] >= t else [(slices[-1][1] if slices else 0.0, t, np.zeros(torus.n_sites))])
-    for t0, t1, vals in reversed(full):
-        dt = min(t1, t) - t0
-        if dt <= 0:
-            continue
+    for dt, vals in _pieces_latest_first(K, torus, t):
         op = (gen + sp.diags(vals)).tocsr()
         v = expm_multiply(op * dt, v)
     return v
@@ -121,12 +124,7 @@ def se_exp_functional(rho_or_eta, K: WeightFunction, t: float, torus: Torus,
     gen = build_se_generator(torus, kernel)
     bits = occupation_bits(n).astype(float)
     v = np.ones(2**n)
-    slices = [s for s in K.time_slices(torus) if s[0] < t]
-    full = slices + ([] if slices and slices[-1][1] >= t else [(slices[-1][1] if slices else 0.0, t, np.zeros(n))])
-    for t0, t1, vals in reversed(full):
-        dt = min(t1, t) - t0
-        if dt <= 0:
-            continue
+    for dt, vals in _pieces_latest_first(K, torus, t):
         op = (gen + sp.diags(bits @ vals)).tocsr()
         v = expm_multiply(op * dt, v)
     if np.isscalar(rho_or_eta):
@@ -148,15 +146,6 @@ class ComparisonReport:
     irw_method: str
     se_stderr: float | None = None
     violation: bool = False
-
-    def to_record(self) -> dict:
-        return {
-            "d": self.torus.d, "L": self.torus.L, "t": self.t,
-            "start": repr(self.rho_or_eta),
-            "se_value": self.se_value, "irw_value": self.irw_value,
-            "margin": self.margin, "se_method": self.se_method,
-            "irw_method": self.irw_method, "violation": self.violation,
-        }
 
 
 def compare_se_irw(torus: Torus, kernel: Kernel, rho_or_eta, K: WeightFunction,

@@ -9,18 +9,14 @@ in one place.
 
 from __future__ import annotations
 
-import hashlib
 import math
-import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 from scipy.integrate import quad
 
 Vector = tuple[int, ...]
-
-CACHE_ENV_VAR = "PAMSE_CACHE_DIR"
 
 
 @dataclass(frozen=True)
@@ -191,6 +187,14 @@ def cycle_heat1d(L: int, tau: float) -> np.ndarray:
     return np.cos(np.outer(m, k)) @ decay / L
 
 
+def outer_power(row: np.ndarray, d: int) -> np.ndarray:
+    """row x row x ... x row (d factors): a product-form kernel on d axes."""
+    out = row
+    for _ in range(d - 1):
+        out = np.multiply.outer(out, row)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Transition probabilities on Z^d.
 # ---------------------------------------------------------------------------
@@ -238,11 +242,7 @@ def heat_window(kernel: Kernel, t: float, radius: int) -> np.ndarray:
     side = 2 * r + 1
     if kernel.is_srw:
         tau = kernel.rate * t / kernel.d
-        row = heat1d(np.arange(-r, r + 1), tau)
-        out = row
-        for _ in range(kernel.d - 1):
-            out = np.multiply.outer(out, row)
-        return out
+        return outer_power(heat1d(np.arange(-r, r + 1), tau), kernel.d)
     grids = np.meshgrid(*[np.arange(-r, r + 1)] * kernel.d, indexing="ij")
     zs = np.stack([g.ravel() for g in grids], axis=1)
     return transition_prob_many(kernel, t, zs).reshape((side,) * kernel.d)
@@ -254,11 +254,7 @@ def torus_heat_row(torus: Torus, kernel: Kernel, t: float) -> np.ndarray:
         raise ValueError("negative time")
     s = kernel.rate * t
     if kernel.is_srw:
-        row = cycle_heat1d(torus.L, s / kernel.d)
-        out = row
-        for _ in range(torus.d - 1):
-            out = np.multiply.outer(out, row)
-        return out.ravel()
+        return outer_power(cycle_heat1d(torus.L, s / kernel.d), torus.d).ravel()
     k = 2.0 * np.pi * np.arange(torus.L) / torus.L
     grid = np.stack(np.meshgrid(*[k] * torus.d, indexing="ij"), axis=-1)
     decay = np.exp(-s * kernel.symbol(grid))
@@ -278,12 +274,24 @@ def torus_heat_matrix(torus: Torus, kernel: Kernel, t: float) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Green functions.
+# Time quadrature and Green functions.
 # ---------------------------------------------------------------------------
 
 
-def _tail_by_power_fit(f, s0: float, d: int) -> float:
-    """integral_{s0}^inf f, fitting f(s) ~ s^{-d/2} (1 + c1/s + c2/s^2)."""
+def gauss_legendre(edges: np.ndarray, nodes_per_panel: int):
+    """Composite Gauss-Legendre rule with one panel per consecutive pair of
+    edges. Returns (nodes, weights)."""
+    x, w = np.polynomial.legendre.leggauss(nodes_per_panel)
+    nodes, weights = [], []
+    for a, b in zip(edges[:-1], edges[1:]):
+        nodes.append(0.5 * (b - a) * x + 0.5 * (a + b))
+        weights.append(0.5 * (b - a) * w)
+    return np.concatenate(nodes), np.concatenate(weights)
+
+
+def _tail_by_power_fit(f, s0: float, d: int):
+    """integral_{s0}^inf f, fitting f(s) ~ s^{-d/2} (1 + c1/s + c2/s^2); f may
+    be array-valued, each entry then gets its own fit."""
     ss = np.array([s0, 2.0 * s0, 4.0 * s0])
     g = np.array([f(s) * s ** (d / 2.0) for s in ss])
     A = np.stack([np.ones(3), 1.0 / ss, 1.0 / ss**2], axis=1)
@@ -400,104 +408,3 @@ def halfspace_green_diag(kernel: Kernel, x1: int) -> float:
     z = np.zeros(kernel.d, dtype=int)
     z[0] = 2 * x1 - 1
     return green(kernel) + green(kernel, z=z)
-
-
-def heat_kernel_decay_constant(kernel: Kernel, t_max: float = 1e3, n: int = 200) -> float:
-    """Fitted C with p_t(0,0) <= C (1+t)^(-d/2) over t in [0, t_max]."""
-    ts = np.linspace(0.0, t_max, n)
-    zs = np.zeros((1, kernel.d), dtype=int)
-    vals = np.array([transition_prob_many(kernel, t, zs)[0] for t in ts])
-    return float(np.max(vals * (1.0 + ts) ** (kernel.d / 2.0)))
-
-
-# ---------------------------------------------------------------------------
-# Heat-kernel tables with columnar text caching.
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class HeatKernelTable:
-    """Cached p_t(0, z) over a time grid and a cubic window."""
-
-    kernel: Kernel
-    times: np.ndarray
-    radius: int
-    values: np.ndarray = field(repr=False)  # (n_times, (2r+1)^d)
-    tol: float = 1e-12
-
-    def value(self, time_index: int, z) -> float:
-        side = 2 * self.radius + 1
-        idx = 0
-        for c in z:
-            if abs(int(c)) > self.radius:
-                return 0.0
-            idx = idx * side + (int(c) + self.radius)
-        return float(self.values[time_index, idx])
-
-    def window_coords(self) -> np.ndarray:
-        r = self.radius
-        grids = np.meshgrid(*[np.arange(-r, r + 1)] * self.kernel.d, indexing="ij")
-        return np.stack([g.ravel() for g in grids], axis=1)
-
-    def cache_key(self) -> str:
-        h = hashlib.sha256()
-        h.update(repr((self.kernel.d, self.kernel.rate, self.kernel.offsets)).encode())
-        h.update(np.asarray(self.times).tobytes())
-        h.update(repr((self.radius, self.tol)).encode())
-        return h.hexdigest()[:16]
-
-    def save_text(self, path: str) -> None:
-        coords = self.window_coords()
-        with open(path, "w") as fh:
-            fh.write(f"# d={self.kernel.d} rate={self.kernel.rate!r} "
-                     f"radius={self.radius} tol={self.tol!r}\n")
-            fh.write("# time " + " ".join(f"z{j}" for j in range(self.kernel.d))
-                     + " value\n")
-            for i, t in enumerate(self.times):
-                for j, c in enumerate(coords):
-                    fh.write(f"{float(t)!r} " + " ".join(str(int(v)) for v in c)
-                             + f" {float(self.values[i, j])!r}\n")
-
-    @classmethod
-    def load_text(cls, path: str, kernel: Kernel, tol: float = 1e-12):
-        times = []
-        rows = {}
-        with open(path) as fh:
-            for line in fh:
-                if line.startswith("#"):
-                    continue
-                parts = line.split()
-                t = float(parts[0])
-                z = tuple(int(v) for v in parts[1:-1])
-                rows.setdefault(t, {})[z] = float(parts[-1])
-                if t not in times:
-                    times.append(t)
-        radius = max(abs(v) for zs in rows.values() for z in zs for v in z)
-        side = 2 * radius + 1
-        values = np.zeros((len(times), side**kernel.d))
-        for i, t in enumerate(times):
-            for z, val in rows[t].items():
-                idx = 0
-                for c in z:
-                    idx = idx * side + (c + radius)
-                values[i, idx] = val
-        return cls(kernel=kernel, times=np.asarray(times), radius=radius,
-                   values=values, tol=tol)
-
-
-def build_heat_table(kernel: Kernel, times, radius: int, tol: float = 1e-12,
-                     cache_dir: str | None = None) -> HeatKernelTable:
-    times = np.asarray(times, dtype=float)
-    table = HeatKernelTable(kernel=kernel, times=times, radius=radius,
-                            values=np.empty((0, 0)), tol=tol)
-    cache_dir = cache_dir or os.environ.get(CACHE_ENV_VAR)
-    if cache_dir:
-        path = os.path.join(cache_dir, f"heat_{table.cache_key()}.txt")
-        if os.path.exists(path):
-            return HeatKernelTable.load_text(path, kernel, tol)
-    values = np.stack([heat_window(kernel, t, radius).ravel() for t in times])
-    table.values = values
-    if cache_dir:
-        os.makedirs(cache_dir, exist_ok=True)
-        table.save_text(path)
-    return table

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exclusion import build_schedule, replay
-from .lattice import Kernel, Torus, heat1d, srw_kernel, green
+from .lattice import Kernel, Torus, gauss_legendre, heat1d, srw_kernel, green
 
 
 @dataclass
@@ -198,7 +198,6 @@ class LyapunovRun:
     plateau: float
     plateau_err: float
     fit_window: tuple
-    scaled: bool = False
     estimates: list = field(default_factory=list)
 
     def bounds_ok(self) -> bool:
@@ -216,19 +215,18 @@ class LyapunovRun:
         return grid_ok and plateau_ok
 
 
-def lambda_curve(params: ModelParams, t_grid, n: int, seed, scaled: bool = False,
+def lambda_curve(params: ModelParams, t_grid, n: int, seed,
                  n_workers: int = 1) -> LyapunovRun:
-    """Lambda_p(t) over a time grid with a linear-in-1/t plateau fit over the
-    last third. scaled=True returns the kappa-rescaled variant (time divided
-    by kappa, prefactor 1/kappa)."""
+    """Lambda_p(t) = log E[u(0, t)^p] / (p t) over a time grid, one
+    estimate_moment run per point (seed [seed, i]), with a linear-in-1/t
+    plateau fit over the last third."""
     t_grid = np.asarray(t_grid, dtype=float)
     if np.any(np.diff(t_grid) <= 0) or np.any(t_grid <= 0):
         raise ValueError("t grid must be positive and increasing")
     lambdas, errs, ests = [], [], []
     for i, t in enumerate(t_grid):
-        t_run = t / params.kappa if scaled else t
-        est = estimate_moment(params, t_run, n, [seed, i], n_workers=n_workers)
-        scale = params.p * t_run * (params.kappa if scaled else 1.0)
+        est = estimate_moment(params, t, n, [seed, i], n_workers=n_workers)
+        scale = params.p * t
         lambdas.append(est.log_mean / scale)
         errs.append(est.log_stderr / scale)
         ests.append(est)
@@ -246,8 +244,7 @@ def lambda_curve(params: ModelParams, t_grid, n: int, seed, scaled: bool = False
     return LyapunovRun(
         params=params, t_grid=t_grid, lambdas=lambdas, lambda_err=errs,
         plateau=float(coef[0]), plateau_err=plateau_err,
-        fit_window=(float(t_grid[k0]), float(t_grid[-1])), scaled=scaled,
-        estimates=ests,
+        fit_window=(float(t_grid[k0]), float(t_grid[-1])), estimates=ests,
     )
 
 
@@ -285,10 +282,6 @@ class BlockingBound:
     p_walker_stays: McEstimate
     range_estimate: McEstimate
     t: float
-
-    @property
-    def degenerate(self) -> bool:
-        return not np.isfinite(self.mc_bound)
 
 
 def blocking_lower_bound(params: ModelParams, box_sites, t: float, n: int,
@@ -371,12 +364,7 @@ class _ProbeTrialSpec:
 def _probe_nodes(t: float, n_panels: int = 14, nodes_per_panel: int = 12):
     """Composite GL grid in the lag variable, geometric toward 0."""
     edges = np.concatenate([[0.0], np.geomspace(min(0.25, t / 4), t, n_panels)])
-    x, w = np.polynomial.legendre.leggauss(nodes_per_panel)
-    nodes, weights = [], []
-    for a, b in zip(edges[:-1], edges[1:]):
-        nodes.append(0.5 * (b - a) * x + 0.5 * (a + b))
-        weights.append(0.5 * (b - a) * w)
-    return np.concatenate(nodes), np.concatenate(weights)
+    return gauss_legendre(edges, nodes_per_panel)
 
 
 def _probe_trials(spec: _ProbeTrialSpec, trials) -> np.ndarray:

@@ -209,13 +209,6 @@ class TestMoments:
         mu = top_eigenvalue(spec6).mu
         assert abs(slope - mu) < 1e-8
 
-    def test_kappa_grid_monotone_convex(self):
-        trs = Torus(1, 4)
-        mus = exact.kappa_sweep_mu(trs, srw_kernel(1), 0.5, 1,
-                                   [0.0, 0.5, 1.0, 2.0, 4.0])
-        assert np.all(np.diff(mus) <= 1e-9)
-        assert np.all(np.diff(mus, 2) >= -1e-9)
-
 
 class TestMartingale:
     def _setup(self, T=1.0, kappa=1.0):

@@ -1,5 +1,7 @@
 """Smoothing fields, gradient kernels, Cauchy solvers, Green contraction."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -185,8 +187,8 @@ class TestCauchySolver:
             out[pos] = 1.0
             return out
 
-        segs = fields.moving_source_segments(
-            fields.Region(trs), [(0.0, 1.0, 2), (1.0, 2.0, 3)], profile)
+        path = [(0.0, 1.0, 2), (1.0, 2.0, 3)]  # (t0, t1, position)
+        segs = [(t0, t1, profile(pos)) for t0, t1, pos in path]
         prob = fields.CauchyProblem(fields.Region(trs), srw_kernel(1), 2.0, segs)
         sol = fields.solve_cauchy(prob, [2.0], "stepping")
         assert sol.v[0].max() > 1.0
@@ -284,40 +286,6 @@ def test_time_quadrature_exactness():
     assert float(weights @ poly) == pytest.approx(2.0**10 / 10.0, rel=1e-12)
 
 
-class TestConfigAndExport:
-    def test_cauchy_problem_from_config(self):
-        prob = fields.cauchy_problem_from_config({
-            "d": 1, "L": 12, "rate": 1.0, "horizon": 1.5,
-            "source": {"type": "uniform_box", "sites": [[5], [6]], "total": 1.0},
-        })
-        assert prob.horizon == 1.5
-        vals = prob.segments[0][2]
-        assert vals.sum() == pytest.approx(1.0)
-        sol = fields.solve_cauchy(prob, [1.5], "stepping")
-        assert sol.v.shape == (1, 12)
-
-    def test_halfspace_point_config(self):
-        prob = fields.cauchy_problem_from_config({
-            "d": 3, "L": 7, "horizon": 0.5, "halfspace": True,
-            "source": {"type": "point", "site": [1, 3, 3], "strength": -0.4},
-        })
-        assert len(prob.region.sites) < prob.region.torus.n_sites
-        assert prob.segments[0][2].min() == pytest.approx(-0.4)
-
-    def test_source_outside_region_rejected(self):
-        with pytest.raises(ValueError):
-            fields.cauchy_problem_from_config({
-                "d": 1, "L": 6, "horizon": 1.0, "halfspace": True,
-                "source": {"type": "point", "site": [0], "strength": 1.0},
-            })
-
-    def test_field_table_export(self):
-        spec = fields.PsiSpec(kappa=1.0, T=0.5, torus=Torus(1, 6))
-        table = fields.chi_table(spec).to_table()
-        assert len(table) == 6
-        assert table[0][0] == (0,)
-
-
 def test_psi_global_bounds_random_eta():
     spec = fields.PsiSpec(kappa=1.5, T=2.0, torus=Torus(1, 24), rho=0.3)
     rng = np.random.default_rng(1)
@@ -347,3 +315,49 @@ class TestHalfspaceContraction:
         assert cert.certified
         sol = fields.solve_cauchy(prob, [2.0], "stepping")
         assert float(sol.w.max()) <= cert.sup_bound + 1e-9
+
+
+def _digest(values):
+    """Exact fingerprint of a float array (sha256 of its float64 bytes)."""
+    data = np.ascontiguousarray(values, dtype=np.float64).tobytes()
+    return hashlib.sha256(data).hexdigest()[:16]
+
+
+class TestQuadraturePin:
+    """Exact values of the Gauss-Legendre time grids and of the tables built
+    on them, recorded before the grid construction and the Green-tail fit were
+    shared with other modules."""
+
+    @pytest.mark.parametrize("T, n_panels, nodes_per_panel, want", [
+        (5.0, 10, 12, ("44fa5e5453556f49", "b13a5e4143d40543")),
+        (2000.0, 24, 12, ("c02d02a97a22a021", "2336e8d10be53023")),
+        (0.7, 24, 10, ("6050c0b780c1ad6c", "b2478031a7265fa4")),
+        (2.0, 6, 8, ("ed5253f4fece2c31", "ac7699cfb71e2662")),
+    ])
+    def test_time_quadrature(self, T, n_panels, nodes_per_panel, want):
+        nodes, weights = fields.time_quadrature(T, n_panels, nodes_per_panel)
+        assert (_digest(nodes), _digest(weights)) == want
+
+    @pytest.mark.parametrize("d, L, want", [
+        (3, 7, "953046eb8b68d51b"),
+        (3, 9, "1233b10c550f07bc"),
+        (4, 5, "c2b6f570fb0852e7"),
+    ])
+    def test_green_window_table(self, d, L, want):
+        assert _digest(fields.green_window_table(srw_kernel(d), Torus(d, L))) == want
+
+    @pytest.mark.parametrize("d, L, T, kappa, want_chi, want_norms", [
+        (1, 24, 2.0, 1.5, "cc9034684160e147",
+         ["0x1.25f064092973cp-1", "0x1.d15d709439e8ap+1",
+          "0x1.25f064095ba5cp-1", "0x1.bb195d1aef87dp-1"]),
+        (3, 9, 1.0, 2.0, "437a584fbdf7f5a1",
+         ["0x1.4df9a5240ac9dp-2", "0x1.861884d1a39b4p+2",
+          "0x1.4dfbf173d8001p-2", "0x1.817b3bea6d4d5p-2"]),
+    ])
+    def test_chi_and_kernel_norms(self, d, L, T, kappa, want_chi, want_norms):
+        spec = fields.PsiSpec(kappa=kappa, T=T, torus=Torus(d, L))
+        kk = fields.k_kernels(spec)
+        assert _digest(fields.chi_table(spec).values) == want_chi
+        assert [float(v).hex() for v in (kk.k_diag_norm, kk.k_off_norm_bound,
+                                         kk.closed_form_norm,
+                                         kk.kappa_limit_norm)] == want_norms

@@ -1,11 +1,14 @@
 """Config validation, scenario dispatch, report round trips, figure files."""
 
 import json
+from pathlib import Path
 
 import pytest
 
 from pamse import harness
 from pamse.lattice import green, srw_kernel
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
 class TestConfigValidation:
@@ -166,3 +169,11 @@ class TestCli:
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"scenario": "nope", "params": {}}))
         assert main(["validate", str(bad)]) == 1
+
+    def test_shipped_configs_validate(self):
+        from pamse.cli import main
+
+        paths = sorted(CONFIG_DIR.glob("*.json"))
+        assert paths
+        for path in paths:
+            assert main(["validate", str(path)]) == 0, path

@@ -142,13 +142,6 @@ class TestComparison:
             rep = irw.compare_se_irw(trs, k, eta, K, 1.0)
             assert rep.margin >= -1e-10
 
-    def test_serialized_record(self, ring6):
-        trs, k = ring6
-        K = irw.WeightFunction((((0,), (0.0, 1.0), 1.0),))
-        rec = irw.compare_se_irw(trs, k, 0.5, K, 1.0).to_record()
-        assert {"se_value", "irw_value", "margin", "se_method",
-                "irw_method"} <= set(rec)
-
     def test_mc_fallback_branch(self):
         trs = Torus(1, 6)
         k = srw_kernel(1)
@@ -243,3 +236,32 @@ class TestWeightHorizonEdges:
         d[0] = 1.0
         manual = expm_multiply((gen + sp.diags(d)).tocsr() * 0.8, np.ones(6))
         np.testing.assert_allclose(v, manual, atol=1e-12)
+
+
+class TestPaddingPin:
+    """Exact values of both exact IRW/SE functionals on weights that end
+    before t, exactly at t and past t, recorded before their shared loop
+    over the constant pieces of K was merged."""
+
+    @pytest.mark.parametrize("cells, want_irw, want_se", [
+        ((((0,), (0.0, 0.6), 0.8), ((2,), (0.2, 0.5), 0.3)),
+         ["0x1.609571c3bf7f6p+0", "0x1.19f4a4b5afae1p+0", "0x1.115fcf5cba8efp+0",
+          "0x1.055363647c859p+0", "0x1.04842a585b4c1p+0", "0x1.15d2691261edbp+0"],
+         ["0x1.49905a3f99f86p+0", "0x1.973265eb8c173p+0"]),
+        ((((1,), (0.0, 1.0), 0.5), ((3,), (0.4, 1.0), 0.7)),
+         ["0x1.1e8b0e4830903p+0", "0x1.5b0e53fc67263p+0", "0x1.35a6e3c656311p+0",
+          "0x1.397f2ea7aee7fp+0", "0x1.1dfb5e7223db6p+0", "0x1.100ef05aec7e7p+0"],
+         ["0x1.81ba6ef3c7ea2p+0", "0x1.a1df893283fe1p+0"]),
+        ((((0,), (0.3, 1.7), -0.4), ((4,), (0.0, 2.5), -0.2)),
+         ["0x1.c546235acfbffp-1", "0x1.e288b13e5ef3ap-1", "0x1.f264165a2f776p-1",
+          "0x1.eaed48dfc75f9p-1", "0x1.c5a35ee0ffd79p-1", "0x1.d359c0c1b8f9ep-1"],
+         ["0x1.ab59a1890e333p-1", "0x1.a17ccb83291c4p-1"]),
+    ], ids=["ends_before_t", "ends_at_t", "extends_past_t"])
+    def test_single_walk_and_se(self, ring6, cells, want_irw, want_se):
+        trs, k = ring6
+        K = irw.WeightFunction(cells)
+        v = irw.single_walk_values(trs, srw_kernel(1, rate=2.0), K, 1.0)
+        se = (irw.se_exp_functional(0.4, K, 1.0, trs, k),
+              irw.se_exp_functional([1, 0, 1, 1, 0, 0], K, 1.0, trs, k))
+        assert [float(x).hex() for x in v] == want_irw
+        assert [float(x).hex() for x in se] == want_se

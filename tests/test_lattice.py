@@ -1,5 +1,6 @@
 """Lattice kernels, heat kernels, Green functions."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -277,39 +278,57 @@ class TestTorusWrap:
 
 
 class TestHeatTable:
+    """The windowed heat table p_t(0, z), |z_i| <= radius, of heat_window."""
+
     def test_build_and_lookup(self):
         k = lat.srw_kernel(1)
-        table = lat.build_heat_table(k, [0.5, 1.0], radius=6)
-        assert table.value(0, (0,)) == pytest.approx(
-            lat.transition_prob(k, 0.5, (0,)), abs=1e-14)
-        assert table.value(1, (9,)) == 0.0  # outside the window
-
-    def test_text_roundtrip(self, tmp_path):
-        k = lat.srw_kernel(2)
-        table = lat.build_heat_table(k, [0.3, 0.7, 1.5], radius=3)
-        path = tmp_path / "table.txt"
-        table.save_text(str(path))
-        back = lat.HeatKernelTable.load_text(str(path), k)
-        np.testing.assert_allclose(back.values, table.values, atol=0)
-        np.testing.assert_allclose(back.times, table.times, atol=0)
-
-    def test_cache_hit(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(lat.CACHE_ENV_VAR, str(tmp_path))
-        k = lat.srw_kernel(1)
-        t1 = lat.build_heat_table(k, [0.4], radius=4)
-        files = list(tmp_path.iterdir())
-        assert len(files) == 1
-        t2 = lat.build_heat_table(k, [0.4], radius=4)
-        np.testing.assert_allclose(t1.values, t2.values, atol=0)
+        for t in (0.5, 1.0):
+            window = lat.heat_window(k, t, radius=6)
+            assert window.shape == (13,)
+            assert window[6] == pytest.approx(lat.transition_prob(k, t, (0,)),
+                                              abs=1e-14)
 
     def test_slice_mass_below_one(self):
         k = lat.srw_kernel(2)
-        table = lat.build_heat_table(k, [0.5, 2.0], radius=10)
-        sums = table.values.sum(axis=1)
-        assert np.all(sums <= 1.0 + 1e-12)
+        sums = [lat.heat_window(k, t, radius=10).sum() for t in (0.5, 2.0)]
+        assert np.all(np.array(sums) <= 1.0 + 1e-12)
         assert sums[0] == pytest.approx(1.0, abs=1e-10)
 
 
-def test_heat_kernel_decay_constant_finite():
-    c = lat.heat_kernel_decay_constant(lat.srw_kernel(2), t_max=200.0, n=60)
-    assert 0.9 < c < 3.0
+def _digest(values):
+    """Exact fingerprint of a float array (sha256 of its float64 bytes)."""
+    data = np.ascontiguousarray(values, dtype=np.float64).tobytes()
+    return hashlib.sha256(data).hexdigest()[:16]
+
+
+class TestGreenPin:
+    """Exact values of the Green quadrature and the product-form heat tables
+    at fixed inputs, recorded before the Green-tail fit and the outer-product
+    loop were shared across modules."""
+
+    @pytest.mark.parametrize("d, t_min, z, want", [
+        (3, 0.0, None, "0x1.8431e0742ba23p+0"),
+        (3, 1.5, None, "0x1.69a40bc882695p-1"),
+        (4, 0.0, None, "0x1.3d4db7a0ce792p+0"),
+        (4, 1.5, None, "0x1.c06ed78153f55p-2"),
+        (3, 0.0, (1, 2, 0), "0x1.b9870d16f7282p-3"),
+    ])
+    def test_green(self, d, t_min, z, want):
+        assert float(lat.green(lat.srw_kernel(d), t_min=t_min, z=z)).hex() == want
+
+    @pytest.mark.parametrize("d, t, radius, want", [
+        (1, 0.5, 6, "0d3f9ec9c96cbf49"),
+        (2, 2.0, 10, "0385e77cc42ea61a"),
+        (3, 0.7, 4, "96e5cbcf974e707d"),
+    ])
+    def test_heat_window(self, d, t, radius, want):
+        assert _digest(lat.heat_window(lat.srw_kernel(d), t, radius)) == want
+
+    @pytest.mark.parametrize("d, L, t, want", [
+        (1, 7, 0.9, "d0dff8a2cc1630e1"),
+        (2, 5, 1.3, "7672ca10e82fa979"),
+        (3, 4, 0.4, "be5df9b6cb14adad"),
+    ])
+    def test_torus_heat_row(self, d, L, t, want):
+        row = lat.torus_heat_row(lat.Torus(d, L), lat.srw_kernel(d, rate=2.0), t)
+        assert _digest(row) == want

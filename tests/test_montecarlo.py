@@ -74,15 +74,6 @@ class TestLambdaCurve:
         assert run.fit_window[1] == 4.0
         assert np.isfinite(run.plateau)
 
-    def test_scaled_variant_consistency(self, small_params):
-        # scaled value at horizon t is the plain value at t/kappa, over kappa
-        t = 2.0
-        kap = small_params.kappa
-        scaled = mc.lambda_curve(small_params, [t, 2 * t], 2000, 5, scaled=True)
-        plain = mc.lambda_curve(small_params, [t / kap, 2 * t / kap], 2000, 5)
-        np.testing.assert_allclose(scaled.lambdas, plain.lambdas / kap,
-                                   atol=1e-12)
-
     def test_bad_grid_rejected(self, small_params):
         with pytest.raises(ValueError):
             mc.lambda_curve(small_params, [2.0, 1.0], 100, 0)
@@ -242,3 +233,46 @@ class TestReplayPin:
                        bound.p_catalyst_full.mean, bound.p_walker_stays.mean)) == [
             "-0x1.499d8c057cbcep-1", "-0x1.ae84aa99e7ba0p-1",
             "0x1.1eb851eb851ecp-1", "0x1.91eb851eb851fp-1"]
+
+
+class TestProbePin:
+    """Exact values of the probe (its geometric Gauss-Legendre lag grid) and
+    of lambda_curve at fixed seeds, recorded before the grid construction was
+    shared with the field module."""
+
+    @pytest.mark.parametrize("d, kappa, t, shift, want", [
+        (4, 10.0, 0.6, 0.0, "0x1.2d287e6a31199p-2"),
+        (4, 10.0, 3.0, 0.0, "0x1.5c9df47b12a01p+0"),
+        (4, 10.0, 40.0, 0.0, "0x1.006f970273acep+3"),
+        (3, 2.0, 200.0, 1.5, "0x1.2b716712c474dp+0"),
+    ])
+    def test_probe_frozen_value(self, d, kappa, t, shift, want):
+        assert float(mc.probe_frozen_value(d, kappa, t, shift)).hex() == want
+
+    @pytest.mark.parametrize("d, kappa, t, n, seed, shift, want", [
+        (4, 10.0, 20.0, 30, 5, 0.0,
+         ["0x1.3451ed9be1b46p-3", "0x1.8b6b53d077228p-9", "0x1.3962e19ba928ap-3"]),
+        (3, 2.0, 5.0, 30, 6, 0.5,
+         ["0x1.2508b1af1c00cp-3", "0x1.ac39a45408de9p-8", "0x1.610bbb6b302b6p-3"]),
+    ])
+    def test_asymptotic_probe(self, d, kappa, t, n, seed, shift, want):
+        est, reference = mc.asymptotic_probe(d, kappa, t, n, seed, shift=shift)
+        assert _hexes((est.mean, est.stderr, reference)) == want
+
+    @pytest.mark.parametrize("kw, grid, n, seed, want", [
+        (dict(d=1, L=6, rho=0.5, kappa=0.5, p=1), [0.5, 1.0, 2.0], 300, 21,
+         (["0x1.156ba192754d4p-1", "0x1.235002946b3e8p-1", "0x1.46f1f23854724p-1"],
+          ["0x1.9c18f03815a58p-6", "0x1.63f51aaf17d29p-6", "0x1.2bd10bef58022p-6"],
+          ["0x1.6a93e1dc3da5ep-1", "0x1.042a66468ce09p-4"])),
+        (dict(d=1, L=4, rho=0.3, kappa=1.5, p=2, gamma=0.8), [0.4, 0.8, 1.2, 1.6],
+         200, [4, 1],
+         (["0x1.df16f637fad6ep-3", "0x1.2913382d9c2d5p-2",
+           "0x1.12cc4471e7b03p-2", "0x1.64037fe21c5a3p-2"],
+          ["0x1.4d82577a6102ep-6", "0x1.12d6ff2e7ebc2p-6",
+           "0x1.261d469f39cddp-6", "0x1.1c0e6fbcaf672p-6"],
+          ["0x1.2bd499195d2c1p-1", "0x1.ff1ce6a75c164p-4"])),
+    ])
+    def test_lambda_curve(self, kw, grid, n, seed, want):
+        run = mc.lambda_curve(mc.ModelParams(**kw), grid, n, seed)
+        assert (_hexes(run.lambdas), _hexes(run.lambda_err),
+                _hexes((run.plateau, run.plateau_err))) == want
