@@ -11,13 +11,13 @@ from .exclusion import Configuration, LinkSchedule, Trajectory, build_schedule, 
 from .harness import Report, ScenarioConfig, emit_figures_data, run_scenario
 from .irw import WeightFunction, compare_se_irw, irw_exp_functional
 from .lattice import Kernel, Torus, green, srw_kernel, transition_prob
-from .montecarlo import McEstimate, ModelParams, estimate_moment, lambda_curve
+from .montecarlo import McEstimate, estimate_moment, lambda_curve
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Configuration", "Kernel", "LinkSchedule", "McEstimate",
-    "ModelParams", "OperatorSpec", "Report", "ScenarioConfig", "Torus",
+    "OperatorSpec", "Report", "ScenarioConfig", "Torus",
     "Trajectory", "WeightFunction", "build_schedule", "compare_se_irw",
     "emit_figures_data", "estimate_moment", "evolve", "green",
     "irw_exp_functional", "lambda_curve", "occupation_time", "run_scenario",

@@ -309,8 +309,7 @@ def criterion_12_tilt_maximization(tol: float = 1e-8) -> CriterionResult:
                         p=1, rho=0.5)
     lams = exact_lambda_profile(spec, [0.5, 1.0, 2.0, 4.0, 8.0])
     exact_ok = bool(np.all(lams >= 0.5 - 1e-12) and np.all(lams <= 1.0 + 1e-12))
-    params = mc.ModelParams(d=1, L=6, rho=0.5, kappa=0.5, p=1)
-    run = mc.lambda_curve(params, [1.0, 2.0, 4.0], 4000, 99)
+    run = mc.lambda_curve(spec, [1.0, 2.0, 4.0], 4000, 99)
     mc_ok = run.bounds_ok()
     return CriterionResult(12, "tilt maximization and exponent bounds",
                            grid_ok and exact_ok and mc_ok,

@@ -35,8 +35,10 @@ DEFAULT_STATE_CAP = 2**14 * 16
 
 @dataclass(frozen=True)
 class OperatorSpec:
-    """Joint model: exclusion on the torus plus p walkers with diffusion
-    constant kappa, coupled through V(eta, x) = gamma * sum_i eta(x_i)."""
+    """The one model of every route: exclusion with the symmetric `kernel` on
+    the torus from nu_rho, plus p walkers jumping to nearest neighbours at
+    rate 2 d kappa, coupled through V(eta, x) = gamma * sum_i eta(x_i). The
+    state cap applies to the dimension a generator builds, not to the spec."""
 
     torus: Torus
     kernel: Kernel
@@ -44,7 +46,6 @@ class OperatorSpec:
     p: int
     rho: float
     gamma: float = 1.0
-    cap: int = DEFAULT_STATE_CAP
 
     def __post_init__(self):
         if self.kappa < 0:
@@ -53,8 +54,6 @@ class OperatorSpec:
             raise ValueError("walker count must be >= 0")
         if not 0.0 < self.rho < 1.0:
             raise ValueError("density must lie in (0, 1)")
-        if self.joint_dim > self.cap:
-            raise ValueError(f"state space {self.joint_dim} exceeds cap {self.cap}")
 
     @property
     def n_sites(self) -> int:
@@ -217,10 +216,13 @@ def _recentring_moves(spec: OperatorSpec) -> sp.csr_matrix:
 
 def _joint_free_generator(spec: OperatorSpec, se_rate_factor: float,
                           walker_factor: float, walker_frame: bool = False) -> sp.csr_matrix:
-    gen_se = build_se_generator(spec.torus, spec.kernel) * se_rate_factor
-    lap = walker_laplacian(spec.torus)
     n = spec.n_sites
     free = _free_walkers(spec, walker_frame)
+    dim = spec.n_eta * n**free
+    if dim > DEFAULT_STATE_CAP:
+        raise ValueError(f"state space {dim} exceeds cap {DEFAULT_STATE_CAP}")
+    gen_se = build_se_generator(spec.torus, spec.kernel) * se_rate_factor
+    lap = walker_laplacian(spec.torus)
     joint = sp.kron(gen_se, sp.identity(n**free, format="csr"), format="csr")
     for i in range(free):
         left = sp.identity(spec.n_eta * n**i, format="csr")

@@ -22,6 +22,12 @@ from .lattice import (Kernel, Torus, _tail_by_power_fit, cycle_heat1d, gauss_leg
                       green, heat1d, outer_power, srw_kernel, transition_prob_many)
 
 GL_NODES_PER_PANEL = 12
+PSI_PANELS = 10  # time panels of the chi and gradient-kernel quadrature
+
+
+def _panel_edges(T: float, n_panels: int) -> np.ndarray:
+    """Panel edges of time_quadrature on [0, T], refined toward 0."""
+    return T * (np.linspace(0.0, 1.0, n_panels + 1) ** 2)
 
 
 def time_quadrature(T: float, n_panels: int = 8, nodes_per_panel: int = GL_NODES_PER_PANEL):
@@ -29,8 +35,7 @@ def time_quadrature(T: float, n_panels: int = 8, nodes_per_panel: int = GL_NODES
     heat kernels vary fastest. Returns (nodes, weights)."""
     if T <= 0:
         return np.empty(0), np.empty(0)
-    edges = T * (np.linspace(0.0, 1.0, n_panels + 1) ** 2)
-    return gauss_legendre(edges, nodes_per_panel)
+    return gauss_legendre(_panel_edges(T, n_panels), nodes_per_panel)
 
 
 @dataclass(frozen=True)
@@ -41,8 +46,6 @@ class PsiSpec:
     T: float
     torus: Torus
     rho: float = 0.5
-    n_panels: int = 10
-    nodes_per_panel: int = GL_NODES_PER_PANEL
 
     def __post_init__(self):
         if self.kappa <= 0 or self.T < 0:
@@ -55,7 +58,7 @@ class PsiSpec:
 
     @property
     def quad_node_count(self) -> int:
-        return self.n_panels * self.nodes_per_panel
+        return PSI_PANELS * GL_NODES_PER_PANEL
 
 
 def recommended_side(d: int, T: float, kappa: float, spread: int = 1) -> int:
@@ -77,7 +80,7 @@ class Field:
 @lru_cache(maxsize=32)
 def _chi_grid_cached(spec: PsiSpec) -> np.ndarray:
     trs = spec.torus
-    nodes, weights = time_quadrature(spec.T, spec.n_panels, spec.nodes_per_panel)
+    nodes, weights = time_quadrature(spec.T, PSI_PANELS)
     # rate-1 d-dim walk at time 2 d s 1k => per-coordinate clock 2 s 1k
     taus = 2.0 * spec.one_kappa * nodes
     out = np.zeros((trs.L,) * trs.d)
@@ -242,7 +245,7 @@ def _heat_diag(d: int, tau_per_coord: float) -> float:
 def _kdiag_closed_form(spec: PsiSpec) -> float:
     """(4/1k) int_0^T [ p_{4 d u 1k}(0,0) - p_{2 d (u+T) 1k}(0,0) ] du."""
     d, onek, T = spec.torus.d, spec.one_kappa, spec.T
-    us, ws = time_quadrature(T, spec.n_panels, spec.nodes_per_panel)
+    us, ws = time_quadrature(T, PSI_PANELS)
     a = sum(w * _heat_diag(d, 4.0 * u * onek) for u, w in zip(us, ws))
     b = sum(w * _heat_diag(d, 2.0 * (u + T) * onek) for u, w in zip(us, ws))
     return 4.0 / onek * (a - b)
@@ -251,7 +254,7 @@ def _kdiag_closed_form(spec: PsiSpec) -> float:
 def _kdiag_kappa_limit(spec: PsiSpec) -> float:
     """(1/d) ( int_0^{2dT} p_u(0,0) du - int_{2dT}^{4dT} p_u(0,0) du )."""
     d, T = spec.torus.d, spec.T
-    us, ws = time_quadrature(2 * d * T, spec.n_panels, spec.nodes_per_panel)
+    us, ws = time_quadrature(2 * d * T, PSI_PANELS)
     a = sum(w * _heat_diag(d, u / d) for u, w in zip(us, ws))
     b = sum(w * _heat_diag(d, (u + 2 * d * T) / d) for u, w in zip(us, ws))
     return (a - b) / d
@@ -536,7 +539,7 @@ def mass_identity_residual(problem: CauchyProblem, box_sites, t_end: float,
     if np.any(box_local < 0):
         raise ValueError("box must lie inside the region")
     nodes, weights = time_quadrature(t_end, n_panels, 10)  # globally ascending
-    edges = t_end * (np.linspace(0.0, 1.0, n_panels + 1) ** 2)[1:]
+    edges = _panel_edges(t_end, n_panels)[1:]
     query = np.unique(np.concatenate([nodes, edges]))
     sol = solve_cauchy(problem, query, mode="stepping")
     w = sol.w

@@ -70,6 +70,8 @@ class ScenarioConfig:
     def from_file(cls, path: str) -> "ScenarioConfig":
         with open(path) as fh:
             raw = json.load(fh)
+        if not isinstance(raw, dict):
+            raise ConfigError(f"{path}: top level must be a JSON object")
         return cls(scenario=raw.get("scenario", ""), params=raw.get("params", {}),
                    output_path=raw.get("output_path"))
 
@@ -83,6 +85,8 @@ class ConfigError(ValueError):
 
 
 def validate_config(cfg: ScenarioConfig) -> None:
+    if not isinstance(cfg.params, dict):
+        raise ConfigError(f"{cfg.scenario}: params must be a JSON object")
     if cfg.scenario not in _SCHEMAS:
         raise ConfigError(f"unknown scenario {cfg.scenario!r}; "
                           f"known: {sorted(_SCHEMAS)}")
@@ -176,14 +180,12 @@ def _run_comparison_suite(p: dict) -> Report:
 
 
 def _run_exact_vs_mc(p: dict) -> Report:
-    params = mc.ModelParams(d=p["d"], L=p["L"], rho=p["rho"], kappa=p["kappa"],
-                            p=p["p"], gamma=p.get("gamma", 1.0))
-    spec = OperatorSpec(torus=params.torus, kernel=params.catalyst_kernel,
-                        kappa=params.kappa, p=params.p, rho=params.rho,
-                        gamma=params.gamma)
+    spec = OperatorSpec(torus=Torus(p["d"], p["L"]), kernel=srw_kernel(p["d"]),
+                        kappa=p["kappa"], p=p["p"], rho=p["rho"],
+                        gamma=p.get("gamma", 1.0))
     t = float(p["t"])
     exact_val = exact_moment(spec, t)
-    est = mc.estimate_moment(params, t, p["n"], p["seed"],
+    est = mc.estimate_moment(spec, t, p["n"], p["seed"],
                              n_workers=p.get("n_workers", 1))
     n_sigma = float(p.get("n_sigma", 3.0))
     rel_tol = float(p.get("rel_tol", 0.02))
@@ -246,9 +248,9 @@ def _run_intermittency_kappa0(p: dict) -> Report:
 
 
 def _run_recurrent_trend(p: dict) -> Report:
-    params = mc.ModelParams(d=p["d"], L=p["L"], rho=p["rho"], kappa=p["kappa"],
-                            p=1, gamma=p.get("gamma", 1.0))
-    run = mc.lambda_curve(params, p["t_grid"], p["n"], p["seed"],
+    spec = OperatorSpec(torus=Torus(p["d"], p["L"]), kernel=srw_kernel(p["d"]),
+                        kappa=p["kappa"], p=1, rho=p["rho"], gamma=p.get("gamma", 1.0))
+    run = mc.lambda_curve(spec, p["t_grid"], p["n"], p["seed"],
                           n_workers=p.get("n_workers", 1))
     rows = [{"t": float(t), "Lambda": float(l), "stderr": float(e)}
             for t, l, e in zip(run.t_grid, run.lambdas, run.lambda_err)]

@@ -68,11 +68,9 @@ class WeightFunction:
 
 def _pieces_latest_first(K: WeightFunction, torus: Torus, t: float):
     """(dt, per-site values) of K's constant pieces on [0, t], latest first,
-    with K clipped at t and padded by zero up to t."""
+    with K clipped at t. A zero stretch after K ends needs no piece: it would
+    act first, on the constant 1, which the free semigroup leaves fixed."""
     slices = [s for s in K.time_slices(torus) if s[0] < t]
-    end = slices[-1][1] if slices else 0.0
-    if end < t:
-        slices.append((end, t, np.zeros(torus.n_sites)))
     for t0, t1, vals in reversed(slices):
         dt = min(t1, t) - t0
         if dt > 0:
@@ -157,8 +155,6 @@ def compare_se_irw(torus: Torus, kernel: Kernel, rho_or_eta, K: WeightFunction,
     SE is exact when 2^sites fits the cap, else Monte Carlo with its own
     stderr; IRW is always the exact product formula.
     """
-    if K.sign == 0 and K.total_mass() > 0:
-        raise ValueError("mixed-sign weight")
     scalar_start = np.isscalar(rho_or_eta)
     if scalar_start:
         irw_value = irw_exp_functional(float(rho_or_eta), K, t, torus, kernel)

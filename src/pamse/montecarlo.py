@@ -12,11 +12,13 @@ import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
+from .exact import OperatorSpec
 from .exclusion import build_schedule, replay
-from .lattice import Kernel, Torus, gauss_legendre, heat1d, srw_kernel, green
+from .lattice import Kernel, gauss_legendre, heat1d, srw_kernel, green
 
 
 @dataclass
@@ -31,30 +33,6 @@ class McEstimate:
 
     def within(self, value: float, n_sigma: float) -> bool:
         return abs(self.mean - value) <= n_sigma * self.stderr
-
-
-@dataclass(frozen=True)
-class ModelParams:
-    """Catalyst/reactant model on a finite torus."""
-
-    d: int
-    L: int
-    rho: float
-    kappa: float
-    p: int = 1
-    gamma: float = 1.0
-
-    @property
-    def torus(self) -> Torus:
-        return Torus(self.d, self.L)
-
-    @property
-    def catalyst_kernel(self) -> Kernel:
-        return srw_kernel(self.d, rate=1.0)
-
-    @property
-    def walker_rate(self) -> float:
-        return 2.0 * self.d * self.kappa
 
 
 def flat_seed(seed) -> tuple:
@@ -104,74 +82,50 @@ def _jackknife_log_stderr(w: np.ndarray) -> float:
     return float(np.sqrt((n - 1) * np.var(loo)))
 
 
-@dataclass
-class _MomentTrialSpec:
-    params: ModelParams
-    t: float
-    seed: object
-    initial_bits: np.ndarray | None = None
-    walker_resamples: int = 1
-
-    def __call__(self, trials) -> np.ndarray:
-        return _moment_trials(self.params, self.t, self.seed, trials,
-                              self.initial_bits, self.walker_resamples)
-
-
-def _moment_trials(params: ModelParams, t: float, seed, trials,
-                   initial_bits=None, walker_resamples: int = 1) -> np.ndarray:
+def _moment_trials(spec: OperatorSpec, t: float, seed, initial_bits,
+                   trials) -> np.ndarray:
     """Per-trial exponents int_0^t gamma sum_q xi_s(X_q(s)) ds."""
-    torus = params.torus
-    kernel = params.catalyst_kernel
-    walker_rate = params.walker_rate
-    d, p, gamma = params.d, params.p, params.gamma
+    torus = spec.torus
+    d, p = torus.d, spec.p
     moves = torus.unit_moves()
     out = np.empty(len(trials))
     for k, trial in enumerate(trials):
         rng = np.random.default_rng(flat_seed(seed) + (trial,))
         if initial_bits is None:
-            bits0 = (rng.random(torus.n_sites) < params.rho).astype(np.uint8)
+            bits = (rng.random(torus.n_sites) < spec.rho).astype(np.uint8)
         else:
-            bits0 = np.array(initial_bits, dtype=np.uint8)
-        sched = build_schedule(torus, kernel, t, rng)
-        accs = np.empty(walker_resamples)
-        for rep in range(walker_resamples):
-            bits = bits0.copy()
-            # at kappa = 0 these are empty draws, which leave rng untouched
-            n_jumps = rng.poisson(walker_rate * t * p)
-            jump_times = np.sort(rng.random(n_jumps) * t)
-            jump_who = rng.integers(0, p, n_jumps)
-            jump_dir = rng.integers(0, 2 * d, n_jumps)
-            walkers = np.zeros(p, dtype=int)  # all start at the origin site
-            acc = 0.0
-            wi = 0
-            for t0, t1, jumped in replay(bits, sched, t, jump_times):
-                while wi < jumped:
-                    q = jump_who[wi]
-                    walkers[q] = moves[jump_dir[wi], walkers[q]]
-                    wi += 1
-                acc += (t1 - t0) * float(bits[walkers].sum())
-            accs[rep] = gamma * acc
-        m = accs.max()
-        out[k] = m + np.log(np.mean(np.exp(accs - m)))  # log of walker-average
+            bits = np.array(initial_bits, dtype=np.uint8)
+        sched = build_schedule(torus, spec.kernel, t, rng)
+        # at kappa = 0 these are empty draws, which leave rng untouched
+        n_jumps = rng.poisson(2.0 * d * spec.kappa * t * p)
+        jump_times = np.sort(rng.random(n_jumps) * t)
+        jump_who = rng.integers(0, p, n_jumps)
+        jump_dir = rng.integers(0, 2 * d, n_jumps)
+        walkers = np.zeros(p, dtype=int)  # all start at the origin site
+        acc = 0.0
+        wi = 0
+        for t0, t1, jumped in replay(bits, sched, t, jump_times):
+            while wi < jumped:
+                q = jump_who[wi]
+                walkers[q] = moves[jump_dir[wi], walkers[q]]
+                wi += 1
+            acc += (t1 - t0) * float(bits[walkers].sum())
+        out[k] = spec.gamma * acc
     return out
 
 
-def estimate_moment(params: ModelParams, t: float, n: int, seed,
-                    n_workers: int = 1, initial_bits=None,
-                    walker_resamples: int = 1) -> McEstimate:
-    """E_{nu_rho} E_{0..0} exp[int_0^t gamma sum_q xi_s(X_q(s)) ds] by direct
-    Feynman-Kac sampling; the exponent is integrated exactly over the merged
-    event times of the link schedule and the walker jumps.
+def estimate_moment(spec: OperatorSpec, t: float, n: int, seed,
+                    n_workers: int = 1, initial_bits=None) -> McEstimate:
+    """E_{nu_rho} E_{0..0} exp[int_0^t gamma sum_q xi_s(X_q(s)) ds] for the
+    model `spec` by direct Feynman-Kac sampling; the exponent is integrated
+    exactly over the merged event times of the link schedule (spec.kernel)
+    and the walker jumps (rate 2 d kappa). No state space is built: no cap.
 
-    initial_bits pins the catalyst start instead of sampling it (diagnostics);
-    walker_resamples > 1 reuses each catalyst trajectory for several
-    independent walker draws (variance reduction; still unbiased, the trial
-    weight being the walker-average of the exponential)."""
+    initial_bits pins the catalyst start instead of sampling it from nu_rho."""
     if n < 2:
         raise ValueError("need at least two trials")
     t0 = time.time()
-    w = _run_trials(_MomentTrialSpec(params, t, seed, initial_bits,
-                                     walker_resamples), n, n_workers)
+    w = _run_trials(partial(_moment_trials, spec, t, seed, initial_bits), n, n_workers)
     vals = np.exp(w)
     ess = effective_sample_size(w)
     if ess < 0.01 * n:
@@ -191,7 +145,7 @@ def estimate_moment(params: ModelParams, t: float, n: int, seed,
 
 @dataclass
 class LyapunovRun:
-    params: ModelParams
+    spec: OperatorSpec
     t_grid: np.ndarray
     lambdas: np.ndarray
     lambda_err: np.ndarray
@@ -203,19 +157,19 @@ class LyapunovRun:
     def bounds_ok(self) -> bool:
         """Jensen floor gamma*rho and the trivial ceiling gamma (4 sigma),
         for every grid value and for the fitted plateau."""
-        g = self.params.gamma
-        lo = g * self.params.rho - 4 * self.lambda_err
+        g = self.spec.gamma
+        lo = g * self.spec.rho - 4 * self.lambda_err
         hi = g + 4 * self.lambda_err
         fin = np.isfinite(self.lambdas)
         grid_ok = bool(np.all(self.lambdas[fin] >= lo[fin])
                        and np.all(self.lambdas[fin] <= hi[fin]))
         slack = 4 * max(self.plateau_err, float(np.max(self.lambda_err, initial=0.0)))
-        plateau_ok = (g * self.params.rho - slack <= self.plateau
+        plateau_ok = (g * self.spec.rho - slack <= self.plateau
                       <= g + slack)
         return grid_ok and plateau_ok
 
 
-def lambda_curve(params: ModelParams, t_grid, n: int, seed,
+def lambda_curve(spec: OperatorSpec, t_grid, n: int, seed,
                  n_workers: int = 1) -> LyapunovRun:
     """Lambda_p(t) = log E[u(0, t)^p] / (p t) over a time grid, one
     estimate_moment run per point (seed [seed, i]), with a linear-in-1/t
@@ -225,8 +179,8 @@ def lambda_curve(params: ModelParams, t_grid, n: int, seed,
         raise ValueError("t grid must be positive and increasing")
     lambdas, errs, ests = [], [], []
     for i, t in enumerate(t_grid):
-        est = estimate_moment(params, t, n, [seed, i], n_workers=n_workers)
-        scale = params.p * t
+        est = estimate_moment(spec, t, n, [seed, i], n_workers=n_workers)
+        scale = spec.p * t
         lambdas.append(est.log_mean / scale)
         errs.append(est.log_stderr / scale)
         ests.append(est)
@@ -242,7 +196,7 @@ def lambda_curve(params: ModelParams, t_grid, n: int, seed,
     plateau_err = float(np.sqrt(cov_scale) * np.sqrt(np.mean(errs[k0:] ** 2)
                                                      * len(x)))
     return LyapunovRun(
-        params=params, t_grid=t_grid, lambdas=lambdas, lambda_err=errs,
+        spec=spec, t_grid=t_grid, lambdas=lambdas, lambda_err=errs,
         plateau=float(coef[0]), plateau_err=plateau_err,
         fit_window=(float(t_grid[k0]), float(t_grid[-1])), estimates=ests,
     )
@@ -284,27 +238,26 @@ class BlockingBound:
     t: float
 
 
-def blocking_lower_bound(params: ModelParams, box_sites, t: float, n: int,
+def blocking_lower_bound(spec: OperatorSpec, box_sites, t: float, n: int,
                          seed) -> BlockingBound:
     """Lower bound gamma + (1/t) log[ P(catalyst fills Q up to t) *
     P(walker stays in Q up to t) ] with both probabilities Monte Carlo, plus
     the analytic sub-bound rho^{|Q| E R_t} for the catalyst factor."""
-    torus = params.torus
-    kernel = params.catalyst_kernel
+    torus = spec.torus
     box = np.asarray([torus.index(s) if not np.isscalar(s) else int(s)
                       for s in box_sites], dtype=int)
     full_hits = 0
     for trial in range(n):
         rng = np.random.default_rng(flat_seed(seed) + (1, trial))
-        bits = (rng.random(torus.n_sites) < params.rho).astype(np.uint8)
+        bits = (rng.random(torus.n_sites) < spec.rho).astype(np.uint8)
         if not np.all(bits[box]):
             continue
-        sched = build_schedule(torus, kernel, t, rng)
+        sched = build_schedule(torus, spec.kernel, t, rng)
         full_hits += all(np.all(bits[box]) for _ in replay(bits, sched, t))
     p_full = full_hits / n
     p_full_est = McEstimate(p_full, float(np.sqrt(max(p_full * (1 - p_full), 1e-300) / n)), n, seed)
 
-    d = params.d
+    d = torus.d
     moves = torus.unit_moves()
     box_set = set(int(b) for b in box)
     origin = torus.index((0,) * d)
@@ -314,7 +267,7 @@ def blocking_lower_bound(params: ModelParams, box_sites, t: float, n: int,
         site = origin
         inside = origin in box_set
         if inside:
-            n_jumps = rng.poisson(params.walker_rate * t)
+            n_jumps = rng.poisson(2.0 * d * spec.kappa * t)
             dirs = rng.integers(0, 2 * d, n_jumps)
             for k in dirs:
                 site = int(moves[k, site])
@@ -325,14 +278,14 @@ def blocking_lower_bound(params: ModelParams, box_sites, t: float, n: int,
     p_stay = stay_hits / n
     p_stay_est = McEstimate(p_stay, float(np.sqrt(max(p_stay * (1 - p_stay), 1e-300) / n)), n, seed)
 
-    rng_est = range_mean(kernel, t, max(n // 4, 2), flat_seed(seed) + (3,))
+    rng_est = range_mean(spec.kernel, t, max(n // 4, 2), flat_seed(seed) + (3,))
     if t == 0:
-        mc_bound = params.gamma
-        analytic = params.gamma
+        mc_bound = spec.gamma
+        analytic = spec.gamma
     elif p_full > 0 and p_stay > 0:
-        mc_bound = params.gamma + (np.log(p_full) + np.log(p_stay)) / t
-        analytic = (params.gamma
-                    + (len(box) * rng_est.mean * np.log(params.rho)) / t
+        mc_bound = spec.gamma + (np.log(p_full) + np.log(p_stay)) / t
+        analytic = (spec.gamma
+                    + (len(box) * rng_est.mean * np.log(spec.rho)) / t
                     + np.log(p_stay) / t if p_stay > 0 else -np.inf)
     else:
         mc_bound = -np.inf
@@ -347,39 +300,25 @@ def blocking_lower_bound(params: ModelParams, box_sites, t: float, n: int,
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class _ProbeTrialSpec:
-    d: int
-    kappa: float
-    t: float
-    shift: float
-    seed: object
-    v_nodes: np.ndarray
-    v_weights: np.ndarray
-
-    def __call__(self, trials) -> np.ndarray:
-        return _probe_trials(self, trials)
-
-
 def _probe_nodes(t: float, n_panels: int = 14, nodes_per_panel: int = 12):
     """Composite GL grid in the lag variable, geometric toward 0."""
     edges = np.concatenate([[0.0], np.geomspace(min(0.25, t / 4), t, n_panels)])
     return gauss_legendre(edges, nodes_per_panel)
 
 
-def _probe_trials(spec: _ProbeTrialSpec, trials) -> np.ndarray:
-    d, kappa, t, shift = spec.d, spec.kappa, spec.t, spec.shift
+def _probe_trials(d: int, kappa: float, t: float, shift: float, seed,
+                  v_nodes: np.ndarray, v_weights: np.ndarray, trials) -> np.ndarray:
     rate = 2.0 * d
     # per-coordinate heat tables at each lag node, rate-1 d-dim clock
     tables = []
-    for v in spec.v_nodes:
+    for v in v_nodes:
         w_time = v / kappa + shift
         tau = w_time / d
         m_max = int(np.ceil(tau + 10.0 * np.sqrt(tau + 1.0) + 8))
         tables.append((m_max, heat1d(np.arange(-m_max, m_max + 1), tau)))
     out = np.empty(len(trials))
     for k, trial in enumerate(trials):
-        rng = np.random.default_rng(flat_seed(spec.seed) + (trial,))
+        rng = np.random.default_rng(flat_seed(seed) + (trial,))
         n_jumps = rng.poisson(rate * t)
         tau_jump = np.sort(rng.random(n_jumps) * t)
         axes = rng.integers(0, d, n_jumps)
@@ -388,7 +327,7 @@ def _probe_trials(spec: _ProbeTrialSpec, trials) -> np.ndarray:
         steps[np.arange(n_jumps), axes] = signs
         pos = np.vstack([np.zeros((1, d), dtype=np.int64), np.cumsum(steps, axis=0)])
         total = 0.0
-        for (m_max, tab), v, wgt in zip(tables, spec.v_nodes, spec.v_weights):
+        for (m_max, tab), v, wgt in zip(tables, v_nodes, v_weights):
             if v >= t:
                 continue
             # inner integral over s of p(X_s, X_{s+v}) with the walk frozen
@@ -426,9 +365,8 @@ def asymptotic_probe(d: int, kappa: float, t: float, n: int, seed,
     if n < 2:
         raise ValueError("need at least two trials")
     v_nodes, v_weights = _probe_nodes(t)
-    spec = _ProbeTrialSpec(d=d, kappa=kappa, t=t, shift=shift, seed=seed,
-                           v_nodes=v_nodes, v_weights=v_weights)
-    vals = _run_trials(spec, n, n_workers)
+    worker = partial(_probe_trials, d, kappa, t, shift, seed, v_nodes, v_weights)
+    vals = _run_trials(worker, n, n_workers)
     est = McEstimate(mean=float(vals.mean()),
                      stderr=float(vals.std(ddof=1) / np.sqrt(n)),
                      n=n, seed=seed)

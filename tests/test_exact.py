@@ -87,9 +87,29 @@ class TestJointGenerator:
         assert exact.reversibility_defect(spec) < 1e-12
 
     def test_cap_enforced(self):
+        # the walker frame of d=1, L=14, p=3 has 2^14 * 14^2 states
+        spec = exact.OperatorSpec(torus=Torus(1, 14), kernel=srw_kernel(1),
+                                  kappa=1.0, p=3, rho=0.5)
+        with pytest.raises(ValueError, match="exceeds cap"):
+            exact.log_moment(spec, 1.0)
+
+    def test_cap_counts_built_dimension(self, monkeypatch):
+        # a cap between the frame (2^6 * 6) and full (2^6 * 36) dimensions
+        monkeypatch.setattr(exact, "DEFAULT_STATE_CAP", 2**6 * 6)
+        spec = exact.OperatorSpec(torus=Torus(1, 6), kernel=srw_kernel(1),
+                                  kappa=1.0, p=2, rho=0.5)
+        assert exact.build_joint_generator(spec, walker_frame=True).dim == 2**6 * 6
+        assert np.isfinite(exact.log_moment(spec, 1.0))
+        with pytest.raises(ValueError, match="exceeds cap"):
+            exact.build_joint_generator(spec)
+
+    @pytest.mark.parametrize("field, value", [("rho", 0.0), ("rho", 1.0),
+                                              ("kappa", -0.5), ("p", -1)])
+    def test_spec_rejects_bad_model(self, field, value):
+        kw = dict(torus=Torus(1, 4), kernel=srw_kernel(1), kappa=1.0, p=1, rho=0.5)
+        kw[field] = value
         with pytest.raises(ValueError):
-            exact.OperatorSpec(torus=Torus(1, 14), kernel=srw_kernel(1),
-                               kappa=1.0, p=3, rho=0.5, cap=10_000)
+            exact.OperatorSpec(**kw)
 
 
 def _frame_cases():

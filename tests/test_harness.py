@@ -106,6 +106,13 @@ class TestScenarios:
         lams = [r["Lambda"] for r in rep.rows if "Lambda" in r]
         assert rep.passed and lams[-1] >= lams[0] - 0.1
 
+    def test_recurrent_trend_rejects_zero_density(self):
+        cfg = harness.ScenarioConfig("recurrent_trend", {
+            "d": 1, "L": 6, "rho": 0, "kappa": 1.0,
+            "t_grid": [0.5, 1.0, 2.0], "n": 100, "seed": 5})
+        with pytest.raises(ValueError, match="density"):
+            harness.run_scenario(cfg)
+
 
 class TestFigures:
     def test_kappa_sweep_files(self, tmp_path):
@@ -168,6 +175,15 @@ class TestCli:
 
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"scenario": "nope", "params": {}}))
+        assert main(["validate", str(bad)]) == 1
+
+    @pytest.mark.parametrize("raw", [[1, 2], "x",
+                                     {"scenario": "kappa_sweep", "params": "d L rho"}])
+    def test_validate_rejects_non_object(self, tmp_path, raw):
+        from pamse.cli import main
+
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(raw))
         assert main(["validate", str(bad)]) == 1
 
     def test_shipped_configs_validate(self):

@@ -7,22 +7,27 @@ from scipy.special import ive
 
 from pamse import exact
 from pamse import montecarlo as mc
-from pamse.lattice import Torus, srw_kernel
+from pamse.lattice import Kernel, Torus, srw_kernel
+
+
+def _spec(d, L, rho, kappa, p=1, gamma=1.0):
+    return exact.OperatorSpec(torus=Torus(d, L), kernel=srw_kernel(d), kappa=kappa,
+                              p=p, rho=rho, gamma=gamma)
 
 
 @pytest.fixture
 def small_params():
-    return mc.ModelParams(d=1, L=6, rho=0.5, kappa=0.5, p=1)
+    return _spec(d=1, L=6, rho=0.5, kappa=0.5, p=1)
 
 
 class TestEstimateMoment:
     def test_gamma_zero_exact_one(self):
-        params = mc.ModelParams(d=1, L=6, rho=0.5, kappa=0.5, p=1, gamma=0.0)
+        params = _spec(d=1, L=6, rho=0.5, kappa=0.5, p=1, gamma=0.0)
         est = mc.estimate_moment(params, 2.0, 50, 1)
         assert est.mean == 1.0 and est.stderr == 0.0
 
     def test_full_catalyst_exact_exponential(self):
-        params = mc.ModelParams(d=1, L=6, rho=0.5, kappa=0.5, p=2)
+        params = _spec(d=1, L=6, rho=0.5, kappa=0.5, p=2)
         est = mc.estimate_moment(params, 1.5, 20, 0,
                                  initial_bits=np.ones(6, dtype=np.uint8))
         assert est.mean == pytest.approx(np.exp(2 * 1.5), rel=1e-12)
@@ -55,6 +60,26 @@ class TestEstimateMoment:
         par = mc.estimate_moment(small_params, 1.0, 400, 11, n_workers=2)
         assert seq.mean == par.mean
 
+    def test_uncapped_torus(self):
+        # 2^20 * 20 joint states, far above the exact layer's cap: Monte
+        # Carlo builds no state space, so the spec and the estimate still run
+        spec = _spec(d=1, L=20, rho=0.5, kappa=0.5, p=1)
+        assert 2**20 * 20 > exact.DEFAULT_STATE_CAP
+        est = mc.estimate_moment(spec, 1.0, 50, 3)
+        assert est.n == 50 and 0.0 <= est.log_mean <= 1.0
+
+    def test_any_symmetric_catalyst_kernel(self):
+        # the catalyst follows spec.kernel; a full catalyst stays full
+        kernel = Kernel(d=1, offsets=(((1,), 0.25), ((-1,), 0.25),
+                                      ((2,), 0.25), ((-2,), 0.25)), rate=3.0)
+        spec = exact.OperatorSpec(torus=Torus(1, 6), kernel=kernel, kappa=0.5,
+                                  p=1, rho=0.5)
+        est = mc.estimate_moment(spec, 1.0, 20, 0,
+                                 initial_bits=np.ones(6, dtype=np.uint8))
+        assert est.mean == pytest.approx(np.exp(1.0), rel=1e-12)
+        est = mc.estimate_moment(spec, 2.0, 30_000, 9)
+        assert est.within(exact.exact_moment(spec, 2.0), 4.0)
+
     def test_pool_failure_warns_and_runs_serially(self, small_params, monkeypatch):
         class RefusedPool:
             def __init__(self, *args, **kwargs):
@@ -85,7 +110,7 @@ class TestLambdaCurve:
         t = 4.0
         lams = []
         for p in (1, 2):
-            params = mc.ModelParams(d=1, L=6, rho=0.5, kappa=0.0, p=p)
+            params = _spec(d=1, L=6, rho=0.5, kappa=0.0, p=p)
             est = mc.estimate_moment(params, t, 20_000, [88, p])
             lams.append(est.log_mean / (p * t))
         assert lams[1] > lams[0]
@@ -109,12 +134,12 @@ class TestRange:
 
 class TestBlockingBound:
     def test_time_zero(self):
-        params = mc.ModelParams(d=1, L=8, rho=0.9, kappa=0.5, p=1)
+        params = _spec(d=1, L=8, rho=0.9, kappa=0.5, p=1)
         bound = mc.blocking_lower_bound(params, [(0,)], 0.0, 200, 1)
         assert bound.mc_bound == pytest.approx(1.0)
 
     def test_single_site_consistency(self):
-        params = mc.ModelParams(d=1, L=8, rho=0.9, kappa=0.5, p=1)
+        params = _spec(d=1, L=8, rho=0.9, kappa=0.5, p=1)
         t = 1.0
         bound = mc.blocking_lower_bound(params, [(0,)], t, 4000, 3)
         est = mc.estimate_moment(params, t, 4000, 4)
@@ -124,7 +149,7 @@ class TestBlockingBound:
 
     def test_catalyst_probability_floor(self):
         # rho^{E R_t |Q|} lower-bounds the full-occupancy probability
-        params = mc.ModelParams(d=1, L=8, rho=0.8, kappa=0.5, p=1)
+        params = _spec(d=1, L=8, rho=0.8, kappa=0.5, p=1)
         t = 1.0
         bound = mc.blocking_lower_bound(params, [(0,)], t, 6000, 7)
         floor = params.rho ** bound.range_estimate.mean
@@ -172,18 +197,6 @@ def test_flat_seed_layouts():
     assert a == b
 
 
-class TestRecords:
-    def test_walker_resample_unbiased(self):
-        from pamse import exact
-        from pamse.lattice import Torus, srw_kernel
-
-        params = mc.ModelParams(d=1, L=4, rho=0.5, kappa=0.5, p=1)
-        est = mc.estimate_moment(params, 1.0, 8000, 77, walker_resamples=3)
-        spec = exact.OperatorSpec(torus=Torus(1, 4), kernel=srw_kernel(1),
-                                  kappa=0.5, p=1, rho=0.5)
-        assert est.within(exact.exact_moment(spec, 1.0), 4.0)
-
-
 def _hexes(values):
     return [float(v).hex() for v in values]
 
@@ -205,29 +218,28 @@ class TestReplayPin:
         (dict(d=1, L=5, rho=0.6, kappa=0.0, p=2), 1.2, 300, 14, {},
          ("0x1.7c4cdb40d862cp+2", "0x1.07c5d6bca7cedp-2",
           "0x1.c836420cc0283p+0", "0x1.63275cb6b8754p-5")),
-        (dict(d=2, L=3, rho=0.5, kappa=0.5, p=2), 0.8, 200, 15,
-         {"walker_resamples": 3},
-         ("0x1.5745ddb9dad3ap+1", "0x1.48597c0c41972p-4",
-          "0x1.f915f161c020fp-1", "0x1.e9dbadec13c2dp-6")),
         (dict(d=1, L=6, rho=0.5, kappa=1.0, p=1), 1.5, 300, 16,
          {"initial_bits": [1, 0, 1, 1, 0, 0]},
          ("0x1.2cfb2dd727e44p+1", "0x1.a611bc6d45324p-5",
           "0x1.b5c4d8601ba7ap-1", "0x1.6721fa28f8c63p-6")),
+        (dict(d=2, L=3, rho=0.5, kappa=0.5, p=2), 0.8, 200, 15, {},
+         ("0x1.573bdcf903dacp+1", "0x1.776c0c211c9d3p-4",
+          "0x1.f90705bce7587p-1", "0x1.1825b3d366c7cp-5")),
     ])
     def test_estimate_moment(self, kw, t, n, seed, extra, want):
-        est = mc.estimate_moment(mc.ModelParams(**kw), t, n, seed, **extra)
+        est = mc.estimate_moment(_spec(**kw), t, n, seed, **extra)
         assert tuple(_hexes((est.mean, est.stderr, est.log_mean,
                              est.log_stderr))) == want
 
     def test_blocking_lower_bound(self):
         bound = mc.blocking_lower_bound(
-            mc.ModelParams(d=1, L=6, rho=0.7, kappa=0.3, p=1), [0, 1], 0.8, 400, 51)
+            _spec(d=1, L=6, rho=0.7, kappa=0.3, p=1), [0, 1], 0.8, 400, 51)
         assert _hexes((bound.mc_bound, bound.analytic_bound,
                        bound.p_catalyst_full.mean, bound.p_walker_stays.mean)) == [
             "-0x1.1da0b2713da1ap-1", "-0x1.976547e690f7ep-1",
             "0x1.7851eb851eb85p-2", "0x1.90a3d70a3d70ap-1"]
         bound = mc.blocking_lower_bound(
-            mc.ModelParams(d=2, L=3, rho=0.8, kappa=0.2, p=1), [(0, 0), (0, 1)],
+            _spec(d=2, L=3, rho=0.8, kappa=0.2, p=1), [(0, 0), (0, 1)],
             0.5, 400, 52)
         assert _hexes((bound.mc_bound, bound.analytic_bound,
                        bound.p_catalyst_full.mean, bound.p_walker_stays.mean)) == [
@@ -273,6 +285,6 @@ class TestProbePin:
           ["0x1.2bd499195d2c1p-1", "0x1.ff1ce6a75c164p-4"])),
     ])
     def test_lambda_curve(self, kw, grid, n, seed, want):
-        run = mc.lambda_curve(mc.ModelParams(**kw), grid, n, seed)
+        run = mc.lambda_curve(_spec(**kw), grid, n, seed)
         assert (_hexes(run.lambdas), _hexes(run.lambda_err),
                 _hexes((run.plateau, run.plateau_err))) == want
