@@ -154,7 +154,7 @@ def criterion_6_kappa_sweep(tol: float = 1e-9) -> CriterionResult:
     differences down to -1e-9."""
     cfg = ScenarioConfig("kappa_sweep", {
         "d": 1, "L": 6, "rho": 0.5, "p": 1,
-        "kappas": [0.25 * k for k in range(17)], "seed": 0,
+        "kappas": [0.25 * k for k in range(17)],
         "convexity_tol": tol,
     })
     rep = run_scenario(cfg)
@@ -167,7 +167,7 @@ def criterion_6_kappa_sweep(tol: float = 1e-9) -> CriterionResult:
 def criterion_7_intermittency(min_gap: float = 1e-6) -> CriterionResult:
     """Zero-diffusion moment hierarchy strictly increasing at t=8, L=8."""
     cfg = ScenarioConfig("intermittency_kappa0", {
-        "d": 1, "L": 8, "rho": 0.5, "p_list": [1, 2, 3], "t": 8.0, "seed": 0,
+        "d": 1, "L": 8, "rho": 0.5, "p_list": [1, 2, 3], "t": 8.0,
         "min_gap": min_gap,
     })
     rep = run_scenario(cfg)

@@ -7,28 +7,25 @@ import argparse
 import os
 import sys
 
-from .harness import ConfigError, Report, ScenarioConfig, emit_figures_data, \
-    run_scenario, validate_config
+from .harness import Report, ScenarioConfig, emit_figures_data, run_scenario, \
+    scenario_parameters, validate_config
 
 
 def _cmd_run(args) -> int:
-    cfg = ScenarioConfig.from_file(args.config)
-    if args.output:
-        cfg.output_path = args.output
-    if args.workers:
+    try:
+        cfg = ScenarioConfig.from_file(args.config)
+        validate_config(cfg)
+        if args.output:
+            cfg.output_path = args.output
         # trial merges are index-ordered, so worker count never changes results
-        if "n_workers" in _worker_capable(cfg.scenario):
+        if args.workers and "n_workers" in scenario_parameters(cfg.scenario):
             cfg.params.setdefault("n_workers", args.workers)
-    report = run_scenario(cfg)
+        report = run_scenario(cfg)
+    except (OSError, ValueError) as exc:
+        print(f"invalid: {exc}", file=sys.stderr)
+        return 1
     print(report.to_json() if args.verbose else _summary(report))
     return 0 if report.passed else 1
-
-
-def _worker_capable(scenario: str) -> set:
-    from .harness import _SCHEMAS
-
-    schema = _SCHEMAS.get(scenario, {})
-    return set(schema.get("optional", {}))
 
 
 def _summary(report: Report) -> str:
@@ -41,7 +38,7 @@ def _cmd_validate(args) -> int:
     try:
         cfg = ScenarioConfig.from_file(args.config)
         validate_config(cfg)
-    except (ConfigError, OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"invalid: {exc}", file=sys.stderr)
         return 1
     print(f"ok: {cfg.scenario}")

@@ -61,10 +61,11 @@ class PsiSpec:
         return PSI_PANELS * GL_NODES_PER_PANEL
 
 
-def recommended_side(d: int, T: float, kappa: float, spread: int = 1) -> int:
-    """Window sizing rule: radius >= ceil(6 sqrt(2 d T 1k)) + kernel spread."""
+def recommended_side(d: int, T: float, kappa: float) -> int:
+    """Window sizing rule: radius >= ceil(6 sqrt(2 d T 1k)) + 1, the spread of
+    the nearest-neighbour kernel."""
     onek = 1.0 + 1.0 / (2 * d * kappa)
-    radius = int(np.ceil(6.0 * np.sqrt(2 * d * T * onek))) + spread
+    radius = int(np.ceil(6.0 * np.sqrt(2 * d * T * onek))) + 1
     return 2 * radius + 1
 
 
@@ -603,8 +604,7 @@ def green_window_table(kernel: Kernel, torus: Torus, split: float = 2000.0) -> n
     return body + _tail_by_power_fit(window, split, kernel.d)
 
 
-def green_contraction(problem: CauchyProblem,
-                      green_table: np.ndarray | None = None) -> ContractionCertificate:
+def green_contraction(problem: CauchyProblem) -> ContractionCertificate:
     """theta = sup_x sum_y G(x, y) |c(y)| for a time-independent source; when
     theta < 1, sup_{x,t} w(x,t) <= theta / (1 - theta) is certified."""
     if len(problem.segments) != 1:
@@ -613,8 +613,7 @@ def green_contraction(problem: CauchyProblem,
     region = problem.region
     trs = region.torus
     live = region.sites
-    if green_table is None:
-        green_table = green_window_table(problem.kernel, trs)
+    green_table = green_window_table(problem.kernel, trs)
     support = np.nonzero(c > 0)[0]
     halfspace = region.mask is not None
     theta = 0.0

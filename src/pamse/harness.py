@@ -1,13 +1,14 @@
 """Scenario runner: config parsing, experiment dispatch and report emission.
 
-Configs are JSON with per-scenario schemas; thresholds live in the config so
-acceptance runs are auditable. Every report embeds its full config and an
-environment fingerprint, and re-running a report's config reproduces every
-number (fixed seeds, index-ordered trial merges).
+Configs are JSON checked against their runner's keyword-only signature;
+thresholds live in the config so acceptance runs are auditable. Every report
+embeds its full config and an environment fingerprint, and re-running a
+report's config reproduces every number (fixed seeds, index-ordered trial merges).
 """
 
 from __future__ import annotations
 
+import inspect
 import json
 import os
 import platform
@@ -21,44 +22,6 @@ from . import variational as var
 from .exact import OperatorSpec, exact_lambda_profile, exact_moment
 from .irw import WeightFunction, compare_se_irw
 from .lattice import Torus, green, srw_kernel
-
-_SCHEMAS = {
-    "comparison_suite": {
-        "required": {"d": int, "L": int, "rhos": list, "t": float, "seed": int},
-        "optional": {"weight_values": list, "box": list, "tolerance": float},
-    },
-    "exact_vs_mc": {
-        "required": {"d": int, "L": int, "rho": float, "kappa": float, "p": int,
-                     "t": float, "n": int, "seed": int},
-        "optional": {"gamma": float, "n_sigma": float, "rel_tol": float,
-                     "n_workers": int},
-    },
-    "kappa_sweep": {
-        "required": {"d": int, "L": int, "rho": float, "p": int, "kappas": list,
-                     "seed": int},
-        "optional": {"gamma": float, "convexity_tol": float, "t_ref": float},
-    },
-    "intermittency_kappa0": {
-        "required": {"d": int, "L": int, "rho": float, "p_list": list, "t": float,
-                     "seed": int},
-        "optional": {"gamma": float, "min_gap": float},
-    },
-    "recurrent_trend": {
-        "required": {"d": int, "L": int, "rho": float, "kappa": float,
-                     "t_grid": list, "n": int, "seed": int},
-        "optional": {"gamma": float, "n_workers": int},
-    },
-    "asymptotic_probe": {
-        "required": {"d": int, "kappa": float, "t": float, "n": int, "seed": int},
-        "optional": {"shift": float, "rel_tol": float, "n_workers": int},
-    },
-    "field_checks": {
-        "required": {"d": int, "T": float, "kappa": float, "n_eta": int, "seed": int},
-        "optional": {"L": int, "rho": float, "norm_tol": float, "limit_kappa": float,
-                     "limit_tol": float},
-    },
-}
-
 
 @dataclass
 class ScenarioConfig:
@@ -84,29 +47,39 @@ class ConfigError(ValueError):
     pass
 
 
-def validate_config(cfg: ScenarioConfig) -> None:
+def scenario_parameters(scenario: str):
+    """A scenario runner's keyword parameters: each annotation is the JSON type
+    of a supplied value, each default the value used when the key is omitted."""
+    if scenario not in _RUNNERS:
+        raise ConfigError(f"unknown scenario {scenario!r}; "
+                          f"known: {sorted(_RUNNERS)}")
+    return inspect.signature(_RUNNERS[scenario], eval_str=True).parameters
+
+
+def validate_config(cfg: ScenarioConfig) -> dict:
+    """Check cfg.params against the runner's signature and return its kwargs;
+    an int given for a float is converted, and lists must be non-empty."""
     if not isinstance(cfg.params, dict):
         raise ConfigError(f"{cfg.scenario}: params must be a JSON object")
-    if cfg.scenario not in _SCHEMAS:
-        raise ConfigError(f"unknown scenario {cfg.scenario!r}; "
-                          f"known: {sorted(_SCHEMAS)}")
-    schema = _SCHEMAS[cfg.scenario]
-    for key, typ in schema["required"].items():
+    params = scenario_parameters(cfg.scenario)
+    kwargs = {}
+    for key, param in params.items():
         if key not in cfg.params:
-            raise ConfigError(f"{cfg.scenario}: missing required key {key!r}")
-        val = cfg.params[key]
-        if typ is float and isinstance(val, int):
+            if param.default is param.empty:
+                raise ConfigError(f"{cfg.scenario}: missing required key {key!r}")
             continue
+        val, typ = cfg.params[key], param.annotation
+        if typ is float and isinstance(val, int):
+            val = float(val)
         if not isinstance(val, typ):
             raise ConfigError(f"{cfg.scenario}: key {key!r} must be {typ.__name__}")
-    known = set(schema["required"]) | set(schema["optional"])
+        if typ is list and not val:
+            raise ConfigError(f"{cfg.scenario}: key {key!r} must be non-empty")
+        kwargs[key] = val
     for key in cfg.params:
-        if key not in known:
+        if key not in params:
             raise ConfigError(f"{cfg.scenario}: unknown key {key!r}")
-    if "t_grid" in cfg.params and len(cfg.params["t_grid"]) == 0:
-        raise ConfigError("empty t_grid")
-    if "kappas" in cfg.params and len(cfg.params["kappas"]) == 0:
-        raise ConfigError("empty kappa grid")
+    return kwargs
 
 
 def _env_fingerprint() -> dict:
@@ -154,41 +127,37 @@ def _jsonable(obj):
 # ---------------------------------------------------------------------------
 
 
-def _run_comparison_suite(p: dict) -> Report:
-    torus = Torus(p["d"], p["L"])
-    kernel = srw_kernel(p["d"])
-    t = float(p["t"])
-    tol = float(p.get("tolerance", 1e-10))
-    box = p.get("box", [[0] * p["d"], [1] + [0] * (p["d"] - 1), [2] + [0] * (p["d"] - 1)])
-    values = p.get("weight_values", [1.0, -1.0])
+def _run_comparison_suite(*, d: int, L: int, rhos: list, t: float, seed: int,
+                          weight_values: list = (1.0, -1.0), box: list = None,
+                          tolerance: float = 1e-10) -> Report:
+    torus = Torus(d, L)
+    kernel = srw_kernel(d)
+    box = box or [[0] * d, [1] + [0] * (d - 1), [2] + [0] * (d - 1)]
     weights = []
-    for v in values:
-        weights.append(("point", WeightFunction((((0,) * p["d"], (0.0, t), float(v)),))))
+    for v in weight_values:
+        weights.append(("point", WeightFunction((((0,) * d, (0.0, t), float(v)),))))
         weights.append(("box", WeightFunction(tuple(
             (tuple(s), (0.0, t), float(v) / len(box)) for s in box))))
     rows = []
     ok = True
-    for rho in p["rhos"]:
+    for rho in rhos:
         for tag, K in weights:
-            rep = compare_se_irw(torus, kernel, float(rho), K, t, seed=p["seed"])
+            rep = compare_se_irw(torus, kernel, float(rho), K, t, seed=seed)
             rows.append({"rho": rho, "weight": tag,
                          "sign": K.sign, "se": rep.se_value, "irw": rep.irw_value,
                          "margin": rep.margin, "violation": rep.violation})
-            ok = ok and rep.margin >= -tol
+            ok = ok and rep.margin >= -tolerance
     return Report("comparison_suite", {}, rows,
                   {"all_margins_nonnegative": ok}, ok)
 
 
-def _run_exact_vs_mc(p: dict) -> Report:
-    spec = OperatorSpec(torus=Torus(p["d"], p["L"]), kernel=srw_kernel(p["d"]),
-                        kappa=p["kappa"], p=p["p"], rho=p["rho"],
-                        gamma=p.get("gamma", 1.0))
-    t = float(p["t"])
+def _run_exact_vs_mc(*, d: int, L: int, rho: float, kappa: float, p: int, t: float,
+                     n: int, seed: int, gamma: float = 1.0, n_sigma: float = 3.0,
+                     rel_tol: float = 0.02, n_workers: int = 1) -> Report:
+    spec = OperatorSpec(torus=Torus(d, L), kernel=srw_kernel(d), kappa=kappa, p=p,
+                        rho=rho, gamma=gamma)
     exact_val = exact_moment(spec, t)
-    est = mc.estimate_moment(spec, t, p["n"], p["seed"],
-                             n_workers=p.get("n_workers", 1))
-    n_sigma = float(p.get("n_sigma", 3.0))
-    rel_tol = float(p.get("rel_tol", 0.02))
+    est = mc.estimate_moment(spec, t, n, seed, n_workers=n_workers)
     within = est.within(exact_val, n_sigma)
     rel = abs(est.mean - exact_val) / exact_val
     ok = within and rel <= rel_tol
@@ -198,44 +167,43 @@ def _run_exact_vs_mc(p: dict) -> Report:
                   {"within_sigma": within, "rel_gap_ok": rel <= rel_tol}, ok)
 
 
-def _run_kappa_sweep(p: dict) -> Report:
-    torus = Torus(p["d"], p["L"])
-    kernel = srw_kernel(p["d"])
-    tol = float(p.get("convexity_tol", 1e-9))
+def _run_kappa_sweep(*, d: int, L: int, rho: float, p: int, kappas: list,
+                     gamma: float = 1.0, convexity_tol: float = 1e-9,
+                     t_ref: float = None) -> Report:
+    torus = Torus(d, L)
+    kernel = srw_kernel(d)
     rows = []
     lams = []
-    for kap in p["kappas"]:
+    for kap in kappas:
         spec = OperatorSpec(torus=torus, kernel=kernel, kappa=float(kap),
-                            p=p["p"], rho=p["rho"], gamma=p.get("gamma", 1.0))
+                            p=p, rho=rho, gamma=gamma)
         top = var.top_eigenvalue(spec)
         row = {"kappa": kap, "mu": top.mu, "lambda": top.lam,
                "residual": top.residual, "converged": top.converged}
-        if p.get("t_ref"):
-            row["Lambda_at_t_ref"] = float(
-                exact_lambda_profile(spec, [float(p["t_ref"])])[0])
+        if t_ref:
+            row["Lambda_at_t_ref"] = float(exact_lambda_profile(spec, [t_ref])[0])
         rows.append(row)
         lams.append(top.lam)
     lams = np.asarray(lams)
-    non_increasing = bool(np.all(np.diff(lams) <= tol))
+    non_increasing = bool(np.all(np.diff(lams) <= convexity_tol))
     second = np.diff(lams, 2)
-    convex = bool(np.all(second >= -tol)) if len(second) else True
+    convex = bool(np.all(second >= -convexity_tol)) if len(second) else True
     ok = non_increasing and convex and all(r["converged"] for r in rows)
     return Report("kappa_sweep", {}, rows,
                   {"non_increasing": non_increasing, "convex": convex}, ok)
 
 
-def _run_intermittency_kappa0(p: dict) -> Report:
-    torus = Torus(p["d"], p["L"])
-    kernel = srw_kernel(p["d"])
-    t = float(p["t"])
-    min_gap = float(p.get("min_gap", 1e-6))
+def _run_intermittency_kappa0(*, d: int, L: int, rho: float, p_list: list, t: float,
+                              gamma: float = 1.0, min_gap: float = 1e-6) -> Report:
+    torus = Torus(d, L)
+    kernel = srw_kernel(d)
     rows = []
     lam_prev = None
     strict = True
     holder = True
-    for order in p["p_list"]:
+    for order in p_list:
         spec = OperatorSpec(torus=torus, kernel=kernel, kappa=0.0, p=int(order),
-                            rho=p["rho"], gamma=p.get("gamma", 1.0))
+                            rho=rho, gamma=gamma)
         lam = float(exact_lambda_profile(spec, [t])[0])
         rows.append({"p": order, "Lambda": lam, "t": t})
         if lam_prev is not None:
@@ -247,11 +215,12 @@ def _run_intermittency_kappa0(p: dict) -> Report:
                   strict and holder)
 
 
-def _run_recurrent_trend(p: dict) -> Report:
-    spec = OperatorSpec(torus=Torus(p["d"], p["L"]), kernel=srw_kernel(p["d"]),
-                        kappa=p["kappa"], p=1, rho=p["rho"], gamma=p.get("gamma", 1.0))
-    run = mc.lambda_curve(spec, p["t_grid"], p["n"], p["seed"],
-                          n_workers=p.get("n_workers", 1))
+def _run_recurrent_trend(*, d: int, L: int, rho: float, kappa: float, t_grid: list,
+                         n: int, seed: int, gamma: float = 1.0,
+                         n_workers: int = 1) -> Report:
+    spec = OperatorSpec(torus=Torus(d, L), kernel=srw_kernel(d), kappa=kappa, p=1,
+                        rho=rho, gamma=gamma)
+    run = mc.lambda_curve(spec, t_grid, n, seed, n_workers=n_workers)
     rows = [{"t": float(t), "Lambda": float(l), "stderr": float(e)}
             for t, l, e in zip(run.t_grid, run.lambdas, run.lambda_err)]
     diffs = np.diff(run.lambdas)
@@ -265,11 +234,11 @@ def _run_recurrent_trend(p: dict) -> Report:
                   trend and bounds)
 
 
-def _run_asymptotic_probe(p: dict) -> Report:
-    est, ref = mc.asymptotic_probe(p["d"], p["kappa"], p["t"], p["n"], p["seed"],
-                                   shift=p.get("shift", 0.0),
-                                   n_workers=p.get("n_workers", 1))
-    rel_tol = float(p.get("rel_tol", 0.05))
+def _run_asymptotic_probe(*, d: int, kappa: float, t: float, n: int, seed: int,
+                          shift: float = 0.0, rel_tol: float = 0.05,
+                          n_workers: int = 1) -> Report:
+    est, ref = mc.asymptotic_probe(d, kappa, t, n, seed, shift=shift,
+                                   n_workers=n_workers)
     rel = abs(est.mean - ref) / ref
     ok = rel <= rel_tol
     rows = [{"mc_mean": est.mean, "stderr": est.stderr, "reference": ref,
@@ -277,24 +246,20 @@ def _run_asymptotic_probe(p: dict) -> Report:
     return Report("asymptotic_probe", {}, rows, {"within_rel_tol": ok}, ok)
 
 
-def _run_field_checks(p: dict) -> Report:
+def _run_field_checks(*, d: int, T: float, kappa: float, n_eta: int, seed: int,
+                      L: int = None, rho: float = 0.5, norm_tol: float = 1e-6,
+                      limit_kappa: float = 1e3, limit_tol: float = 1e-3) -> Report:
     from .fields import PsiSpec, k_kernels, psi_bounds_check, recommended_side
 
-    d = p["d"]
-    T = float(p["T"])
-    kappa = float(p["kappa"])
-    L = p.get("L") or recommended_side(d, T, kappa)
+    L = L or recommended_side(d, T, kappa)
     trs = Torus(d, L)
-    spec = PsiSpec(kappa=kappa, T=T, torus=trs, rho=p.get("rho", 0.5))
-    rep = psi_bounds_check(spec, p["n_eta"], p["seed"])
+    spec = PsiSpec(kappa=kappa, T=T, torus=trs, rho=rho)
+    rep = psi_bounds_check(spec, n_eta, seed)
     kk = k_kernels(spec)
-    norm_tol = float(p.get("norm_tol", 1e-6))
     off_ok = kk.k_off_norm_bound <= 8 * d * T**2 + 1e-9
     closed_ok = abs(kk.k_diag_norm - kk.closed_form_norm) <= norm_tol
-    limit_kappa = float(p.get("limit_kappa", 1e3))
-    spec_hi = PsiSpec(kappa=limit_kappa, T=T, torus=trs, rho=p.get("rho", 0.5))
+    spec_hi = PsiSpec(kappa=limit_kappa, T=T, torus=trs, rho=rho)
     kk_hi = k_kernels(spec_hi)
-    limit_tol = float(p.get("limit_tol", 1e-3))
     limit_ok = abs(kk_hi.k_diag_norm - kk_hi.kappa_limit_norm) <= limit_tol
     rows = [{
         "L": L, "psi_max_site_diff": rep.max_site_diff,
@@ -323,8 +288,7 @@ _RUNNERS = {
 
 
 def run_scenario(cfg: ScenarioConfig) -> Report:
-    validate_config(cfg)
-    report = _RUNNERS[cfg.scenario](cfg.params)
+    report = _RUNNERS[cfg.scenario](**validate_config(cfg))
     report.config = cfg.to_dict()
     if cfg.output_path:
         os.makedirs(os.path.dirname(cfg.output_path) or ".", exist_ok=True)

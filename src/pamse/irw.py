@@ -15,6 +15,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import expm_multiply
 
+from . import exact
 from .exclusion import exp_weight_mc
 from .fields import Region
 from .lattice import Kernel, Torus
@@ -47,9 +48,6 @@ class WeightFunction:
 
     def horizon(self) -> float:
         return max((t1 for _, (t0, t1), _ in self.cells), default=0.0)
-
-    def total_mass(self) -> float:
-        return sum(abs(v) * (t1 - t0) for _, (t0, t1), v in self.cells)
 
     def time_slices(self, torus: Torus) -> list:
         """Piecewise-constant representation [(t0, t1, per-site values)]."""
@@ -147,13 +145,13 @@ class ComparisonReport:
 
 
 def compare_se_irw(torus: Torus, kernel: Kernel, rho_or_eta, K: WeightFunction,
-                   t: float, exact_cap: int = 2**14, mc_trials: int = 20000,
-                   seed=0, tol: float = 1e-10) -> ComparisonReport:
+                   t: float, mc_trials: int = 20000, seed=0,
+                   tol: float = 1e-10) -> ComparisonReport:
     """Exclusion value vs IRW value of the exponential functional, with the
     margin IRW - SE; a negative margin beyond tolerance is flagged.
 
-    SE is exact when 2^sites fits the cap, else Monte Carlo with its own
-    stderr; IRW is always the exact product formula.
+    SE is exact when 2^sites fits `exact.DEFAULT_STATE_CAP`, else Monte Carlo
+    with its own stderr; IRW is always the exact product formula.
     """
     scalar_start = np.isscalar(rho_or_eta)
     if scalar_start:
@@ -161,7 +159,7 @@ def compare_se_irw(torus: Torus, kernel: Kernel, rho_or_eta, K: WeightFunction,
     else:
         irw_value = irw_exp_functional_eta(rho_or_eta, K, t, torus, kernel)
     se_stderr = None
-    if 2**torus.n_sites <= exact_cap:
+    if 2**torus.n_sites <= exact.DEFAULT_STATE_CAP:
         se_value = se_exp_functional(rho_or_eta, K, t, torus, kernel)
         se_method = "matrix-exponential"
         violation = irw_value - se_value < -tol

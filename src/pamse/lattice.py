@@ -118,12 +118,6 @@ class Kernel:
             seen.add(tuple(vec))
         return len(seen) == 2 * self.d
 
-    def weight(self, vec) -> float:
-        for v, w in self.offsets:
-            if tuple(v) == tuple(vec):
-                return w
-        return 0.0
-
     def canonical_bond_offsets(self):
         """One representative per +-pair, with the unoriented-bond weight."""
         out = []
@@ -350,16 +344,9 @@ def green_discrete_sum(d: int, n_terms: int = 20000) -> float:
 
 
 @lru_cache(maxsize=8)
-def _return_probs_cached(d: int, m_hi: int) -> tuple:
-    return tuple(_return_probs_impl(d, m_hi))
-
-
 def _return_probs(d: int, m_hi: int) -> np.ndarray:
-    return np.asarray(_return_probs_cached(d, m_hi))
-
-
-def _return_probs_impl(d: int, m_hi: int) -> np.ndarray:
-    """p_{2m}(0,0), m = 0..m_hi, for the discrete-time d-dim simple walk."""
+    """p_{2m}(0,0), m = 0..m_hi, for the discrete-time d-dim simple walk.
+    Memoized per (d, m_hi); the array is read-only."""
     from scipy.special import gammaln
 
     m = np.arange(m_hi + 1)
@@ -381,6 +368,7 @@ def _return_probs_impl(d: int, m_hi: int) -> np.ndarray:
                 + 2 * (n - i) * math.log((dim - 1.0) / dim)
             )
             r[n] = float(np.exp(log_split + log_r1[i]) @ prev[n::-1])
+    r.flags.writeable = False
     return r
 
 

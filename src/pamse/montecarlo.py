@@ -20,6 +20,8 @@ from .exact import OperatorSpec
 from .exclusion import build_schedule, replay
 from .lattice import Kernel, gauss_legendre, heat1d, srw_kernel, green
 
+TRIAL_CHUNK = 256  # trials per task handed to a worker process
+
 
 @dataclass
 class McEstimate:
@@ -45,11 +47,11 @@ def flat_seed(seed) -> tuple:
     return (int(seed),)
 
 
-def _run_trials(worker, n: int, n_workers: int, chunk: int = 256) -> np.ndarray:
+def _run_trials(worker, n: int, n_workers: int) -> np.ndarray:
     """Map worker(trial_range) -> array over trials, merged in index order."""
     if n_workers <= 1:
         return worker(range(n))
-    ranges = [range(lo, min(lo + chunk, n)) for lo in range(0, n, chunk)]
+    ranges = [range(lo, min(lo + TRIAL_CHUNK, n)) for lo in range(0, n, TRIAL_CHUNK)]
     try:
         with ProcessPoolExecutor(max_workers=n_workers) as pool:
             parts = list(pool.map(worker, ranges))

@@ -21,6 +21,8 @@ from .exact import (OperatorSpec, build_joint_generator, lift_frame_vector,
 from .exclusion import torus_bonds
 from .lattice import Torus
 
+DENSE_CUTOFF = 1200  # largest walker-frame dimension solved densely
+
 
 @dataclass
 class TestFunction:
@@ -96,11 +98,10 @@ class TopEigen:
     method: str
 
 
-def top_eigenvalue(spec: OperatorSpec, tol: float = 1e-10,
-                   dense_cutoff: int = 1200) -> TopEigen:
+def top_eigenvalue(spec: OperatorSpec, tol: float = 1e-10) -> TopEigen:
     """Largest spectral point of the joint operator; Lanczos on the
     symmetrized walker-frame matrix, dense solve when the frame dimension is
-    at most the cutoff.
+    at most DENSE_CUTOFF.
 
     The top eigenvalue has a nonnegative eigenvector, and its average over
     translations is a translation-invariant one, so the frame loses nothing.
@@ -112,7 +113,7 @@ def top_eigenvalue(spec: OperatorSpec, tol: float = 1e-10,
     nu = nu_weights(spec.n_sites, spec.rho)
     sq = np.sqrt(np.repeat(nu, op.n_walker))
     sym = sp.diags(sq) @ op.matrix @ sp.diags(1.0 / sq)
-    if op.dim <= dense_cutoff:
+    if op.dim <= DENSE_CUTOFF:
         dense = 0.5 * (sym.toarray() + sym.toarray().T)
         evals, evecs = np.linalg.eigh(dense)
         mu = float(evals[-1])

@@ -1,6 +1,7 @@
 """Config validation, scenario dispatch, report round trips, figure files."""
 
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -24,17 +25,47 @@ class TestConfigValidation:
 
     def test_unknown_key(self):
         cfg = harness.ScenarioConfig("kappa_sweep", {
-            "d": 1, "L": 4, "rho": 0.5, "p": 1, "kappas": [0.0], "seed": 0,
-            "bogus": 1})
+            "d": 1, "L": 4, "rho": 0.5, "p": 1, "kappas": [0.0], "bogus": 1})
         with pytest.raises(harness.ConfigError):
             harness.validate_config(cfg)
 
-    def test_empty_grid_rejected(self):
-        cfg = harness.ScenarioConfig("recurrent_trend", {
-            "d": 1, "L": 4, "rho": 0.5, "kappa": 1.0, "t_grid": [], "n": 10,
-            "seed": 0})
-        with pytest.raises(harness.ConfigError):
+    @pytest.mark.parametrize("scenario, key", [
+        ("comparison_suite", "rhos"), ("comparison_suite", "weight_values"),
+        ("comparison_suite", "box"), ("kappa_sweep", "kappas"),
+        ("intermittency_kappa0", "p_list"), ("recurrent_trend", "t_grid")])
+    def test_empty_list_rejected(self, scenario, key):
+        cfg = harness.ScenarioConfig.from_file(str(CONFIG_DIR / f"{scenario}.json"))
+        cfg.params[key] = []
+        with pytest.raises(harness.ConfigError, match=f"key '{key}' must be non-empty"):
             harness.validate_config(cfg)
+
+    @pytest.mark.parametrize("scenario", ["kappa_sweep", "intermittency_kappa0"])
+    def test_seed_unknown_to_exact_scenarios(self, scenario):
+        cfg = harness.ScenarioConfig.from_file(str(CONFIG_DIR / f"{scenario}.json"))
+        cfg.params["seed"] = 0
+        with pytest.raises(harness.ConfigError, match="unknown key 'seed'"):
+            harness.validate_config(cfg)
+
+    def test_int_for_float_converted(self):
+        cfg = harness.ScenarioConfig("exact_vs_mc", {
+            "d": 1, "L": 6, "rho": 0.5, "kappa": 1, "p": 1, "t": 2, "n": 10,
+            "seed": 0})
+        kwargs = harness.validate_config(cfg)
+        assert type(kwargs["kappa"]) is float and type(kwargs["t"]) is float
+        assert kwargs["t"] == 2.0 and type(kwargs["n"]) is int
+        assert cfg.params["t"] == 2 and type(cfg.params["t"]) is int
+
+    def test_one_config_per_scenario(self):
+        assert {p.stem for p in CONFIG_DIR.glob("*.json")} == set(harness._RUNNERS)
+        for name in harness._RUNNERS:
+            cfg = harness.ScenarioConfig.from_file(str(CONFIG_DIR / f"{name}.json"))
+            assert cfg.scenario == name
+            harness.validate_config(cfg)
+            params = harness.scenario_parameters(name).values()
+            assert all(p.kind is p.KEYWORD_ONLY for p in params)
+        readme = (CONFIG_DIR.parent / "README.md").read_text()
+        listed = re.search(r"one per scenario:(.*?)\.", readme, re.S).group(1)
+        assert set(re.findall(r"`(\w+)`", listed)) == set(harness._RUNNERS)
 
     def test_type_check(self):
         cfg = harness.ScenarioConfig("exact_vs_mc", {
@@ -48,7 +79,7 @@ class TestConfigValidation:
         path.write_text(json.dumps({
             "scenario": "kappa_sweep",
             "params": {"d": 1, "L": 4, "rho": 0.5, "p": 1,
-                       "kappas": [0.0, 1.0], "seed": 0},
+                       "kappas": [0.0, 1.0]},
         }))
         cfg = harness.ScenarioConfig.from_file(str(path))
         harness.validate_config(cfg)
@@ -67,22 +98,22 @@ class TestScenarios:
     def test_kappa_sweep_flags(self):
         cfg = harness.ScenarioConfig("kappa_sweep", {
             "d": 1, "L": 4, "rho": 0.5, "p": 1,
-            "kappas": [0.0, 0.5, 1.0, 2.0], "seed": 0, "t_ref": 3.0})
+            "kappas": [0.0, 0.5, 1.0, 2.0], "t_ref": 3.0})
         rep = harness.run_scenario(cfg)
         assert rep.passed and rep.flags["non_increasing"] and rep.flags["convex"]
         assert "Lambda_at_t_ref" in rep.rows[0]
 
     def test_intermittency_scenario(self):
         cfg = harness.ScenarioConfig("intermittency_kappa0", {
-            "d": 1, "L": 6, "rho": 0.5, "p_list": [1, 2], "t": 5.0, "seed": 0})
+            "d": 1, "L": 6, "rho": 0.5, "p_list": [1, 2], "t": 5.0})
         rep = harness.run_scenario(cfg)
         assert rep.passed
 
     def test_report_embeds_config_and_env(self, tmp_path):
         out = tmp_path / "report.json"
         cfg = harness.ScenarioConfig("kappa_sweep", {
-            "d": 1, "L": 4, "rho": 0.5, "p": 1, "kappas": [0.0, 1.0],
-            "seed": 0}, output_path=str(out))
+            "d": 1, "L": 4, "rho": 0.5, "p": 1, "kappas": [0.0, 1.0]},
+            output_path=str(out))
         rep = harness.run_scenario(cfg)
         assert out.exists()
         back = harness.Report.from_json(str(out))
@@ -117,8 +148,7 @@ class TestScenarios:
 class TestFigures:
     def test_kappa_sweep_files(self, tmp_path):
         cfg = harness.ScenarioConfig("kappa_sweep", {
-            "d": 1, "L": 4, "rho": 0.5, "p": 1, "kappas": [0.5, 1.0, 2.0],
-            "seed": 0})
+            "d": 1, "L": 4, "rho": 0.5, "p": 1, "kappas": [0.5, 1.0, 2.0]})
         rep = harness.run_scenario(cfg)
         files = harness.emit_figures_data(rep, str(tmp_path))
         header, rows = harness.parse_figure_file(files[0])
@@ -159,7 +189,7 @@ class TestCli:
         cfg_path.write_text(json.dumps({
             "scenario": "kappa_sweep",
             "params": {"d": 1, "L": 4, "rho": 0.5, "p": 1,
-                       "kappas": [0.0, 1.0, 2.0], "seed": 0},
+                       "kappas": [0.0, 1.0, 2.0]},
         }))
         assert main(["validate", str(cfg_path)]) == 0
         out_path = tmp_path / "report.json"
@@ -185,6 +215,24 @@ class TestCli:
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(raw))
         assert main(["validate", str(bad)]) == 1
+
+    @pytest.mark.parametrize("scenario, params", [
+        ("exact_vs_mc", "d L rho"),
+        ("exact_vs_mc", {"d": 1}),
+        ("recurrent_trend", {"d": 1, "L": 6, "rho": 0, "kappa": 1.0,
+                             "t_grid": [0.5, 1.0], "n": 100, "seed": 5}),
+        ("comparison_suite", {"d": 1, "L": 4, "rhos": [], "t": 0.5, "seed": 1}),
+        ("intermittency_kappa0", {"d": 1, "L": 6, "rho": 0.5, "p_list": [],
+                                  "t": 5.0})])
+    def test_run_rejects_bad_config(self, tmp_path, capsys, scenario, params):
+        from pamse.cli import main
+
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"scenario": scenario, "params": params}))
+        assert main(["run", str(bad)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("invalid: ") and captured.err.count("\n") == 1
 
     def test_shipped_configs_validate(self):
         from pamse.cli import main

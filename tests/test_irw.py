@@ -3,8 +3,6 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings
-from hypothesis import strategies as st
 from scipy.sparse.linalg import expm_multiply
 
 from pamse import exact, irw
@@ -62,12 +60,6 @@ class TestWeightFunction:
         slices = K.time_slices(trs)
         assert [(a, b) for a, b, _ in slices] == [(0.0, 0.5), (0.5, 1.0), (1.0, 1.5)]
         assert slices[1][2][0] == 2.0 and slices[1][2][1] == 1.0
-
-    @settings(max_examples=30, deadline=None)
-    @given(st.floats(0.1, 3.0), st.floats(-2.0, 2.0))
-    def test_total_mass(self, t1, val):
-        K = irw.WeightFunction((((0,), (0.0, t1), val),))
-        assert K.total_mass() == pytest.approx(abs(val) * t1)
 
 
 class TestProductFormula:
@@ -142,12 +134,12 @@ class TestComparison:
             rep = irw.compare_se_irw(trs, k, eta, K, 1.0)
             assert rep.margin >= -1e-10
 
-    def test_mc_fallback_branch(self):
+    def test_mc_fallback_branch(self, monkeypatch):
+        monkeypatch.setattr(exact, "DEFAULT_STATE_CAP", 4)
         trs = Torus(1, 6)
         k = srw_kernel(1)
         K = irw.WeightFunction((((0,), (0.0, 0.5), 1.0),))
-        rep = irw.compare_se_irw(trs, k, 0.5, K, 0.5, exact_cap=4,
-                                 mc_trials=4000, seed=2)
+        rep = irw.compare_se_irw(trs, k, 0.5, K, 0.5, mc_trials=4000, seed=2)
         assert rep.se_method.startswith("mc")
         assert not rep.violation
 

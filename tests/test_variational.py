@@ -71,9 +71,11 @@ class TestTopEigenvalue:
         top = var.top_eigenvalue(spec)
         assert top.lam > 0.5
 
-    def test_lanczos_matches_dense(self, spec6):
-        dense = var.top_eigenvalue(spec6, dense_cutoff=10**9)
-        lanczos = var.top_eigenvalue(spec6, dense_cutoff=0)
+    def test_lanczos_matches_dense(self, spec6, monkeypatch):
+        monkeypatch.setattr(var, "DENSE_CUTOFF", 10**9)
+        dense = var.top_eigenvalue(spec6)
+        monkeypatch.setattr(var, "DENSE_CUTOFF", 0)
+        lanczos = var.top_eigenvalue(spec6)
         assert lanczos.method == "lanczos"
         assert lanczos.mu == pytest.approx(dense.mu, abs=1e-8)
         assert lanczos.converged
@@ -81,10 +83,12 @@ class TestTopEigenvalue:
     @pytest.mark.parametrize("d, L, p, kappa, dense_cutoff", [
         (1, 6, 1, 0.7, 1200), (1, 6, 1, 0.7, 0), (1, 5, 2, 0.3, 1200),
         (1, 5, 3, 1.3, 1200), (2, 3, 2, 0.3, 0), (1, 9, 1, 0.0, 0)])
-    def test_lifted_vector_solves_full_basis(self, d, L, p, kappa, dense_cutoff):
+    def test_lifted_vector_solves_full_basis(self, d, L, p, kappa, dense_cutoff,
+                                             monkeypatch):
+        monkeypatch.setattr(var, "DENSE_CUTOFF", dense_cutoff)
         spec = exact.OperatorSpec(torus=Torus(d, L), kernel=srw_kernel(d),
                                   kappa=kappa, p=p, rho=0.35, gamma=0.5)
-        top = var.top_eigenvalue(spec, dense_cutoff=dense_cutoff)
+        top = var.top_eigenvalue(spec)
         op = exact.build_joint_generator(spec).matrix
         w = np.repeat(exact.nu_weights(spec.n_sites, spec.rho), spec.n_walker)
         assert top.vector.shape == (spec.joint_dim,)
