@@ -20,6 +20,7 @@ shift so arbitrary horizons stay in range.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -31,6 +32,13 @@ from .exclusion import torus_bonds
 from .lattice import Kernel, Torus, srw_kernel
 
 DEFAULT_STATE_CAP = 2**14 * 16
+
+
+def check_density(rho) -> None:
+    """The density rule of every model: the catalyst starts from Bernoulli(rho)
+    with 0 < rho < 1."""
+    if not (isinstance(rho, numbers.Real) and 0.0 < rho < 1.0):
+        raise ValueError("density must lie in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -52,8 +60,7 @@ class OperatorSpec:
             raise ValueError("kappa must be >= 0")
         if self.p < 0:
             raise ValueError("walker count must be >= 0")
-        if not 0.0 < self.rho < 1.0:
-            raise ValueError("density must lie in (0, 1)")
+        check_density(self.rho)
 
     @property
     def n_sites(self) -> int:

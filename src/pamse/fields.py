@@ -5,7 +5,9 @@ gradient kernels all reduce to one displacement table
 D(v) = integral_0^T p_{2 d s 1k}(0, v) ds on a wrapped window, evaluated with
 a shared composite Gauss-Legendre rule whose node count is recorded so that
 two-method comparisons stay meaningful. Field evaluation is circular
-correlation against that table (FFT on the torus).
+correlation against that table: one real FFT of the centred configuration
+times the cached half-spectrum of chi (`_chi_spectrum`, one `rfftn` per
+spec), then one inverse real FFT.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import scipy.sparse as sp
 from scipy.linalg import expm as dense_expm
 from scipy.sparse.linalg import expm_multiply
 
+from .exact import check_density, occupation_bits
 from .lattice import (Kernel, Torus, _tail_by_power_fit, cycle_heat1d, gauss_legendre,
                       green, heat1d, outer_power, srw_kernel, transition_prob_many)
 
@@ -50,6 +53,7 @@ class PsiSpec:
     def __post_init__(self):
         if self.kappa <= 0 or self.T < 0:
             raise ValueError("need kappa > 0 and T >= 0")
+        check_density(self.rho)
 
     @property
     def one_kappa(self) -> float:
@@ -90,6 +94,14 @@ def _chi_grid_cached(spec: PsiSpec) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=32)
+def _chi_spectrum(spec: PsiSpec) -> np.ndarray:
+    """Half-spectrum rfftn of the chi grid, read-only."""
+    out = np.fft.rfftn(_chi_grid_cached(spec))
+    out.flags.writeable = False
+    return out
+
+
 def chi_table(spec: PsiSpec) -> Field:
     """chi(v) = integral_0^T p_{2 d s 1k}(0, v) ds on the wrapped window."""
     return Field(spec.torus, _chi_grid_cached(spec).ravel().copy())
@@ -106,9 +118,10 @@ def psi_field(eta_bits: np.ndarray, spec: PsiSpec, sites=None) -> np.ndarray:
     eta_bits = np.asarray(eta_bits, dtype=float).ravel()
     if eta_bits.shape != (trs.n_sites,):
         raise ValueError("eta must live on the spec torus")
-    centered = (eta_bits - spec.rho).reshape((trs.L,) * trs.d)
-    dgrid = _chi_grid_cached(spec)
-    out = np.fft.ifftn(np.fft.fftn(centered) * np.fft.fftn(dgrid)).real.ravel()
+    shape = (trs.L,) * trs.d
+    centered = (eta_bits - spec.rho).reshape(shape)
+    out = np.fft.irfftn(np.fft.rfftn(centered) * _chi_spectrum(spec), s=shape,
+                        axes=tuple(range(trs.d))).ravel()
     if sites is None:
         return out
     return out[np.asarray(sites, dtype=int)]
@@ -117,8 +130,6 @@ def psi_field(eta_bits: np.ndarray, spec: PsiSpec, sites=None) -> np.ndarray:
 def psi_joint_matrix(spec: PsiSpec) -> np.ndarray:
     """psi over the joint (configuration, walker site) basis, for systems
     small enough to enumerate all 2^n configurations."""
-    from .exact import occupation_bits
-
     trs = spec.torus
     bits = occupation_bits(trs.n_sites)
     out = np.empty((2**trs.n_sites, trs.n_sites))

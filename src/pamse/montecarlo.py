@@ -21,6 +21,9 @@ from .exclusion import build_schedule, replay
 from .lattice import Kernel, gauss_legendre, heat1d, srw_kernel, green
 
 TRIAL_CHUNK = 256  # trials per task handed to a worker process
+# merged events per vectorised pass of a probe trial: each temporary stays in
+# L2 and under glibc's 128 KiB mmap threshold, so no pass faults fresh pages
+PROBE_CHUNK_EVENTS = 2**14
 
 
 @dataclass
@@ -312,12 +315,10 @@ def _probe_trials(d: int, kappa: float, t: float, shift: float, seed,
                   v_nodes: np.ndarray, v_weights: np.ndarray, trials) -> np.ndarray:
     rate = 2.0 * d
     # per-coordinate heat tables at each lag node, rate-1 d-dim clock
-    tables = []
-    for v in v_nodes:
-        w_time = v / kappa + shift
-        tau = w_time / d
-        m_max = int(np.ceil(tau + 10.0 * np.sqrt(tau + 1.0) + 8))
-        tables.append((m_max, heat1d(np.arange(-m_max, m_max + 1), tau)))
+    taus = (v_nodes / kappa + shift) / d
+    m_max = np.ceil(taus + 10.0 * np.sqrt(taus + 1.0) + 8).astype(np.int64)
+    heat = [heat1d(np.arange(-m, m + 1), tau) for m, tau in zip(m_max, taus)]
+    tables, width = None, int(m_max.max())
     out = np.empty(len(trials))
     for k, trial in enumerate(trials):
         rng = np.random.default_rng(flat_seed(seed) + (trial,))
@@ -328,30 +329,61 @@ def _probe_trials(d: int, kappa: float, t: float, shift: float, seed,
         steps = np.zeros((n_jumps, d), dtype=np.int64)
         steps[np.arange(n_jumps), axes] = signs
         pos = np.vstack([np.zeros((1, d), dtype=np.int64), np.cumsum(steps, axis=0)])
+        path = np.ascontiguousarray(pos.T)  # one row per axis
+        reach = int(np.ptp(path, axis=1).max())  # bounds every |X_u - X_s| coordinate
+        if tables is None or reach > width:
+            width = max(width, reach)
+            tables = _window_tables(heat, m_max, width)
+        per_chunk = max(1, PROBE_CHUNK_EVENTS // (2 * n_jumps + 1))
         total = 0.0
-        for (m_max, tab), v, wgt in zip(tables, v_nodes, v_weights):
-            if v >= t:
-                continue
-            # inner integral over s of p(X_s, X_{s+v}) with the walk frozen
-            # between jumps: breakpoints where either X_s or X_{s+v} moves
-            cuts = np.unique(np.concatenate([[0.0], tau_jump, tau_jump - v,
-                                             [t - v]]))
-            cuts = cuts[(cuts >= 0.0) & (cuts <= t - v)]
-            mids = 0.5 * (cuts[:-1] + cuts[1:])
-            seg = np.diff(cuts)
-            i_s = np.searchsorted(tau_jump, mids, side="right")
-            i_u = np.searchsorted(tau_jump, mids + v, side="right")
-            z = pos[i_u] - pos[i_s]
-            inside = np.all(np.abs(z) <= m_max, axis=1)
-            if not np.any(inside):
-                continue
-            idx = z[inside] + m_max
-            p = np.ones(int(inside.sum()))
-            for j in range(d):
-                p *= tab[idx[:, j]]
-            total += wgt * float(seg[inside] @ p)
+        for lo in range(0, len(v_nodes), per_chunk):
+            nodes = slice(lo, lo + per_chunk)
+            for term in _probe_chunk(tau_jump, path, t, v_nodes[nodes], v_weights[nodes],
+                                     tables[nodes], width):
+                total += term  # in node order
         out[k] = total / t
     return out
+
+
+def _window_tables(heat: list, m_max: np.ndarray, width: int) -> np.ndarray:
+    """The lag nodes' heat tables in one array: row k holds p(m) in column
+    width + m for |m| <= m_max[k] and NaN elsewhere, so a product of lookups
+    is NaN exactly when a coordinate leaves the node's window."""
+    tables = np.full((len(heat), 2 * width + 1), np.nan)
+    for row, m, h in zip(tables, m_max, heat):
+        row[width - m:width + m + 1] = h
+    return tables
+
+
+def _probe_chunk(tau_jump: np.ndarray, path: np.ndarray, t: float, v: np.ndarray,
+                 wgt: np.ndarray, tables: np.ndarray, width: int) -> list:
+    """wgt * int_0^{t-v} p(X_s, X_{s+v}) ds for each lag v of a chunk of nodes,
+    the walk frozen between jumps. The breakpoints are the merge of tau_jump
+    (X_s moves) and tau_jump - v (X_{s+v} moves); after e merged events X_s
+    has made i_s jumps and X_{s+v} has made e - i_s. Each node's dot product
+    keeps the pieces of positive length inside its window."""
+    n_v, n_jumps = len(v), len(tau_jump)
+    span = (t - v)[:, None]
+    times = np.concatenate([np.broadcast_to(tau_jump, (n_v, n_jumps)),
+                            tau_jump - v[:, None]], axis=1)
+    order = np.argsort(times, axis=1, kind="stable")  # timsort: a linear merge
+    i_s = np.zeros((n_v, 2 * n_jumps + 1), dtype=np.intp)
+    np.cumsum(order < n_jumps, axis=1, out=i_s[:, 1:])
+    i_u = np.arange(2 * n_jumps + 1) - i_s
+    edges = np.take_along_axis(times, order, axis=1)
+    np.maximum(edges, 0.0, out=edges)
+    np.minimum(edges, span, out=edges)
+    seg = np.diff(edges, axis=1, prepend=0.0, append=span)
+    flat = tables.ravel()
+    rows = (np.arange(n_v) * tables.shape[1] + width)[:, None]
+    p = np.ones(seg.shape)
+    for axis_path in path:
+        p *= flat[axis_path[i_u] - axis_path[i_s] + rows]
+    keep = (seg > 0.0) & ~np.isnan(p)
+    counts = keep.sum(axis=1)
+    seg, p = seg[keep], p[keep]
+    return [w * float(seg[hi - n:hi] @ p[hi - n:hi])
+            for w, hi, n in zip(wgt, np.cumsum(counts), counts)]
 
 
 def asymptotic_probe(d: int, kappa: float, t: float, n: int, seed,
@@ -385,8 +417,6 @@ def probe_frozen_value(d: int, kappa: float, t: float, shift: float = 0.0) -> fl
     zero = np.zeros(1, dtype=int)
     total = 0.0
     for v, w in zip(v_nodes, v_weights):
-        if v >= t:
-            continue
         tau = (v / kappa + shift) / d
         total += w * (t - v) * float(heat1d(zero, tau)[0] ** d)
     return total / t

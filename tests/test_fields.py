@@ -42,6 +42,35 @@ class TestPsiField:
                          for z in range(10))
             assert got[x] == pytest.approx(direct, abs=1e-12)
 
+    @pytest.mark.parametrize("d, L", [(1, 10), (1, 11), (2, 8), (2, 9), (3, 6), (3, 7)])
+    def test_half_spectrum_matches_direct_sum(self, d, L):
+        spec = fields.PsiSpec(kappa=1.5, T=1.3, torus=Torus(d, L), rho=0.4)
+        rng = np.random.default_rng(L)
+        bits = (rng.random(L**d) < 0.4).astype(float)
+        chi = fields.chi_table(spec).grid()
+        centered = (bits - 0.4).reshape((L,) * d)
+        axes = tuple(range(d))
+        # chi(z - x) over z is chi rolled by x along every axis
+        direct = [np.sum(np.roll(chi, spec.torus.coords(x), axis=axes) * centered)
+                  for x in range(L**d)]
+        np.testing.assert_allclose(fields.psi_field(bits, spec), direct,
+                                   rtol=0, atol=1e-12 * spec.T)
+
+    def test_chi_spectrum_cache_is_clearable_and_read_only(self):
+        spec = fields.PsiSpec(kappa=2.0, T=1.0, torus=Torus(2, 6))
+        spectrum = fields._chi_spectrum(spec)
+        assert spectrum.shape == (6, 4) and not spectrum.flags.writeable
+        with pytest.raises(ValueError):
+            spectrum[0, 0] = 0.0
+        fields._chi_spectrum.cache_clear()
+        assert fields._chi_spectrum.cache_info().currsize == 0
+        np.testing.assert_array_equal(fields._chi_spectrum(spec), spectrum)
+
+    def test_density_outside_unit_interval_rejected(self):
+        for rho in (0.0, 1.0, -0.2):
+            with pytest.raises(ValueError, match=r"density must lie in \(0, 1\)"):
+                fields.PsiSpec(kappa=1.0, T=1.0, torus=Torus(1, 8), rho=rho)
+
     def test_one_kappa_constant(self):
         spec = fields.PsiSpec(kappa=2.0, T=1.0, torus=Torus(3, 5))
         assert spec.one_kappa == pytest.approx(1.0 + 1.0 / 12.0)

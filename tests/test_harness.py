@@ -234,6 +234,28 @@ class TestCli:
         assert captured.out == ""
         assert captured.err.startswith("invalid: ") and captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize("scenario, params", [
+        ("recurrent_trend", {"d": 1, "L": 6, "rho": 0, "kappa": 1.0,
+                             "t_grid": [0.5, 1.0], "n": 100, "seed": 5}),
+        ("field_checks", {"d": 1, "T": 1.0, "kappa": 1.0, "n_eta": 1, "seed": 0,
+                          "rho": 1.0}),
+        ("comparison_suite", {"d": 1, "L": 4, "rhos": [0.3, 1.5], "t": 0.5,
+                              "seed": 1})])
+    def test_validate_rejects_bad_density_as_run_does(self, tmp_path, capsys,
+                                                       scenario, params):
+        from pamse.cli import main
+
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"scenario": scenario, "params": params}))
+        assert main(["validate", str(bad)]) == 1
+        validated = capsys.readouterr()
+        assert main(["run", str(bad)]) == 1
+        ran = capsys.readouterr()
+        assert validated.out == ran.out == ""
+        assert validated.err == ran.err
+        assert validated.err.startswith("invalid: ")
+        assert validated.err.endswith("density must lie in (0, 1)\n")
+
     def test_shipped_configs_validate(self):
         from pamse.cli import main
 

@@ -7,7 +7,7 @@ from scipy.special import ive
 
 from pamse import exact
 from pamse import montecarlo as mc
-from pamse.lattice import Kernel, Torus, srw_kernel
+from pamse.lattice import Kernel, Torus, heat1d, srw_kernel
 
 
 def _spec(d, L, rho, kappa, p=1, gamma=1.0):
@@ -187,6 +187,74 @@ class TestAsymptoticProbe:
     def test_short_run_near_reference(self):
         est, ref = mc.asymptotic_probe(4, 10.0, 100.0, 60, 7)
         assert abs(est.mean - ref) / ref < 0.08
+
+
+def _probe_trials_oracle(d, kappa, t, shift, seed, trials):
+    """The probe trial one lag node at a time: breakpoints by np.unique, walk
+    positions by searchsorted on segment midpoints. Same draws and the same
+    per-node dot product as `montecarlo._probe_trials`."""
+    v_nodes, v_weights = mc._probe_nodes(t)
+    tables = []
+    for v in v_nodes:
+        tau = (v / kappa + shift) / d
+        m_max = int(np.ceil(tau + 10.0 * np.sqrt(tau + 1.0) + 8))
+        tables.append((m_max, heat1d(np.arange(-m_max, m_max + 1), tau)))
+    out = []
+    for trial in trials:
+        rng = np.random.default_rng(mc.flat_seed(seed) + (trial,))
+        n_jumps = rng.poisson(2.0 * d * t)
+        tau_jump = np.sort(rng.random(n_jumps) * t)
+        axes = rng.integers(0, d, n_jumps)
+        signs = rng.integers(0, 2, n_jumps) * 2 - 1
+        steps = np.zeros((n_jumps, d), dtype=np.int64)
+        steps[np.arange(n_jumps), axes] = signs
+        pos = np.vstack([np.zeros((1, d), dtype=np.int64), np.cumsum(steps, axis=0)])
+        total = 0.0
+        for (m_max, tab), v, wgt in zip(tables, v_nodes, v_weights):
+            cuts = np.unique(np.concatenate([[0.0], tau_jump, tau_jump - v, [t - v]]))
+            cuts = cuts[(cuts >= 0.0) & (cuts <= t - v)]
+            mids = 0.5 * (cuts[:-1] + cuts[1:])
+            seg = np.diff(cuts)
+            i_s = np.searchsorted(tau_jump, mids, side="right")
+            i_u = np.searchsorted(tau_jump, mids + v, side="right")
+            z = pos[i_u] - pos[i_s]
+            inside = np.all(np.abs(z) <= m_max, axis=1)
+            if not np.any(inside):
+                continue
+            idx = z[inside] + m_max
+            p = np.ones(int(inside.sum()))
+            for j in range(d):
+                p *= tab[idx[:, j]]
+            total += wgt * float(seg[inside] @ p)
+        out.append(total / t)
+    return np.array(out)
+
+
+class TestProbeMergedPass:
+    """The merged per-chunk pass of `_probe_trials` gives bit for bit the
+    values of the per-node oracle above."""
+
+    @pytest.mark.parametrize("d, kappa, t, shift, seed, n", [
+        (4, 10.0, 200.0, 0.0, 5, 3),
+        (4, 10.0, 20.0, 0.0, [5, 1], 8),
+        (4, 10.0, 0.01, 0.0, 3, 12),  # most trials make no jump
+        (4, 3.0, 1.0, 1.5, 9, 8),
+        (3, 2.0, 5.0, 0.5, 6, 8),
+        (3, 1.0, 50.0, 0.0, [1, 2], 4),
+        (3, 0.5, 0.01, 1.5, 2, 12),
+    ])
+    def test_matches_per_node_oracle(self, d, kappa, t, shift, seed, n):
+        v_nodes, v_weights = mc._probe_nodes(t)
+        got = mc._probe_trials(d, kappa, t, shift, seed, v_nodes, v_weights, range(n))
+        assert _hexes(got) == _hexes(_probe_trials_oracle(d, kappa, t, shift, seed,
+                                                          range(n)))
+
+    def test_two_workers_match_oracle(self):
+        d, kappa, t, seed, n = 3, 2.0, 0.3, 11, mc.TRIAL_CHUNK + 4
+        want = _probe_trials_oracle(d, kappa, t, 0.0, seed, range(n))
+        est, _ = mc.asymptotic_probe(d, kappa, t, n, seed, n_workers=2)
+        assert _hexes((est.mean, est.stderr)) == _hexes(
+            (want.mean(), want.std(ddof=1) / np.sqrt(n)))
 
 
 def test_flat_seed_layouts():
