@@ -390,3 +390,68 @@ class TestQuadraturePin:
         assert [float(v).hex() for v in (kk.k_diag_norm, kk.k_off_norm_bound,
                                          kk.closed_form_norm,
                                          kk.kappa_limit_norm)] == want_norms
+
+
+class TestCauchyPin:
+    """Exact values of the Cauchy solvers, mass residuals and Green contraction
+    on criterion 11's three problems and the half-space certificate problem,
+    recorded while sources could still be given as time segments."""
+
+    @pytest.fixture(scope="class")
+    def problems(self):
+        torus3 = Torus(3, 9)
+        box = [torus3.index((i, 4, 4)) for i in (3, 4, 5)]
+        c3 = np.zeros(torus3.n_sites)
+        c3[box] = 1.0 / 3
+        half = fields.halfspace_region(torus3)
+        pos = half.local_index()
+        z, zc = torus3.index((1, 4, 4)), torus3.index((2, 4, 4))
+        ch = np.zeros(len(half.sites))
+        ch[pos[z]] = -0.75
+        cc = np.zeros(len(half.sites))
+        cc[pos[zc]] = 0.25
+        c1 = np.zeros(16)
+        c1[[7, 8, 9]] = 1.0 / 3.0
+        return {
+            "box": (fields.static_problem(fields.Region(torus3), srw_kernel(3), 2.0, c3),
+                    box),
+            "half": (fields.static_problem(half, srw_kernel(3), 2.0, ch), z),
+            "line": fields.static_problem(fields.Region(Torus(1, 16)), srw_kernel(1),
+                                          2.0, c1),
+            "cert": fields.static_problem(half, srw_kernel(3), 2.0, cc),
+        }
+
+    def test_solve_cauchy_modes(self, problems):
+        times = np.array([0.5, 1.0, 2.0])
+        line = problems["line"]
+        assert _digest(fields.solve_cauchy(line, times, "stepping").v) == "4fa29beb5a80fa76"
+        assert _digest(fields.solve_cauchy(line, times, "series",
+                                           series_steps=400).v) == "c4f01496a919606e"
+        mc = fields.solve_cauchy(line, times, "mc", mc_trials=4000, seed=5,
+                                 start_sites=[8])
+        assert (_digest(mc.v[:, 8]), _digest(mc.stderr[:, 8])) == (
+            "5731a3ecf24b852e", "d759cb76cae3c141")
+        prob3, _ = problems["box"]
+        prob_h, _ = problems["half"]
+        assert _digest(fields.solve_cauchy(prob3, times, "stepping").v) == "ecc2710e28ff0e45"
+        assert _digest(fields.solve_cauchy(prob_h, [0.0, 0.5, 2.0],
+                                           "stepping").v) == "3be565c64236b589"
+        assert _digest(fields.solve_cauchy(problems["cert"], [2.0],
+                                           "stepping").v) == "374415929580f36c"
+        # more live sites than the dense-hop limit: the expm_multiply hop
+        assert _digest(fields.solve_cauchy(prob_h, [1.0, 2.0], "series",
+                                           series_steps=20).v) == "b291429408baaab6"
+
+    def test_mass_residuals(self, problems):
+        prob3, box = problems["box"]
+        prob_h, z = problems["half"]
+        assert float(fields.mass_identity_residual(prob3, box, 2.0)).hex() == \
+            "0x1.1970000000000p-38"
+        assert float(fields.halfspace_mass_residual(prob_h, z, -0.75, 2.0)).hex() == \
+            "0x1.8442000000000p-38"
+
+    def test_green_contraction_theta(self, problems):
+        thetas = [fields.green_contraction(p).theta
+                  for p in (problems["box"][0], problems["half"][0], problems["cert"])]
+        assert [float(v).hex() for v in thetas] == [
+            "0x1.b30e6b93010b9p-1", "0x1.864ad0ae40f23p+0", "0x1.ae81100b92898p-2"]
