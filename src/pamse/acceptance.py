@@ -18,9 +18,9 @@ from . import variational as var
 from .exact import (OperatorSpec, build_scaled_generator, exact_lambda_profile,
                     martingale_check, moment_slope)
 from .exclusion import marginal_mc, sample_initial
-from .fields import (PsiSpec, Region, halfspace_region, halfspace_mass_residual,
-                     mass_identity_residual, psi_joint_matrix, solve_cauchy,
-                     static_problem)
+from .fields import (CauchyProblem, PsiSpec, Region, halfspace_region,
+                     halfspace_mass_residual, mass_identity_residual, psi_joint_matrix,
+                     solve_cauchy)
 from .harness import ScenarioConfig, run_scenario
 from .lattice import (Torus, green, green_discrete_sum, halfspace_green_diag,
                       halfspace_transition, srw_kernel, torus_heat_matrix)
@@ -256,7 +256,7 @@ def criterion_11_cauchy(tol: float = 1e-8) -> CriterionResult:
     box = [torus3.index((i, 4, 4)) for i in (3, 4, 5)]
     c3 = np.zeros(torus3.n_sites)
     c3[box] = 1.0 / len(box)
-    prob3 = static_problem(reg3, srw_kernel(3), 2.0, c3)
+    prob3 = CauchyProblem(reg3, srw_kernel(3), 2.0, c3)
     res_box = mass_identity_residual(prob3, box, 2.0)
 
     half = halfspace_region(torus3)
@@ -266,7 +266,7 @@ def criterion_11_cauchy(tol: float = 1e-8) -> CriterionResult:
     pos = half.local_index()
     ch = np.zeros(len(half.sites))
     ch[pos[z]] = strength
-    prob_h = static_problem(half, srw_kernel(3), 2.0, ch)
+    prob_h = CauchyProblem(half, srw_kernel(3), 2.0, ch)
     res_half = halfspace_mass_residual(prob_h, z, strength, 2.0)
 
     torus1 = Torus(1, 16)
@@ -274,7 +274,7 @@ def criterion_11_cauchy(tol: float = 1e-8) -> CriterionResult:
     q1 = [torus1.index((i,)) for i in (7, 8, 9)]
     c1 = np.zeros(16)
     c1[q1] = 1.0 / 3.0
-    prob1 = static_problem(reg1, srw_kernel(1), 2.0, c1)
+    prob1 = CauchyProblem(reg1, srw_kernel(1), 2.0, c1)
     times = np.array([0.5, 1.0, 2.0])
     v_step = solve_cauchy(prob1, times, "stepping").v
     v_series = solve_cauchy(prob1, times, "series", series_steps=400).v

@@ -20,7 +20,6 @@ shift so arbitrary horizons stay in range.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -29,16 +28,9 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import expm_multiply
 
 from .exclusion import torus_bonds
-from .lattice import Kernel, Torus, srw_kernel
+from .lattice import Kernel, Torus, check_density, check_kappa, check_walkers, srw_kernel
 
 DEFAULT_STATE_CAP = 2**14 * 16
-
-
-def check_density(rho) -> None:
-    """The density rule of every model: the catalyst starts from Bernoulli(rho)
-    with 0 < rho < 1."""
-    if not (isinstance(rho, numbers.Real) and 0.0 < rho < 1.0):
-        raise ValueError("density must lie in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -56,10 +48,8 @@ class OperatorSpec:
     gamma: float = 1.0
 
     def __post_init__(self):
-        if self.kappa < 0:
-            raise ValueError("kappa must be >= 0")
-        if self.p < 0:
-            raise ValueError("walker count must be >= 0")
+        check_kappa(self.kappa)
+        check_walkers(self.p)
         check_density(self.rho)
 
     @property
@@ -240,14 +230,12 @@ def _joint_free_generator(spec: OperatorSpec, se_rate_factor: float,
     return joint
 
 
-def build_joint_generator(spec: OperatorSpec, include_potential: bool = True, *,
-                          walker_frame: bool = False) -> SparseOperator:
-    """G^kappa_V = L + kappa * sum_i Delta_i (+ V on the diagonal), on the
+def build_joint_generator(spec: OperatorSpec, *, walker_frame: bool = False) -> SparseOperator:
+    """G^kappa_V = L + kappa * sum_i Delta_i + V on the diagonal, on the
     full basis or, with walker_frame, on the walker-frame basis of the
     module docstring (n_walker then counts the relative positions)."""
-    joint = _joint_free_generator(spec, 1.0, spec.kappa, walker_frame)
-    if include_potential:
-        joint = joint + sp.diags(potential_diag(spec, walker_frame=walker_frame))
+    joint = (_joint_free_generator(spec, 1.0, spec.kappa, walker_frame)
+             + sp.diags(potential_diag(spec, walker_frame=walker_frame)))
     n_rel = spec.n_sites ** _free_walkers(spec, walker_frame)
     return SparseOperator(joint.tocsr(), spec.n_eta, n_rel)
 
@@ -278,14 +266,6 @@ def build_scaled_generator(spec: OperatorSpec) -> SparseOperator:
         raise ValueError("scaled generator needs kappa > 0")
     joint = _joint_free_generator(spec, 1.0 / spec.kappa, 1.0)
     return SparseOperator(joint.tocsr(), spec.n_eta, spec.n_walker)
-
-
-def start_vector(spec: OperatorSpec) -> np.ndarray:
-    """nu_rho over configurations, all walkers at the origin site."""
-    pi = np.zeros(spec.joint_dim)
-    w = nu_weights(spec.n_sites, spec.rho)
-    pi[np.arange(spec.n_eta) * spec.n_walker] = w
-    return pi
 
 
 def _frozen_walker_generator(spec: OperatorSpec) -> sp.csr_matrix:
@@ -341,14 +321,6 @@ def moment_slope(spec: OperatorSpec, t: float) -> float:
     mat, v, stride = _frame_semigroup(spec, t)
     nu = nu_weights(spec.n_sites, spec.rho)
     return spec.gamma * spec.p + float(nu @ (mat @ v)[::stride]) / float(nu @ v[::stride])
-
-
-def reversibility_defect(spec: OperatorSpec) -> float:
-    """Max asymmetry of D G_V with D the nu_rho x counting weights."""
-    op = build_joint_generator(spec)
-    w = np.repeat(nu_weights(spec.n_sites, spec.rho), spec.n_walker)
-    m = sp.diags(w) @ op.matrix
-    return float(abs(m - m.T).max())
 
 
 def martingale_check(generator: sp.spmatrix, psi: np.ndarray, r: float,

@@ -20,7 +20,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .lattice import Kernel, Torus
+from .lattice import Kernel, Torus, check_density
 
 
 @dataclass
@@ -42,8 +42,7 @@ class Configuration:
 
 def sample_initial(torus: Torus, rho: float, seed) -> Configuration:
     """Bernoulli(rho) product configuration; rho strictly inside (0,1)."""
-    if not 0.0 < rho < 1.0:
-        raise ValueError("density must lie strictly in (0, 1)")
+    check_density(rho)
     rng = np.random.default_rng(seed)
     bits = (rng.random(torus.n_sites) < rho).astype(np.uint8)
     return Configuration(torus, bits)
@@ -106,8 +105,7 @@ def build_schedule(torus: Torus, kernel: Kernel, horizon: float, seed) -> LinkSc
                         float(rates.sum()))
 
 
-def replay(bits: np.ndarray, schedule: LinkSchedule, t: float, marks=(),
-           start: int = 0):
+def replay(bits: np.ndarray, schedule: LinkSchedule, t: float, marks=()):
     """Carry `bits` through the link events of `schedule` up to time t, in
     place, yielding the constant pieces (t0, t1, m) of [0, t] in order.
 
@@ -116,9 +114,7 @@ def replay(bits: np.ndarray, schedule: LinkSchedule, t: float, marks=(),
     length, bits hold xi on (t0, t1) and every link event and mark at time
     <= t0 has been passed. A link event tied with a mark is applied first.
     Ties and events at t give zero-length pieces; the last piece ends at t,
-    after every link event and mark at time <= t has been passed. `start`
-    > 0 resumes from bits that already hold the state after the first
-    `start` link events.
+    after every link event and mark at time <= t has been passed.
     """
     if t > schedule.horizon:
         raise ValueError("t beyond schedule horizon")
@@ -126,8 +122,7 @@ def replay(bits: np.ndarray, schedule: LinkSchedule, t: float, marks=(),
     a, b = schedule.bond_a.tolist(), schedule.bond_b.tolist()
     marks = np.asarray(marks, dtype=float).tolist()
     n_ev, n_mk = len(times), len(marks)
-    ei, mi = start, 0
-    prev = times[start - 1] if start else 0.0
+    ei, mi, prev = 0, 0, 0.0
     while True:
         t_ev = times[ei] if ei < n_ev else np.inf
         t_mk = marks[mi] if mi < n_mk else np.inf
@@ -147,26 +142,18 @@ def replay(bits: np.ndarray, schedule: LinkSchedule, t: float, marks=(),
 
 @dataclass
 class Trajectory:
-    """Deterministic function of (initial, schedule). `checkpoint` caches the
-    most recently reached state as (number of events applied, bits), so a
-    later query replays only the events in between."""
+    """Deterministic function of (initial, schedule)."""
 
     initial: Configuration
     schedule: LinkSchedule
-    checkpoint: tuple | None = None
 
 
 def evolve(trajectory: Trajectory, t: float) -> Configuration:
-    """Apply all link events up to time t (stirring swaps), in order."""
-    sched = trajectory.schedule
-    hi = int(np.searchsorted(sched.times, t, side="right"))
-    if trajectory.checkpoint is not None and trajectory.checkpoint[0] <= hi:
-        lo, bits = trajectory.checkpoint[0], trajectory.checkpoint[1].copy()
-    else:
-        lo, bits = 0, trajectory.initial.bits.copy()
-    for _ in replay(bits, sched, t, start=lo):
+    """Apply all link events up to time t (stirring swaps), in order,
+    replaying from the initial state."""
+    bits = trajectory.initial.bits.copy()
+    for _ in replay(bits, trajectory.schedule, t):
         pass
-    trajectory.checkpoint = (hi, bits.copy())
     return Configuration(trajectory.initial.torus, bits)
 
 

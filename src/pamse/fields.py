@@ -12,7 +12,7 @@ spec), then one inverse real FFT.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -20,12 +20,15 @@ import scipy.sparse as sp
 from scipy.linalg import expm as dense_expm
 from scipy.sparse.linalg import expm_multiply
 
-from .exact import check_density, occupation_bits
-from .lattice import (Kernel, Torus, _tail_by_power_fit, cycle_heat1d, gauss_legendre,
-                      green, heat1d, outer_power, srw_kernel, transition_prob_many)
+from .exact import occupation_bits
+from .lattice import (Kernel, Torus, _tail_by_power_fit, check_density, check_kappa,
+                      cycle_heat1d, gauss_legendre, green, heat1d, outer_power, srw_kernel,
+                      transition_prob_many)
 
 GL_NODES_PER_PANEL = 12
 PSI_PANELS = 10  # time panels of the chi and gradient-kernel quadrature
+MASS_PANELS = 24  # time panels of the mass-identity integrals
+GREEN_SPLIT = 2000.0  # Green window table: quadrature on [0, split], power tail beyond
 
 
 def _panel_edges(T: float, n_panels: int) -> np.ndarray:
@@ -51,8 +54,9 @@ class PsiSpec:
     rho: float = 0.5
 
     def __post_init__(self):
-        if self.kappa <= 0 or self.T < 0:
-            raise ValueError("need kappa > 0 and T >= 0")
+        check_kappa(self.kappa, positive=True)
+        if self.T < 0:
+            raise ValueError("need T >= 0")
         check_density(self.rho)
 
     @property
@@ -84,6 +88,7 @@ class Field:
 
 @lru_cache(maxsize=32)
 def _chi_grid_cached(spec: PsiSpec) -> np.ndarray:
+    """The chi grid of a spec, read-only."""
     trs = spec.torus
     nodes, weights = time_quadrature(spec.T, PSI_PANELS)
     # rate-1 d-dim walk at time 2 d s 1k => per-coordinate clock 2 s 1k
@@ -91,6 +96,7 @@ def _chi_grid_cached(spec: PsiSpec) -> np.ndarray:
     out = np.zeros((trs.L,) * trs.d)
     for tau, w in zip(taus, weights):
         out += w * outer_power(cycle_heat1d(trs.L, tau), trs.d)
+    out.flags.writeable = False
     return out
 
 
@@ -232,22 +238,12 @@ def psi_bounds_check(spec: PsiSpec, n_samples: int, seed,
 
 @dataclass
 class KKernels:
-    spec: PsiSpec
-    chi: Field
-    k_diag: Field
+    """The gradient-kernel norms the field gates read."""
+
     k_diag_norm: float
     k_off_norm_bound: float  # sum_e ||grad_e chi||_1^2 >= true ||K_off||_1
     closed_form_norm: float
     kappa_limit_norm: float
-    quad_nodes: int
-    _grads: list = field(default_factory=list, repr=False)
-
-    def k_off(self, z1, z2) -> float:
-        trs = self.spec.torus
-        i1, i2 = trs.index(z1), trs.index(z2)
-        if i1 == i2:
-            raise ValueError("off-diagonal kernel needs distinct sites")
-        return float(sum(ge[i1] * ge[i2] for ge in self._grads))
 
 
 def _heat_diag(d: int, tau_per_coord: float) -> float:
@@ -273,38 +269,22 @@ def _kdiag_kappa_limit(spec: PsiSpec) -> float:
 
 
 def k_kernels(spec: PsiSpec) -> KKernels:
-    """chi profile, diagonal gradient kernel and kernel norms, with the
-    closed-form value of ||K_diag||_1 and its large-kappa limit."""
-    trs = spec.torus
-    chi = chi_table(spec)
-    grid = chi.grid()
-    grads = []
+    """Norms of the diagonal and off-diagonal gradient kernels of chi, with the
+    closed-form value of ||K_diag||_1 and its large-kappa limit; the 2d
+    gradients of the cached chi grid are taken one at a time."""
+    grid = _chi_grid_cached(spec)
     k_diag = np.zeros_like(grid)
-    for axis in range(trs.d):
+    off_bound = 0.0
+    for axis in range(spec.torus.d):
         for sign in (1, -1):
             g = np.roll(grid, -sign, axis=axis) - grid
-            grads.append(g.ravel())
             k_diag += g**2
+            off_bound += np.abs(g).sum() ** 2
     return KKernels(
-        spec=spec, chi=chi, k_diag=Field(trs, k_diag.ravel()),
-        k_diag_norm=float(k_diag.sum()),
-        k_off_norm_bound=float(sum(np.abs(g).sum() ** 2 for g in grads)),
+        k_diag_norm=float(k_diag.sum()), k_off_norm_bound=float(off_bound),
         closed_form_norm=_kdiag_closed_form(spec),
         kappa_limit_norm=_kdiag_kappa_limit(spec),
-        quad_nodes=spec.quad_node_count,
-        _grads=grads,
     )
-
-
-def k_off_norm_exact(kk: KKernels, radius: int) -> float:
-    """Exact sum of |K_off| over site pairs inside a centered sub-window."""
-    trs = kk.spec.torus
-    coords = trs.all_coords()
-    centered = (coords + trs.L // 2) % trs.L - trs.L // 2
-    inside = np.nonzero(np.all(np.abs(centered) <= radius, axis=1))[0]
-    g = np.stack([ge[inside] for ge in kk._grads])
-    cross = np.abs(g.T @ g)
-    return float(cross.sum() - np.trace(cross))
 
 
 # ---------------------------------------------------------------------------
@@ -360,25 +340,15 @@ def halfspace_region(torus: Torus) -> Region:
 
 @dataclass
 class CauchyProblem:
-    """Source segments are (t0, t1, values-per-live-site); a moving point
-    source is one segment per stretch between its jumps."""
+    """A time-independent source c, one value per live site of the region."""
 
     region: Region
     kernel: Kernel
     horizon: float
-    segments: list
+    source: np.ndarray
 
-    def source_at(self, t: float) -> np.ndarray:
-        for t0, t1, vals in self.segments:
-            if t0 <= t < t1 or (t == self.horizon and t1 >= self.horizon):
-                return vals
-        return np.zeros(len(self.region.sites))
-
-
-def static_problem(region: Region, kernel: Kernel, horizon: float,
-                   values) -> CauchyProblem:
-    return CauchyProblem(region, kernel, horizon,
-                         [(0.0, horizon, np.asarray(values, dtype=float))])
+    def __post_init__(self):
+        self.source = np.asarray(self.source, dtype=float)
 
 
 @dataclass
@@ -396,13 +366,13 @@ class CauchySolution:
 def solve_cauchy(problem: CauchyProblem, times, mode: str = "stepping",
                  mc_trials: int = 4000, seed=0, series_steps: int = 200,
                  start_sites=None) -> CauchySolution:
-    """v(x, t) = E_x exp[int_0^t c(Y_s, s) ds] at the requested times.
+    """v(x, t) = E_x exp[int_0^t c(Y_s) ds] at the requested times.
 
-    Modes: 'stepping' (exact exponential-integrator factors per constant
-    segment; production route), 'series' (Picard/Duhamel iteration on a
-    uniform grid with Richardson refinement), 'mc' (Feynman-Kac sampling,
-    static sources only). start_sites restricts the mc mode to selected
-    global site indices; other columns are left as nan.
+    Modes: 'stepping' (exact matrix exponentials between query times;
+    production route), 'series' (Picard/Duhamel iteration on a uniform grid
+    with Richardson refinement), 'mc' (Feynman-Kac sampling). start_sites
+    restricts the mc mode to selected global site indices; other columns are
+    left as nan.
     """
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or len(times) == 0:
@@ -426,27 +396,13 @@ def solve_cauchy(problem: CauchyProblem, times, mode: str = "stepping",
 
 
 def _solve_stepping(problem: CauchyProblem, times: np.ndarray) -> np.ndarray:
-    gen = problem.region.generator(problem.kernel)
-    n = gen.shape[0]
-    edges = {0.0}
-    for t0, t1, _ in problem.segments:
-        edges.add(float(t0))
-        edges.add(float(min(t1, problem.horizon)))
-    edges.update(float(t) for t in times)
-    edges = np.array(sorted(edges))
-    want = {float(t): i for i, t in enumerate(times)}
-    out = np.empty((len(times), n))
-    v = np.ones(n)
-    if 0.0 in want:
-        out[want[0.0]] = v
-    for a, b in zip(edges[:-1], edges[1:]):
-        if b <= a:
-            continue
-        c = problem.source_at(0.5 * (a + b))
-        op = (gen + sp.diags(c)).tocsr()
-        v = expm_multiply(op * (b - a), v)
-        if float(b) in want:
-            out[want[float(b)]] = v
+    op = (problem.region.generator(problem.kernel) + sp.diags(problem.source)).tocsr()
+    out = np.empty((len(times), op.shape[0]))
+    v, prev = np.ones(op.shape[0]), 0.0
+    for k, t in enumerate(times):
+        if t > prev:
+            v = expm_multiply(op * (t - prev), v)
+        out[k], prev = v, t
     return out
 
 
@@ -469,11 +425,10 @@ def _solve_series(problem: CauchyProblem, times: np.ndarray, n_steps: int) -> np
         def hop(x):
             return expm_multiply(gen * dt, x.T).T
 
-    cs = np.stack([problem.source_at(t) for t in grid])
     v = np.ones((len(grid), n))
     delta = np.inf
     for _ in range(300):
-        integrand = cs * v
+        integrand = problem.source * v
         new_v = np.ones_like(v)
         run = np.zeros(n)
         for k in range(1, len(grid)):
@@ -493,12 +448,10 @@ def _solve_series(problem: CauchyProblem, times: np.ndarray, n_steps: int) -> np
 
 def _solve_mc(problem: CauchyProblem, times: np.ndarray, n: int, seed,
               start_sites) -> np.ndarray:
-    if len(problem.segments) != 1 or problem.segments[0][0] != 0.0:
-        raise ValueError("mc mode supports a single static source segment")
     region = problem.region
     live = region.sites
     pos = region.local_index()
-    c = np.asarray(problem.segments[0][2], dtype=float)
+    c = problem.source
     offsets = [np.asarray(v) for v, _ in problem.kernel.offsets]
     weights = np.array([w for _, w in problem.kernel.offsets])
     perms = np.stack([region.torus.shift_table(tuple(v)) for v in offsets])
@@ -541,8 +494,7 @@ def _solve_mc(problem: CauchyProblem, times: np.ndarray, n: int, seed,
 # ---------------------------------------------------------------------------
 
 
-def mass_identity_residual(problem: CauchyProblem, box_sites, t_end: float,
-                           n_panels: int = 24) -> float:
+def mass_identity_residual(problem: CauchyProblem, box_sites, t_end: float) -> float:
     """Max residual of sum_x w(x,t) = int_0^t |Q|^-1 sum_{x in Q} w(x,s) ds + t
     for the uniform-box source, checked at every quadrature panel boundary
     along the integration."""
@@ -550,16 +502,16 @@ def mass_identity_residual(problem: CauchyProblem, box_sites, t_end: float,
     box_local = pos[np.asarray(box_sites, dtype=int)]
     if np.any(box_local < 0):
         raise ValueError("box must lie inside the region")
-    nodes, weights = time_quadrature(t_end, n_panels, 10)  # globally ascending
-    edges = _panel_edges(t_end, n_panels)[1:]
+    nodes, weights = time_quadrature(t_end, MASS_PANELS, 10)  # globally ascending
+    edges = _panel_edges(t_end, MASS_PANELS)[1:]
     query = np.unique(np.concatenate([nodes, edges]))
     sol = solve_cauchy(problem, query, mode="stepping")
     w = sol.w
     box_mean = w[np.searchsorted(query, nodes)][:, box_local].mean(axis=1)
     cum = np.cumsum(weights * box_mean)
-    per_panel = len(nodes) // n_panels
+    per_panel = len(nodes) // MASS_PANELS
     worst = 0.0
-    for k in range(1, n_panels + 1):
+    for k in range(1, MASS_PANELS + 1):
         t_edge = float(edges[k - 1])
         total = float(w[np.searchsorted(query, t_edge)].sum())
         integral = float(cum[k * per_panel - 1])
@@ -568,15 +520,14 @@ def mass_identity_residual(problem: CauchyProblem, box_sites, t_end: float,
 
 
 def halfspace_mass_residual(problem: CauchyProblem, source_site: int,
-                            strength: float, t_end: float,
-                            n_panels: int = 24) -> float:
+                            strength: float, t_end: float) -> float:
     """Residual of sum_x w(x,t) = strength * t + strength * int_0^t w(z,s) ds
     for a single-site source of signed total strength."""
     pos = problem.region.local_index()
     z = pos[int(source_site)]
     if z < 0:
         raise ValueError("source site outside region")
-    nodes, weights = time_quadrature(t_end, n_panels, 10)
+    nodes, weights = time_quadrature(t_end, MASS_PANELS, 10)
     query = np.unique(np.concatenate([nodes, [t_end]]))
     sol = solve_cauchy(problem, query, mode="stepping")
     w = sol.w
@@ -595,7 +546,7 @@ class ContractionCertificate:
         return self.sup_bound is not None
 
 
-def green_window_table(kernel: Kernel, torus: Torus, split: float = 2000.0) -> np.ndarray:
+def green_window_table(kernel: Kernel, torus: Torus) -> np.ndarray:
     """G(0, v) over torus displacement indices, rate-1 clock, vectorized
     time quadrature with a power-law tail fit per displacement."""
     if kernel.d <= 2:
@@ -608,19 +559,17 @@ def green_window_table(kernel: Kernel, torus: Torus, split: float = 2000.0) -> n
     def window(s: float) -> np.ndarray:
         return transition_prob_many(rate1, s, zs)
 
-    nodes, weights = time_quadrature(split, 24, 12)
+    nodes, weights = time_quadrature(GREEN_SPLIT, 24, 12)
     body = np.zeros(torus.n_sites)
     for s, w in zip(nodes, weights):
         body += w * window(s)
-    return body + _tail_by_power_fit(window, split, kernel.d)
+    return body + _tail_by_power_fit(window, GREEN_SPLIT, kernel.d)
 
 
 def green_contraction(problem: CauchyProblem) -> ContractionCertificate:
     """theta = sup_x sum_y G(x, y) |c(y)| for a time-independent source; when
     theta < 1, sup_{x,t} w(x,t) <= theta / (1 - theta) is certified."""
-    if len(problem.segments) != 1:
-        raise ValueError("certificate needs a time-independent source")
-    c = np.abs(np.asarray(problem.segments[0][2], dtype=float))
+    c = np.abs(problem.source)
     region = problem.region
     trs = region.torus
     live = region.sites

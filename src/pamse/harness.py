@@ -19,9 +19,13 @@ import numpy as np
 
 from . import montecarlo as mc
 from . import variational as var
-from .exact import OperatorSpec, check_density, exact_lambda_profile, exact_moment
+from .exact import OperatorSpec, exact_lambda_profile, exact_moment
 from .irw import WeightFunction, compare_se_irw
-from .lattice import Torus, green, srw_kernel
+from .lattice import Torus, check_density, check_kappa, check_walkers, green, srw_kernel
+
+# scenarios whose kappa enters through 1[kappa] = 1 + 1/(2 d kappa)
+_POSITIVE_KAPPA = {"asymptotic_probe", "field_checks"}
+
 
 @dataclass
 class ScenarioConfig:
@@ -58,8 +62,9 @@ def scenario_parameters(scenario: str):
 
 def validate_config(cfg: ScenarioConfig) -> dict:
     """Check cfg.params against the runner's signature and return its kwargs;
-    an int given for a float is converted, lists must be non-empty, and a
-    `rho` or each entry of `rhos` must be a density in (0, 1)."""
+    an int given for a float is converted, lists must be non-empty, and the
+    model keys (`rho`, `kappa`, `p` and their lists) obey the range rules the
+    models apply."""
     if not isinstance(cfg.params, dict):
         raise ConfigError(f"{cfg.scenario}: params must be a JSON object")
     params = scenario_parameters(cfg.scenario)
@@ -80,13 +85,18 @@ def validate_config(cfg: ScenarioConfig) -> dict:
     for key in cfg.params:
         if key not in params:
             raise ConfigError(f"{cfg.scenario}: unknown key {key!r}")
-    densities = [("rho", kwargs["rho"])] if "rho" in kwargs else []
-    densities += [("rhos", rho) for rho in kwargs.get("rhos", [])]
-    for key, rho in densities:
-        try:
-            check_density(rho)
-        except ValueError as exc:
-            raise ConfigError(f"{cfg.scenario}: key {key!r}: {exc}") from None
+    positive = cfg.scenario in _POSITIVE_KAPPA
+    rules = {"rho": check_density, "rhos": check_density,
+             "kappa": lambda k: check_kappa(k, positive), "kappas": check_kappa,
+             "limit_kappa": lambda k: check_kappa(k, True),
+             "p": check_walkers, "p_list": check_walkers}
+    for key, rule in rules.items():
+        vals = kwargs.get(key, [])
+        for val in vals if isinstance(vals, list) else [vals]:
+            try:
+                rule(val)
+            except ValueError as exc:
+                raise ConfigError(f"{cfg.scenario}: key {key!r}: {exc}") from None
     return kwargs
 
 
@@ -274,7 +284,6 @@ def _run_field_checks(*, d: int, T: float, kappa: float, n_eta: int, seed: int,
         "k_diag_norm": kk.k_diag_norm, "k_diag_closed_form": kk.closed_form_norm,
         "k_off_norm_bound": kk.k_off_norm_bound, "k_off_limit": 8 * d * T**2,
     }
-    del kk  # hold one set of gradient kernels (2d + 2 site tables) at a time
     kk_hi = k_kernels(PsiSpec(kappa=limit_kappa, T=T, torus=trs, rho=rho))
     limit_ok = abs(kk_hi.k_diag_norm - kk_hi.kappa_limit_norm) <= limit_tol
     row.update(k_diag_norm_at_high_kappa=kk_hi.k_diag_norm,

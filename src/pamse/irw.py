@@ -18,7 +18,7 @@ from scipy.sparse.linalg import expm_multiply
 from . import exact
 from .exclusion import exp_weight_mc
 from .fields import Region
-from .lattice import Kernel, Torus
+from .lattice import Kernel, Torus, check_density
 
 
 @dataclass(frozen=True)
@@ -91,8 +91,7 @@ def irw_exp_functional(rho: float, K: WeightFunction, t: float, torus: Torus,
                        kernel: Kernel) -> float:
     """E^IRW_{nu_rho} exp[sum_z int_0^t K(z,s) xi_s(z) ds], exactly, as the
     product over sites of (1 - rho + rho v(x,t)); log-domain accumulation."""
-    if not 0.0 < rho < 1.0:
-        raise ValueError("density must lie in (0,1)")
+    check_density(rho)
     v = single_walk_values(torus, kernel, K, t)
     factors = 1.0 - rho + rho * v
     if np.any(factors <= 0) or not np.all(np.isfinite(factors)):

@@ -10,6 +10,7 @@ in one place.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -17,6 +18,25 @@ import numpy as np
 from scipy.integrate import quad
 
 Vector = tuple[int, ...]
+
+
+def check_density(rho) -> None:
+    """The density rule of every model: the catalyst starts from Bernoulli(rho)
+    with 0 < rho < 1."""
+    if not (isinstance(rho, numbers.Real) and 0.0 < rho < 1.0):
+        raise ValueError("density must lie in (0, 1)")
+
+
+def check_kappa(kappa, positive: bool = False) -> None:
+    """Walkers jump at rate 2 d kappa >= 0; where 1[kappa] = 1 + 1/(2 d kappa)
+    enters (the fields and the large-kappa probe), kappa > 0."""
+    if not (isinstance(kappa, numbers.Real) and (kappa > 0 if positive else kappa >= 0)):
+        raise ValueError("kappa must be > 0" if positive else "kappa must be >= 0")
+
+
+def check_walkers(p) -> None:
+    if not (isinstance(p, numbers.Real) and p >= 0):
+        raise ValueError("walker count must be >= 0")
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ import numpy as np
 
 from .exact import OperatorSpec
 from .exclusion import build_schedule, replay
-from .lattice import Kernel, gauss_legendre, heat1d, srw_kernel, green
+from .lattice import Kernel, check_kappa, gauss_legendre, heat1d, srw_kernel, green
 
 TRIAL_CHUNK = 256  # trials per task handed to a worker process
 # merged events per vectorised pass of a probe trial: each temporary stays in
@@ -396,6 +396,7 @@ def asymptotic_probe(d: int, kappa: float, t: float, n: int, seed,
     """
     if d < 3:
         raise ValueError("transient dimensions only (d >= 3)")
+    check_kappa(kappa, positive=True)
     if n < 2:
         raise ValueError("need at least two trials")
     v_nodes, v_weights = _probe_nodes(t)

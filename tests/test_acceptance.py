@@ -2,11 +2,14 @@
 
 Run with `pytest tests/test_acceptance.py -v -s` to see one pass/fail line
 per criterion; `pamse selftest` drives the same battery from the CLI.
+`pytest -m "not acceptance"` runs every other test without it.
 """
 
 import pytest
 
 from pamse import acceptance
+
+pytestmark = pytest.mark.acceptance
 
 
 @pytest.mark.parametrize("criterion", acceptance.ALL_CRITERIA,

@@ -58,6 +58,12 @@ class TestPsiField:
 
     def test_chi_spectrum_cache_is_clearable_and_read_only(self):
         spec = fields.PsiSpec(kappa=2.0, T=1.0, torus=Torus(2, 6))
+        grid = fields._chi_grid_cached(spec)
+        assert fields._chi_grid_cached(spec) is grid and not grid.flags.writeable
+        with pytest.raises(ValueError):
+            grid[0, 0] = 0.0
+        fields.chi_table(spec).values[0] = 0.0  # a writable copy
+        assert grid[0, 0] != 0.0
         spectrum = fields._chi_spectrum(spec)
         assert spectrum.shape == (6, 4) and not spectrum.flags.writeable
         with pytest.raises(ValueError):
@@ -67,9 +73,17 @@ class TestPsiField:
         np.testing.assert_array_equal(fields._chi_spectrum(spec), spectrum)
 
     def test_density_outside_unit_interval_rejected(self):
+        # one rule for every model: the spec, the catalyst start, the IRW product
+        from pamse import exclusion, irw
+
+        K = irw.WeightFunction((((0,), (0.0, 1.0), 0.5),))
         for rho in (0.0, 1.0, -0.2):
-            with pytest.raises(ValueError, match=r"density must lie in \(0, 1\)"):
-                fields.PsiSpec(kappa=1.0, T=1.0, torus=Torus(1, 8), rho=rho)
+            for build in (lambda: fields.PsiSpec(kappa=1.0, T=1.0, torus=Torus(1, 8), rho=rho),
+                          lambda: exclusion.sample_initial(Torus(1, 8), rho, 0),
+                          lambda: irw.irw_exp_functional(rho, K, 1.0, Torus(1, 8),
+                                                         srw_kernel(1))):
+                with pytest.raises(ValueError, match=r"density must lie in \(0, 1\)"):
+                    build()
 
     def test_one_kappa_constant(self):
         spec = fields.PsiSpec(kappa=2.0, T=1.0, torus=Torus(3, 5))
@@ -136,8 +150,14 @@ class TestKKernels:
     def test_off_norm_bound(self, kk3):
         d, T = 3, 1.5
         assert kk3.k_off_norm_bound <= 8 * d * T**2
-        exact_sub = fields.k_off_norm_exact(kk3, radius=2)
-        assert exact_sub <= kk3.k_off_norm_bound + 1e-12
+        # exact sum of |K_off(z1, z2)| = |sum_e grad_e chi(z1) grad_e chi(z2)|
+        # over distinct site pairs of a centred sub-window of radius 2
+        chi = fields.chi_table(fields.PsiSpec(kappa=2.0, T=T, torus=Torus(3, 31))).grid()
+        window = np.ix_(*[np.arange(-2, 3) % 31] * d)
+        grads = np.stack([(np.roll(chi, -sign, axis=axis) - chi)[window].ravel()
+                          for axis in range(d) for sign in (1, -1)])
+        cross = np.abs(grads.T @ grads)
+        assert 0 < cross.sum() - np.trace(cross) <= kk3.k_off_norm_bound + 1e-12
 
     def test_diag_norm_closed_form(self, kk3):
         assert kk3.k_diag_norm == pytest.approx(kk3.closed_form_norm, abs=1e-6)
@@ -150,22 +170,13 @@ class TestKKernels:
             gaps.append(abs(kk.k_diag_norm - kk.kappa_limit_norm))
         assert gaps[0] > gaps[1] > gaps[2]
 
-    def test_off_kernel_evaluator(self, kk3):
-        trs = kk3.spec.torus
-        val = kk3.k_off((1, 0, 0), (0, 1, 0))
-        grads = kk3._grads
-        i1, i2 = trs.index((1, 0, 0)), trs.index((0, 1, 0))
-        direct = sum(g[i1] * g[i2] for g in grads)
-        assert val == pytest.approx(direct)
-        with pytest.raises(ValueError):
-            kk3.k_off((1, 0, 0), (1, 0, 0))
 
 
 class TestCauchySolver:
     def test_zero_source_stays_one(self):
         trs = Torus(1, 12)
-        prob = fields.static_problem(fields.Region(trs), srw_kernel(1), 2.0,
-                                     np.zeros(12))
+        prob = fields.CauchyProblem(fields.Region(trs), srw_kernel(1), 2.0,
+                                    np.zeros(12))
         for mode in ("stepping", "series"):
             sol = fields.solve_cauchy(prob, [1.0, 2.0], mode=mode)
             np.testing.assert_allclose(sol.v, 1.0, atol=1e-12)
@@ -177,7 +188,7 @@ class TestCauchySolver:
         trs = Torus(1, 16)
         c = np.zeros(16)
         c[[7, 8, 9]] = 1.0 / 3.0
-        prob = fields.static_problem(fields.Region(trs), srw_kernel(1), 2.0, c)
+        prob = fields.CauchyProblem(fields.Region(trs), srw_kernel(1), 2.0, c)
         times = np.array([0.5, 1.0, 2.0])
         v_a = fields.solve_cauchy(prob, times, "stepping").v
         v_b = fields.solve_cauchy(prob, times, "series", series_steps=200).v
@@ -191,41 +202,14 @@ class TestCauchySolver:
         trs = Torus(1, 16)
         c = np.zeros(16)
         c[5] = 0.5
-        prob = fields.static_problem(fields.Region(trs), srw_kernel(1), 3.0, c)
+        prob = fields.CauchyProblem(fields.Region(trs), srw_kernel(1), 3.0, c)
         sol = fields.solve_cauchy(prob, [0.5, 1.0, 2.0, 3.0], "stepping")
         assert np.all(np.diff(sol.w, axis=0) >= -1e-12)
 
-    def test_time_dependent_segments(self):
-        trs = Torus(1, 8)
-        on = np.zeros(8)
-        on[2] = 1.0
-        prob = fields.CauchyProblem(fields.Region(trs), srw_kernel(1), 2.0,
-                                    [(0.0, 1.0, on), (1.0, 2.0, 0.0 * on)])
-        v = fields.solve_cauchy(prob, [2.0], "stepping").v
-        # switching the source off caps the growth below the always-on value
-        prob_on = fields.static_problem(fields.Region(trs), srw_kernel(1), 2.0, on)
-        v_on = fields.solve_cauchy(prob_on, [2.0], "stepping").v
-        assert np.all(v[0] <= v_on[0] + 1e-12)
-        assert np.all(v[0] >= 1.0 - 1e-12)
-
-    def test_moving_source_expansion(self):
-        trs = Torus(1, 8)
-
-        def profile(pos):
-            out = np.zeros(8)
-            out[pos] = 1.0
-            return out
-
-        path = [(0.0, 1.0, 2), (1.0, 2.0, 3)]  # (t0, t1, position)
-        segs = [(t0, t1, profile(pos)) for t0, t1, pos in path]
-        prob = fields.CauchyProblem(fields.Region(trs), srw_kernel(1), 2.0, segs)
-        sol = fields.solve_cauchy(prob, [2.0], "stepping")
-        assert sol.v[0].max() > 1.0
-
     def test_query_validation(self):
         trs = Torus(1, 8)
-        prob = fields.static_problem(fields.Region(trs), srw_kernel(1), 1.0,
-                                     np.zeros(8))
+        prob = fields.CauchyProblem(fields.Region(trs), srw_kernel(1), 1.0,
+                                    np.zeros(8))
         with pytest.raises(ValueError):
             fields.solve_cauchy(prob, [0.5, 2.0])
         with pytest.raises(ValueError):
@@ -238,7 +222,7 @@ class TestMassIdentities:
         box = [4, 5, 6]
         c = np.zeros(20)
         c[box] = 1.0 / 3.0
-        prob = fields.static_problem(fields.Region(trs), srw_kernel(1), 3.0, c)
+        prob = fields.CauchyProblem(fields.Region(trs), srw_kernel(1), 3.0, c)
         assert fields.mass_identity_residual(prob, box, 3.0) < 1e-8
 
     def test_halfspace_identity(self):
@@ -249,7 +233,7 @@ class TestMassIdentities:
         pos = half.local_index()
         c = np.zeros(len(half.sites))
         c[pos[z]] = strength
-        prob = fields.static_problem(half, srw_kernel(3), 1.5, c)
+        prob = fields.CauchyProblem(half, srw_kernel(3), 1.5, c)
         assert fields.halfspace_mass_residual(prob, z, strength, 1.5) < 1e-8
 
     def test_halfspace_region_layout(self):
@@ -265,8 +249,8 @@ class TestMassIdentities:
 class TestGreenContraction:
     def test_zero_source(self):
         trs = Torus(3, 7)
-        prob = fields.static_problem(fields.Region(trs), srw_kernel(3), 1.0,
-                                     np.zeros(trs.n_sites))
+        prob = fields.CauchyProblem(fields.Region(trs), srw_kernel(3), 1.0,
+                                    np.zeros(trs.n_sites))
         cert = fields.green_contraction(prob)
         assert cert.theta == 0.0 and cert.sup_bound == 0.0
 
@@ -275,7 +259,7 @@ class TestGreenContraction:
         beta = 0.3
         c = np.zeros(trs.n_sites)
         c[trs.index((0, 0, 0))] = beta
-        prob = fields.static_problem(fields.Region(trs), srw_kernel(3), 4.0, c)
+        prob = fields.CauchyProblem(fields.Region(trs), srw_kernel(3), 4.0, c)
         cert = fields.green_contraction(prob)
         assert cert.theta == pytest.approx(beta * green(srw_kernel(3)),
                                            rel=1e-6)
@@ -293,8 +277,8 @@ class TestGreenContraction:
                      for k in range(-r, r + 1)]
             c = np.zeros(trs.n_sites)
             c[sites] = 1.0 / len(sites)
-            prob = fields.static_problem(fields.Region(trs), srw_kernel(3),
-                                         1.0, c)
+            prob = fields.CauchyProblem(fields.Region(trs), srw_kernel(3),
+                                        1.0, c)
             thetas.append(fields.green_contraction(prob).theta)
         assert thetas[0] > thetas[1] > thetas[2]
 
@@ -302,7 +286,7 @@ class TestGreenContraction:
         trs = Torus(3, 7)
         c = np.zeros(trs.n_sites)
         c[trs.index((0, 0, 0))] = 2.0  # 2 G_3 > 1
-        prob = fields.static_problem(fields.Region(trs), srw_kernel(3), 1.0, c)
+        prob = fields.CauchyProblem(fields.Region(trs), srw_kernel(3), 1.0, c)
         cert = fields.green_contraction(prob)
         assert cert.theta > 1.0 and not cert.certified
 
@@ -336,7 +320,7 @@ class TestHalfspaceContraction:
         pos = half.local_index()
         c = np.zeros(len(half.sites))
         c[pos[z]] = strength
-        prob = fields.static_problem(half, srw_kernel(3), 2.0, c)
+        prob = fields.CauchyProblem(half, srw_kernel(3), 2.0, c)
         cert = fields.green_contraction(prob)
         # sup_x G+(x, z) is attained at x = z for a point source
         target = strength * halfspace_green_diag(srw_kernel(3), 2)
@@ -413,12 +397,12 @@ class TestCauchyPin:
         c1 = np.zeros(16)
         c1[[7, 8, 9]] = 1.0 / 3.0
         return {
-            "box": (fields.static_problem(fields.Region(torus3), srw_kernel(3), 2.0, c3),
+            "box": (fields.CauchyProblem(fields.Region(torus3), srw_kernel(3), 2.0, c3),
                     box),
-            "half": (fields.static_problem(half, srw_kernel(3), 2.0, ch), z),
-            "line": fields.static_problem(fields.Region(Torus(1, 16)), srw_kernel(1),
-                                          2.0, c1),
-            "cert": fields.static_problem(half, srw_kernel(3), 2.0, cc),
+            "half": (fields.CauchyProblem(half, srw_kernel(3), 2.0, ch), z),
+            "line": fields.CauchyProblem(fields.Region(Torus(1, 16)), srw_kernel(1),
+                                         2.0, c1),
+            "cert": fields.CauchyProblem(half, srw_kernel(3), 2.0, cc),
         }
 
     def test_solve_cauchy_modes(self, problems):

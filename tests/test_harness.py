@@ -256,6 +256,30 @@ class TestCli:
         assert validated.err.startswith("invalid: ")
         assert validated.err.endswith("density must lie in (0, 1)\n")
 
+    @pytest.mark.parametrize("scenario, key, value, message", [
+        ("exact_vs_mc", "kappa", -1.0, "kappa must be >= 0"),
+        ("asymptotic_probe", "kappa", 0.0, "kappa must be > 0"),
+        ("field_checks", "kappa", 0.0, "kappa must be > 0"),
+        ("field_checks", "limit_kappa", 0.0, "kappa must be > 0"),
+        ("kappa_sweep", "kappas", [0.0, -0.5], "kappa must be >= 0"),
+        ("kappa_sweep", "p", -1, "walker count must be >= 0"),
+        ("intermittency_kappa0", "p_list", [1, -2], "walker count must be >= 0")])
+    def test_validate_rejects_bad_model_as_run_does(self, tmp_path, capsys, scenario,
+                                                    key, value, message):
+        # run used to end in a traceback here (OverflowError for the probe,
+        # ZeroDivisionError for the field checks) after validate said ok
+        from pamse.cli import main
+
+        cfg = json.loads((CONFIG_DIR / f"{scenario}.json").read_text())
+        cfg["params"][key] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(cfg))
+        for command in ("validate", "run"):
+            assert main([command, str(bad)]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"invalid: {scenario}: key '{key}': {message}\n"
+
     def test_shipped_configs_validate(self):
         from pamse.cli import main
 
