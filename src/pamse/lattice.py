@@ -1,4 +1,5 @@
-"""Lattice geometry, symmetric walk kernels, heat kernels and Green functions.
+"""Lattice geometry, symmetric walk kernels, heat kernels and Green functions,
+and the range rules of the model parameters (rho, kappa, p).
 
 Everything here is deterministic. Transition probabilities follow the rate-1
 normalization internally: a kernel with rate r at time t is evaluated as the
@@ -35,6 +36,7 @@ def check_kappa(kappa, positive: bool = False) -> None:
 
 
 def check_walkers(p) -> None:
+    """The moment order p counts walkers, p >= 0."""
     if not (isinstance(p, numbers.Real) and p >= 0):
         raise ValueError("walker count must be >= 0")
 

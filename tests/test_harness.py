@@ -266,8 +266,8 @@ class TestCli:
         ("intermittency_kappa0", "p_list", [1, -2], "walker count must be >= 0")])
     def test_validate_rejects_bad_model_as_run_does(self, tmp_path, capsys, scenario,
                                                     key, value, message):
-        # run used to end in a traceback here (OverflowError for the probe,
-        # ZeroDivisionError for the field checks) after validate said ok
+        # unchecked, a zero kappa ends run in a traceback: an OverflowError in
+        # the probe's heat tables, a ZeroDivisionError in the field window size
         from pamse.cli import main
 
         cfg = json.loads((CONFIG_DIR / f"{scenario}.json").read_text())
