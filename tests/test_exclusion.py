@@ -1,5 +1,7 @@
 """Event-driven exclusion: schedules, stirring, occupation times."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -274,6 +276,71 @@ class TestGraphicalIdentity:
 
 def _hexes(values):
     return [float(v).hex() for v in values]
+
+
+def _digest(values):
+    """Exact fingerprint of an array (sha256 of its float64 bytes)."""
+    data = np.ascontiguousarray(values, dtype=np.float64).tobytes()
+    return hashlib.sha256(data).hexdigest()[:16]
+
+
+class TestSchedulePin:
+    """Exact link schedules and per-bond count draws at fixed seeds, recorded
+    before the counts were drawn one bond at a time; any change in the draw
+    order or in the generator state a schedule leaves behind shows up here."""
+
+    @pytest.mark.parametrize("d, L, rate, t, seed, n_events, want", [
+        (1, 6, 1.0, 2.0, 61, 11,
+         ("df7c9a3f174ad0ec", "23b1f008299d0e80", "5e1f2eab12aee9c1")),
+        # the fk_replay workload's nested (seed, round), trial keying
+        (1, 16, 1.0, 3.0, [[5, 2], 7], 28,
+         ("e9e6da03ebd87bf8", "c80f4bc179828d45", "6d355b718dbbdba5")),
+        (2, 3, 1.0, 1.5, 63, 3,
+         ("35a6d659807132f4", "70cc3e89a4320d62", "1d7f6eadef605593")),
+        # rate * t = 15 per bond: numpy's PTRS Poisson branch (lam >= 10)
+        (1, 5, 30.0, 1.0, 64, 75,
+         ("e8757bb4759fa293", "7de446d5a0912533", "3c0c57e3352040b0")),
+    ])
+    def test_build_schedule(self, d, L, rate, t, seed, n_events, want):
+        sched = ex.build_schedule(Torus(d, L), srw_kernel(d, rate=rate), t, seed)
+        assert sched.n_events == n_events
+        assert (_digest(sched.times), _digest(sched.bond_a),
+                _digest(sched.bond_b)) == want
+
+    @pytest.mark.parametrize("rate, t", [(1.0, 2.0), (1.0, 0.3), (30.0, 1.0),
+                                         (7.0, 3.0)])
+    def test_generator_state_after_schedule(self, rate, t):
+        # a trial keeps drawing from the generator the schedule used, so the
+        # schedule must consume exactly the draws of one array-valued
+        # Poisson call followed by the event times
+        trs, k = Torus(1, 6), srw_kernel(1, rate=rate)
+        rates = ex.torus_bonds(trs, k)[2]
+        for seed in range(20):
+            rng = np.random.default_rng([seed, 3])
+            ex.build_schedule(trs, k, t, rng)
+            ref = np.random.default_rng([seed, 3])
+            ref.random(int(ref.poisson(rates * t).sum()))
+            assert rng.random() == ref.random()
+
+    def test_scalar_poisson_draws_match_array_draw(self):
+        lam = np.array([0.25, 3.0, 9.5, 10.0, 15.0, 30.0, 0.5, 12.5])
+        for seed in range(50):
+            rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            assert [rng.poisson(x) for x in lam.tolist()] == ref.poisson(lam).tolist()
+            assert rng.random() == ref.random()
+
+    def test_marginal_mc_at_workload_queries(self):
+        trs = Torus(1, 16)
+        init = ex.Configuration(trs, [1, 0, 1, 1, 0, 0, 0, 1, 1, 0, 1, 0, 0, 1, 1, 0])
+        means, stderrs = ex.marginal_mc(
+            init, srw_kernel(1), ((0, 0.5), (3, 1.0), (8, 2.0), (5, 1.5), (12, 3.0)),
+            400, [5, 1])
+        assert _hexes(means) == ["0x1.651eb851eb852p-1", "0x1.6666666666666p-1",
+                                 "0x1.27ae147ae147bp-1", "0x1.7ae147ae147aep-3",
+                                 "0x1.e147ae147ae14p-2"]
+        assert _hexes(stderrs) == ["0x1.784ab28873304p-6", "0x1.776793ed35a45p-6",
+                                   "0x1.94a6571fb58fap-6", "0x1.3e17e6dae59ddp-6",
+                                   "0x1.98dcafa726035p-6"]
 
 
 class TestReplayPin:

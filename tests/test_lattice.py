@@ -332,3 +332,12 @@ class TestGreenPin:
     def test_torus_heat_row(self, d, L, t, want):
         row = lat.torus_heat_row(lat.Torus(d, L), lat.srw_kernel(d, rate=2.0), t)
         assert _digest(row) == want
+
+    @pytest.mark.parametrize("d, want, probs", [
+        (3, "0x1.8431e0742af4bp+0", "6a4fcf7d298fca86"),
+        (4, "0x1.3d4db7a0ce7a5p+0", "5cc6566c67d3af77"),
+    ])
+    def test_green_discrete_sum(self, d, want, probs):
+        # criterion 9's call; the return probabilities are pinned as well
+        assert float(lat.green_discrete_sum(d, 20000)).hex() == want
+        assert _digest(lat._return_probs(d, 10000)) == probs
