@@ -15,12 +15,13 @@ xi exactly as acc += (t1 - t0) * value, piece by piece.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .lattice import Kernel, Torus, check_density
+from .lattice import Kernel, Torus, check_density, check_horizon
 
 
 @dataclass
@@ -86,28 +87,31 @@ class LinkSchedule:
         return len(self.times)
 
 
-def build_schedule(torus: Torus, kernel: Kernel, horizon: float, seed) -> LinkSchedule:
-    """Independent Poisson processes per unoriented bond up to the horizon."""
-    if horizon < 0:
-        raise ValueError("negative horizon")
-    a, b, rates = torus_bonds(torus, kernel)
+def build_schedule(torus: Torus, kernel: Kernel, horizon: float, seed,
+                   bonds=None) -> LinkSchedule:
+    """Independent Poisson processes per unoriented bond up to the horizon;
+    `bonds` is the torus_bonds table, for callers drawing many schedules.
+    Counts are scalar draws in bond order, as one array-valued poisson call."""
+    check_horizon(horizon)
+    a, b, rates = torus_bonds(torus, kernel) if bonds is None else bonds
     rng = np.random.default_rng(seed)
     if horizon == 0:
         return LinkSchedule(0.0, np.empty(0), np.empty(0, int), np.empty(0, int),
                             float(rates.sum()))
-    counts = rng.poisson(rates * horizon)
-    total = int(counts.sum())
+    poisson = rng.poisson
+    counts = [poisson(r * horizon) for r in rates.tolist()]
     ev_a = np.repeat(a, counts)
     ev_b = np.repeat(b, counts)
-    times = rng.random(total) * horizon
+    times = rng.random(sum(counts)) * horizon
     order = np.argsort(times, kind="stable")  # ties broken by insertion order
     return LinkSchedule(horizon, times[order], ev_a[order], ev_b[order],
                         float(rates.sum()))
 
 
-def replay(bits: np.ndarray, schedule: LinkSchedule, t: float, marks=()):
-    """Carry `bits` through the link events of `schedule` up to time t, in
-    place, yielding the constant pieces (t0, t1, m) of [0, t] in order.
+def replay(bits, schedule: LinkSchedule, t: float, marks=()):
+    """Carry `bits` (a list or an array) through the link events of
+    `schedule` up to time t, in place, yielding the constant pieces
+    (t0, t1, m) of [0, t] in order.
 
     m counts the sorted `marks` passed so far; the caller applies its own
     marks up to m before reading the piece. During a piece of positive
@@ -118,26 +122,27 @@ def replay(bits: np.ndarray, schedule: LinkSchedule, t: float, marks=()):
     """
     if t > schedule.horizon:
         raise ValueError("t beyond schedule horizon")
-    times = schedule.times.tolist()
+    times = schedule.times.tolist() + [math.inf]  # sentinels end both streams
+    marks = np.asarray(marks, dtype=float).tolist() + [math.inf]
     a, b = schedule.bond_a.tolist(), schedule.bond_b.tolist()
-    marks = np.asarray(marks, dtype=float).tolist()
-    n_ev, n_mk = len(times), len(marks)
     ei, mi, prev = 0, 0, 0.0
+    t_ev, t_mk = times[0], marks[0]
     while True:
-        t_ev = times[ei] if ei < n_ev else np.inf
-        t_mk = marks[mi] if mi < n_mk else np.inf
-        t_next = min(t_ev, t_mk)
-        if t_next > t:
-            yield prev, t, mi
-            return
-        yield prev, t_next, mi
         if t_ev <= t_mk:
+            if t_ev > t:
+                break
+            yield prev, t_ev, mi
             ai, bi = a[ei], b[ei]
             bits[ai], bits[bi] = bits[bi], bits[ai]
             ei += 1
+            prev, t_ev = t_ev, times[ei]
         else:
+            if t_mk > t:
+                break
+            yield prev, t_mk, mi
             mi += 1
-        prev = t_next
+            prev, t_mk = t_mk, marks[mi]
+    yield prev, t, mi
 
 
 @dataclass
@@ -175,16 +180,18 @@ def marginal_mc(initial: Configuration, kernel: Kernel, queries, n: int, seed):
     order = sorted(range(len(queries)), key=lambda i: queries[i][1])
     query_times = [queries[qi][1] for qi in order]
     torus = initial.torus
-    hits = np.zeros(len(queries))
+    bonds = torus_bonds(torus, kernel)
+    start = initial.bits.tolist()
+    hits = [0] * len(queries)
     for trial in range(n):
-        sched = build_schedule(torus, kernel, t_max, [seed, trial])
-        bits = initial.bits.copy()
+        sched = build_schedule(torus, kernel, t_max, [seed, trial], bonds)
+        bits = start.copy()
         done = 0
         for _, _, m in replay(bits, sched, t_max, query_times):
             for qi in order[done:m]:
                 hits[qi] += bits[queries[qi][0]]
             done = m
-    means = hits / n
+    means = np.array(hits) / n
     stderrs = np.sqrt(np.maximum(means * (1 - means), 1e-300) / n)
     return means, stderrs
 

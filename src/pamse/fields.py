@@ -21,9 +21,9 @@ from scipy.linalg import expm as dense_expm
 from scipy.sparse.linalg import expm_multiply
 
 from .exact import occupation_bits
-from .lattice import (Kernel, Torus, _tail_by_power_fit, check_density, check_kappa,
-                      cycle_heat1d, gauss_legendre, green, heat1d, outer_power, srw_kernel,
-                      transition_prob_many)
+from .lattice import (Kernel, Torus, _tail_by_power_fit, check_density, check_horizon,
+                      check_kappa, check_samples, cycle_heat1d, gauss_legendre, green, heat1d,
+                      outer_power, srw_kernel, transition_prob_many)
 
 GL_NODES_PER_PANEL = 12
 PSI_PANELS = 10  # time panels of the chi and gradient-kernel quadrature
@@ -55,8 +55,7 @@ class PsiSpec:
 
     def __post_init__(self):
         check_kappa(self.kappa, positive=True)
-        if self.T < 0:
-            raise ValueError("need T >= 0")
+        check_horizon(self.T)
         check_density(self.rho)
 
     @property
@@ -178,6 +177,7 @@ def psi_bounds_check(spec: PsiSpec, n_samples: int, seed,
     is checked to move psi at every site x by exactly
     (eta(b) - eta(a)) (chi(a - x) - chi(b - x)), to tol * T.
     """
+    check_samples(n_samples)
     trs = spec.torus
     d = trs.d
     if green_value is None:

@@ -21,10 +21,12 @@ from . import montecarlo as mc
 from . import variational as var
 from .exact import OperatorSpec, exact_lambda_profile, exact_moment
 from .irw import WeightFunction, compare_se_irw
-from .lattice import Torus, check_density, check_kappa, check_walkers, green, srw_kernel
+from .lattice import (Torus, check_density, check_horizon, check_kappa, check_samples,
+                      check_walkers, green, srw_kernel)
 
 # scenarios whose kappa enters through 1[kappa] = 1 + 1/(2 d kappa)
 _POSITIVE_KAPPA = {"asymptotic_probe", "field_checks"}
+_POSITIVE_HORIZON = {"asymptotic_probe", "intermittency_kappa0"}  # divide by t
 
 
 @dataclass
@@ -63,8 +65,9 @@ def scenario_parameters(scenario: str):
 def validate_config(cfg: ScenarioConfig) -> dict:
     """Check cfg.params against the runner's signature and return its kwargs;
     an int given for a float is converted, lists must be non-empty, and the
-    model keys (`rho`, `kappa`, `p` and their lists) obey the range rules the
-    models apply."""
+    model keys (`rho`, `kappa`, `p` and their lists), the sample counts (`n`,
+    `n_eta`) and the horizons (`t`, `T`, `t_grid`, `t_ref`) obey the range
+    rules the models apply."""
     if not isinstance(cfg.params, dict):
         raise ConfigError(f"{cfg.scenario}: params must be a JSON object")
     params = scenario_parameters(cfg.scenario)
@@ -89,7 +92,11 @@ def validate_config(cfg: ScenarioConfig) -> dict:
     rules = {"rho": check_density, "rhos": check_density,
              "kappa": lambda k: check_kappa(k, positive), "kappas": check_kappa,
              "limit_kappa": lambda k: check_kappa(k, True),
-             "p": check_walkers, "p_list": check_walkers}
+             "p": check_walkers, "p_list": check_walkers,
+             "n": lambda n: check_samples(n, 2), "n_eta": check_samples,
+             "t": lambda t: check_horizon(t, cfg.scenario in _POSITIVE_HORIZON),
+             "T": check_horizon, "t_grid": lambda t: check_horizon(t, True),
+             "t_ref": check_horizon}
     for key, rule in rules.items():
         vals = kwargs.get(key, [])
         for val in vals if isinstance(vals, list) else [vals]:

@@ -1,5 +1,6 @@
 """Lattice geometry, symmetric walk kernels, heat kernels and Green functions,
-and the range rules of the model parameters (rho, kappa, p).
+and the range rules of the model parameters (rho, kappa, p), sample counts
+and horizons.
 
 Everything here is deterministic. Transition probabilities follow the rate-1
 normalization internally: a kernel with rate r at time t is evaluated as the
@@ -33,6 +34,18 @@ def check_kappa(kappa, positive: bool = False) -> None:
     enters (the fields and the large-kappa probe), kappa > 0."""
     if not (isinstance(kappa, numbers.Real) and (kappa > 0 if positive else kappa >= 0)):
         raise ValueError("kappa must be > 0" if positive else "kappa must be >= 0")
+
+
+def check_samples(n, least: int = 1) -> None:
+    """Sample counts are integers >= least (2 where a stderr is taken)."""
+    if not (isinstance(n, numbers.Integral) and n >= least):
+        raise ValueError(f"sample count must be an integer >= {least}")
+
+
+def check_horizon(t, positive: bool = False) -> None:
+    """Horizons are real, t >= 0, and t > 0 where a value is divided by t."""
+    if not (isinstance(t, numbers.Real) and (t > 0 if positive else t >= 0)):
+        raise ValueError("horizon must be > 0" if positive else "horizon must be >= 0")
 
 
 def check_walkers(p) -> None:
@@ -367,29 +380,29 @@ def green_discrete_sum(d: int, n_terms: int = 20000) -> float:
 
 @lru_cache(maxsize=8)
 def _return_probs(d: int, m_hi: int) -> np.ndarray:
-    """p_{2m}(0,0), m = 0..m_hi, for the discrete-time d-dim simple walk.
-    Memoized per (d, m_hi); the array is read-only."""
+    """p_{2m}(0,0), m = 0..m_hi, for the discrete-time d-dim simple walk,
+    built on the memoized (d-1)-dim layer. Memoized per (d, m_hi); the array
+    is read-only."""
     from scipy.special import gammaln
 
+    log_fact = gammaln(np.arange(2 * m_hi + 1) + 1)  # log k!, one table per call
     m = np.arange(m_hi + 1)
     # 1-d even-step returns C(2m, m) / 4^m.
-    log_r1 = gammaln(2 * m + 1) - 2 * gammaln(m + 1) - 2 * m * math.log(2.0)
-    r = np.exp(log_r1)
-    for dim in range(2, d + 1):
-        prev = r  # returns of the (dim-1)-dressed walk, per own even step count
+    log_r1 = log_fact[2 * m] - 2 * log_fact[m] - 2 * m * math.log(2.0)
+    if d == 1:
+        r = np.exp(log_r1)
+    else:
+        prev = _return_probs(d - 1, m_hi)  # per own even step count
+        log_even = log_fact[::2]  # log (2i)!
+        # split 2n steps: 2i in the new coordinate (prob 1/d each)
+        new_axis = 2 * m * math.log(1.0 / d)
+        old_axes = 2 * m * math.log((d - 1.0) / d)
         r = np.empty(m_hi + 1)
         r[0] = 1.0
         for n in range(1, m_hi + 1):
-            i = np.arange(n + 1)
-            # split 2n steps: 2i in the new coordinate (prob 1/dim each)
-            log_split = (
-                gammaln(2 * n + 1)
-                - gammaln(2 * i + 1)
-                - gammaln(2 * (n - i) + 1)
-                + 2 * i * math.log(1.0 / dim)
-                + 2 * (n - i) * math.log((dim - 1.0) / dim)
-            )
-            r[n] = float(np.exp(log_split + log_r1[i]) @ prev[n::-1])
+            log_split = (log_even[n] - log_even[:n + 1] - log_even[n::-1]
+                         + new_axis[:n + 1] + old_axes[n::-1])
+            r[n] = float(np.exp(log_split + log_r1[:n + 1]) @ prev[n::-1])
     r.flags.writeable = False
     return r
 

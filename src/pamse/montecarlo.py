@@ -17,8 +17,9 @@ from functools import partial
 import numpy as np
 
 from .exact import OperatorSpec
-from .exclusion import build_schedule, replay
-from .lattice import Kernel, check_kappa, gauss_legendre, heat1d, srw_kernel, green
+from .exclusion import build_schedule, replay, torus_bonds
+from .lattice import (Kernel, check_horizon, check_kappa, check_samples, gauss_legendre,
+                      heat1d, srw_kernel, green)
 
 TRIAL_CHUNK = 256  # trials per task handed to a worker process
 # merged events per vectorised pass of a probe trial: each temporary stays in
@@ -89,32 +90,40 @@ def _jackknife_log_stderr(w: np.ndarray) -> float:
 
 def _moment_trials(spec: OperatorSpec, t: float, seed, initial_bits,
                    trials) -> np.ndarray:
-    """Per-trial exponents int_0^t gamma sum_q xi_s(X_q(s)) ds."""
+    """Per-trial exponents int_0^t gamma sum_q xi_s(X_q(s)) ds. Trial state
+    is held in Python lists; the walkers' occupation sum is an exact int."""
     torus = spec.torus
     d, p = torus.d, spec.p
-    moves = torus.unit_moves()
+    moves = torus.unit_moves().tolist()
+    bonds = torus_bonds(torus, spec.kernel)
+    base = flat_seed(seed)
+    jump_rate = 2.0 * d * spec.kappa * t * p
+    start = None if initial_bits is None else np.array(initial_bits, dtype=np.uint8).tolist()
     out = np.empty(len(trials))
     for k, trial in enumerate(trials):
-        rng = np.random.default_rng(flat_seed(seed) + (trial,))
-        if initial_bits is None:
-            bits = (rng.random(torus.n_sites) < spec.rho).astype(np.uint8)
+        rng = np.random.default_rng(base + (trial,))
+        if start is None:
+            bits = (rng.random(torus.n_sites) < spec.rho).tolist()
         else:
-            bits = np.array(initial_bits, dtype=np.uint8)
-        sched = build_schedule(torus, spec.kernel, t, rng)
+            bits = start.copy()
+        sched = build_schedule(torus, spec.kernel, t, rng, bonds)
         # at kappa = 0 these are empty draws, which leave rng untouched
-        n_jumps = rng.poisson(2.0 * d * spec.kappa * t * p)
+        n_jumps = rng.poisson(jump_rate)
         jump_times = np.sort(rng.random(n_jumps) * t)
-        jump_who = rng.integers(0, p, n_jumps)
-        jump_dir = rng.integers(0, 2 * d, n_jumps)
-        walkers = np.zeros(p, dtype=int)  # all start at the origin site
+        jump_who = rng.integers(0, p, n_jumps).tolist()
+        jump_dir = rng.integers(0, 2 * d, n_jumps).tolist()
+        walkers = [0] * p  # all start at the origin site
         acc = 0.0
         wi = 0
         for t0, t1, jumped in replay(bits, sched, t, jump_times):
             while wi < jumped:
                 q = jump_who[wi]
-                walkers[q] = moves[jump_dir[wi], walkers[q]]
+                walkers[q] = moves[jump_dir[wi]][walkers[q]]
                 wi += 1
-            acc += (t1 - t0) * float(bits[walkers].sum())
+            occupied = 0
+            for x in walkers:
+                occupied += bits[x]
+            acc += (t1 - t0) * occupied
         out[k] = spec.gamma * acc
     return out
 
@@ -127,8 +136,8 @@ def estimate_moment(spec: OperatorSpec, t: float, n: int, seed,
     and the walker jumps (rate 2 d kappa). No state space is built: no cap.
 
     initial_bits pins the catalyst start instead of sampling it from nu_rho."""
-    if n < 2:
-        raise ValueError("need at least two trials")
+    check_horizon(t)
+    check_samples(n, 2)
     t0 = time.time()
     w = _run_trials(partial(_moment_trials, spec, t, seed, initial_bits), n, n_workers)
     vals = np.exp(w)
@@ -214,8 +223,7 @@ def lambda_curve(spec: OperatorSpec, t_grid, n: int, seed,
 
 def range_mean(kernel: Kernel, t: float, n: int, seed) -> McEstimate:
     """E R_t: mean number of distinct sites visited up to time t."""
-    if n < 2:
-        raise ValueError("need at least two trials")
+    check_samples(n, 2)
     offsets = np.stack([np.asarray(v) for v, _ in kernel.offsets])
     weights = np.array([w for _, w in kernel.offsets])
     vals = np.empty(n)
@@ -397,8 +405,8 @@ def asymptotic_probe(d: int, kappa: float, t: float, n: int, seed,
     if d < 3:
         raise ValueError("transient dimensions only (d >= 3)")
     check_kappa(kappa, positive=True)
-    if n < 2:
-        raise ValueError("need at least two trials")
+    check_horizon(t, positive=True)
+    check_samples(n, 2)
     v_nodes, v_weights = _probe_nodes(t)
     worker = partial(_probe_trials, d, kappa, t, shift, seed, v_nodes, v_weights)
     vals = _run_trials(worker, n, n_workers)

@@ -85,6 +85,29 @@ class TestPsiField:
                 with pytest.raises(ValueError, match=r"density must lie in \(0, 1\)"):
                     build()
 
+    def test_counts_and_horizons_rejected_at_call_sites(self):
+        # the sample-count and horizon rules, where a zero count would make a
+        # check vacuous and a negative horizon would fail far from its cause
+        from pamse import montecarlo
+        from pamse.exact import OperatorSpec
+
+        spec = OperatorSpec(torus=Torus(1, 4), kernel=srw_kernel(1), kappa=1.0, p=1,
+                            rho=0.5)
+        psi = fields.PsiSpec(kappa=1.0, T=1.0, torus=Torus(1, 8))
+        for build, message in [
+                (lambda: fields.PsiSpec(kappa=1.0, T=-1.0, torus=Torus(1, 8)),
+                 "horizon must be >= 0"),
+                (lambda: fields.psi_bounds_check(psi, 0, 1), "integer >= 1"),
+                (lambda: montecarlo.estimate_moment(spec, -1.0, 10, 1),
+                 "horizon must be >= 0"),
+                (lambda: montecarlo.estimate_moment(spec, 1.0, 1, 1), "integer >= 2"),
+                (lambda: montecarlo.asymptotic_probe(3, 1.0, 0.0, 10, 1),
+                 "horizon must be > 0"),
+                (lambda: montecarlo.asymptotic_probe(3, 1.0, 1.0, 1.5, 1),
+                 "integer >= 2")]:
+            with pytest.raises(ValueError, match=message):
+                build()
+
     def test_one_kappa_constant(self):
         spec = fields.PsiSpec(kappa=2.0, T=1.0, torus=Torus(3, 5))
         assert spec.one_kappa == pytest.approx(1.0 + 1.0 / 12.0)

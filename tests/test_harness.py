@@ -280,6 +280,27 @@ class TestCli:
             assert captured.out == ""
             assert captured.err == f"invalid: {scenario}: key '{key}': {message}\n"
 
+    @pytest.mark.parametrize("scenario, key, value, message", [
+        ("field_checks", "n_eta", 0, "sample count must be an integer >= 1"),
+        ("field_checks", "T", -1.0, "horizon must be >= 0"),
+        ("exact_vs_mc", "t", -1.0, "horizon must be >= 0"),
+        ("exact_vs_mc", "n", 1, "sample count must be an integer >= 2")])
+    def test_validate_rejects_bad_count_or_horizon_as_run_does(
+            self, tmp_path, capsys, scenario, key, value, message):
+        # unchecked, n_eta: 0 passes with no configuration checked and T: -1
+        # ends run in a NaN window size
+        from pamse.cli import main
+
+        cfg = json.loads((CONFIG_DIR / f"{scenario}.json").read_text())
+        cfg["params"][key] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(cfg))
+        for command in ("validate", "run"):
+            assert main([command, str(bad)]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"invalid: {scenario}: key '{key}': {message}\n"
+
     def test_shipped_configs_validate(self):
         from pamse.cli import main
 
