@@ -386,14 +386,14 @@ def _return_probs(d: int, m_hi: int) -> np.ndarray:
     from scipy.special import gammaln
 
     log_fact = gammaln(np.arange(2 * m_hi + 1) + 1)  # log k!, one table per call
+    log_even = log_fact[::2]  # log (2m)!
     m = np.arange(m_hi + 1)
     # 1-d even-step returns C(2m, m) / 4^m.
-    log_r1 = log_fact[2 * m] - 2 * log_fact[m] - 2 * m * math.log(2.0)
+    log_r1 = log_even - 2 * log_fact[:m_hi + 1] - 2 * m * math.log(2.0)
     if d == 1:
         r = np.exp(log_r1)
     else:
         prev = _return_probs(d - 1, m_hi)  # per own even step count
-        log_even = log_fact[::2]  # log (2i)!
         # split 2n steps: 2i in the new coordinate (prob 1/d each)
         new_axis = 2 * m * math.log(1.0 / d)
         old_axes = 2 * m * math.log((d - 1.0) / d)
