@@ -98,8 +98,7 @@ def build_schedule(torus: Torus, kernel: Kernel, horizon: float, seed,
     if horizon == 0:
         return LinkSchedule(0.0, np.empty(0), np.empty(0, int), np.empty(0, int),
                             float(rates.sum()))
-    poisson = rng.poisson
-    counts = [poisson(r * horizon) for r in rates.tolist()]
+    counts = [rng.poisson(r * horizon) for r in rates.tolist()]
     ev_a = np.repeat(a, counts)
     ev_b = np.repeat(b, counts)
     times = rng.random(sum(counts)) * horizon
