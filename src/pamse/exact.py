@@ -133,6 +133,34 @@ def build_se_generator(torus: Torus, kernel: Kernel) -> sp.csr_matrix:
     return gen
 
 
+def oriented_se_generator(torus: Torus, kernel: Kernel) -> sp.csr_matrix:
+    """Independent construction from the oriented-jump form: a particle at x
+    jumps to a vacancy at y at rate p(x, y). Used as a cross-check."""
+    n = torus.n_sites
+    eta = np.arange(2**n, dtype=np.int64)
+    rows, cols, vals = [], [], []
+    for vec, w in kernel.offsets:
+        perm = torus.shift_table(vec)
+        for x in range(n):
+            y = int(perm[x])
+            if y == x:
+                continue
+            occ_x = (eta >> x) & 1
+            occ_y = (eta >> y) & 1
+            ok = (occ_x == 1) & (occ_y == 0)
+            src = eta[ok]
+            dst = src ^ ((1 << x) | (1 << y))
+            rows.append(src)
+            cols.append(dst)
+            vals.append(np.full(len(src), kernel.rate * w))
+    rows = np.concatenate(rows)
+    cols = np.concatenate(cols)
+    vals = np.concatenate(vals)
+    gen = sp.coo_matrix((vals, (rows, cols)), shape=(2**n, 2**n)).tocsr()
+    gen = gen - sp.diags(np.asarray(gen.sum(axis=1)).ravel())
+    return gen
+
+
 def walker_laplacian(torus: Torus) -> sp.csr_matrix:
     """Nearest-neighbour Laplacian Delta f(x) = sum_{|y-x|=1} [f(y) - f(x)]."""
     n = torus.n_sites

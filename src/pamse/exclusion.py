@@ -87,13 +87,11 @@ class LinkSchedule:
         return len(self.times)
 
 
-def build_schedule(torus: Torus, kernel: Kernel, horizon: float, seed,
-                   bonds=None) -> LinkSchedule:
-    """Independent Poisson processes per unoriented bond up to the horizon;
-    `bonds` is the torus_bonds table, for callers drawing many schedules.
+def build_schedule(torus: Torus, kernel: Kernel, horizon: float, seed) -> LinkSchedule:
+    """Independent Poisson processes per unoriented bond up to the horizon.
     Counts are scalar draws in bond order, as one array-valued poisson call."""
     check_horizon(horizon)
-    a, b, rates = torus_bonds(torus, kernel) if bonds is None else bonds
+    a, b, rates = torus_bonds(torus, kernel)
     rng = np.random.default_rng(seed)
     if horizon == 0:
         return LinkSchedule(0.0, np.empty(0), np.empty(0, int), np.empty(0, int),
@@ -179,11 +177,10 @@ def marginal_mc(initial: Configuration, kernel: Kernel, queries, n: int, seed):
     order = sorted(range(len(queries)), key=lambda i: queries[i][1])
     query_times = [queries[qi][1] for qi in order]
     torus = initial.torus
-    bonds = torus_bonds(torus, kernel)
     start = initial.bits.tolist()
     hits = [0] * len(queries)
     for trial in range(n):
-        sched = build_schedule(torus, kernel, t_max, [seed, trial], bonds)
+        sched = build_schedule(torus, kernel, t_max, [seed, trial])
         bits = start.copy()
         done = 0
         for _, _, m in replay(bits, sched, t_max, query_times):

@@ -17,7 +17,7 @@ from functools import partial
 import numpy as np
 
 from .exact import OperatorSpec
-from .exclusion import build_schedule, replay, torus_bonds
+from .exclusion import build_schedule, replay
 from .lattice import (Kernel, check_horizon, check_kappa, check_samples, gauss_legendre,
                       heat1d, srw_kernel, green)
 
@@ -95,7 +95,6 @@ def _moment_trials(spec: OperatorSpec, t: float, seed, initial_bits,
     torus = spec.torus
     d, p = torus.d, spec.p
     moves = torus.unit_moves().tolist()
-    bonds = torus_bonds(torus, spec.kernel)
     base = flat_seed(seed)
     jump_rate = 2.0 * d * spec.kappa * t * p
     start = None if initial_bits is None else np.array(initial_bits, dtype=np.uint8).tolist()
@@ -106,7 +105,7 @@ def _moment_trials(spec: OperatorSpec, t: float, seed, initial_bits,
             bits = (rng.random(torus.n_sites) < spec.rho).tolist()
         else:
             bits = start.copy()
-        sched = build_schedule(torus, spec.kernel, t, rng, bonds)
+        sched = build_schedule(torus, spec.kernel, t, rng)
         # at kappa = 0 these are empty draws, which leave rng untouched
         n_jumps = rng.poisson(jump_rate)
         jump_times = np.sort(rng.random(n_jumps) * t)

@@ -9,35 +9,6 @@ from pamse.fields import PsiSpec, psi_joint_matrix
 from pamse.lattice import Torus, srw_kernel
 
 
-def oriented_se_generator(torus: Torus, kernel) -> sp.csr_matrix:
-    """Oracle for build_se_generator, built independently from the
-    oriented-jump form: a particle at x jumps to a vacancy at y at rate
-    p(x, y)."""
-    n = torus.n_sites
-    eta = np.arange(2**n, dtype=np.int64)
-    rows, cols, vals = [], [], []
-    for vec, w in kernel.offsets:
-        perm = torus.shift_table(vec)
-        for x in range(n):
-            y = int(perm[x])
-            if y == x:
-                continue
-            occ_x = (eta >> x) & 1
-            occ_y = (eta >> y) & 1
-            ok = (occ_x == 1) & (occ_y == 0)
-            src = eta[ok]
-            dst = src ^ ((1 << x) | (1 << y))
-            rows.append(src)
-            cols.append(dst)
-            vals.append(np.full(len(src), kernel.rate * w))
-    rows = np.concatenate(rows)
-    cols = np.concatenate(cols)
-    vals = np.concatenate(vals)
-    gen = sp.coo_matrix((vals, (rows, cols)), shape=(2**n, 2**n)).tocsr()
-    gen = gen - sp.diags(np.asarray(gen.sum(axis=1)).ravel())
-    return gen
-
-
 def _free_generator(spec, walker_frame=False):
     """L + kappa sum_i Delta_i without the potential: a Markov generator."""
     return exact._joint_free_generator(spec, 1.0, spec.kappa, walker_frame)
@@ -68,7 +39,7 @@ class TestSeGenerator:
         trs = Torus(1, 4)
         k = srw_kernel(1)
         a = exact.build_se_generator(trs, k)
-        b = oriented_se_generator(trs, k)
+        b = exact.oriented_se_generator(trs, k)
         assert abs(a - b).max() < 1e-14
 
     def test_row_sums_vanish(self):
