@@ -18,7 +18,7 @@ from . import variational as var
 from .exact import (OperatorSpec, build_scaled_generator, exact_lambda_profile,
                     martingale_check, moment_slope)
 from .exclusion import marginal_mc, sample_initial
-from .fields import (CauchyProblem, PsiSpec, Region, halfspace_region,
+from .fields import (CauchyProblem, PsiSpec, Region, green_contraction, halfspace_region,
                      halfspace_mass_residual, mass_identity_residual, psi_joint_matrix,
                      solve_cauchy)
 from .harness import ScenarioConfig, run_scenario
@@ -44,6 +44,7 @@ def _timed(fn):
     def wrapper(*args, **kwargs):
         t0 = time.time()
         res = fn(*args, **kwargs)
+        res.passed = bool(res.passed)  # numpy comparisons give np.bool_
         res.seconds = time.time() - t0
         return res
     return wrapper
@@ -116,8 +117,9 @@ def criterion_4_martingale(tol: float = 1e-8) -> CriterionResult:
 
 @_timed
 def criterion_5_spectral(tol: float = 1e-6) -> CriterionResult:
-    """Top eigenvalue vs large-t moment slope on three specs, plus the
-    variational upper-boundedness of 100 random quotients."""
+    """Top eigenvalue vs large-t moment slope on three specs, the
+    variational upper-boundedness of 100 random quotients, and the bump
+    bound's closed-form quotient vs its enumerated Rayleigh quotient."""
     torus4 = Torus(1, 4)
     torus6 = Torus(1, 6)
     kernel = srw_kernel(1)
@@ -142,10 +144,14 @@ def criterion_5_spectral(tol: float = 1e-6) -> CriterionResult:
         q = var.rayleigh_quotient(var.random_test_function(spec, [99, s]), spec)
         worst_q = max(worst_q, q)
     quotient_ok = worst_q <= top.mu + 1e-9
+    bump = var.test_function_bound(0.3, spec.rho, spec.kappa, spec.torus)
+    bump_q = var.rayleigh_quotient(var.bump_as_test_function(bump, spec).normalized(), spec)
+    bump_gap = abs(bump_q - bump.bound)
     return CriterionResult(5, "spectral consistency and Rayleigh bound",
-                           ok and quotient_ok,
+                           ok and quotient_ok and bump_gap <= 1e-12,
                            {"specs": rows, "worst_quotient": worst_q,
-                            "mu": top.mu})
+                            "mu": top.mu, "bump_bound": bump.bound,
+                            "bump_gap": bump_gap})
 
 
 @_timed
@@ -248,8 +254,9 @@ def criterion_10_field_suite() -> CriterionResult:
 
 @_timed
 def criterion_11_cauchy(tol: float = 1e-8) -> CriterionResult:
-    """Mass identities of the box-source and half-space problems, and
-    three-mode solver agreement."""
+    """Mass identities of the box-source and half-space problems, the Green
+    contraction certificate of the box problem (theta < 1 and sup w below
+    theta / (1 - theta)), and three-mode solver agreement."""
     # whole-lattice box source, d=3 slab small enough for stepping
     torus3 = Torus(3, 9)
     reg3 = Region(torus3)
@@ -258,6 +265,9 @@ def criterion_11_cauchy(tol: float = 1e-8) -> CriterionResult:
     c3[box] = 1.0 / len(box)
     prob3 = CauchyProblem(reg3, srw_kernel(3), 2.0, c3)
     res_box = mass_identity_residual(prob3, box, 2.0)
+    cert = green_contraction(prob3)
+    w_max = float(solve_cauchy(prob3, [2.0]).w.max())  # w grows in t: c >= 0
+    cert_ok = cert.certified and w_max <= cert.sup_bound
 
     half = halfspace_region(torus3)
     gamma, kappa, rho = 1.0, 2.0, 0.5
@@ -284,12 +294,14 @@ def criterion_11_cauchy(tol: float = 1e-8) -> CriterionResult:
     mc_dev = float(np.max(np.abs(sol_mc.v[:, 8] - v_step[:, 8])
                           / np.maximum(sol_mc.stderr[:, 8], 1e-12)))
     ok = (res_box <= tol and res_half <= tol and series_gap <= 1e-6
-          and mc_dev <= 4.0)
+          and mc_dev <= 4.0 and cert_ok)
     return CriterionResult(11, "Cauchy mass identities and three-mode solver",
                            ok, {"box_residual": res_box,
                                 "halfspace_residual": res_half,
                                 "series_gap": series_gap,
-                                "mc_sigma_dev": mc_dev})
+                                "mc_sigma_dev": mc_dev,
+                                "theta": cert.theta, "sup_bound": cert.sup_bound,
+                                "w_max": w_max})
 
 
 @_timed

@@ -80,7 +80,6 @@ class LinkSchedule:
     times: np.ndarray
     bond_a: np.ndarray
     bond_b: np.ndarray
-    total_rate: float
 
     @property
     def n_events(self) -> int:
@@ -94,15 +93,13 @@ def build_schedule(torus: Torus, kernel: Kernel, horizon: float, seed) -> LinkSc
     a, b, rates = torus_bonds(torus, kernel)
     rng = np.random.default_rng(seed)
     if horizon == 0:
-        return LinkSchedule(0.0, np.empty(0), np.empty(0, int), np.empty(0, int),
-                            float(rates.sum()))
+        return LinkSchedule(0.0, np.empty(0), np.empty(0, int), np.empty(0, int))
     counts = [rng.poisson(r * horizon) for r in rates.tolist()]
     ev_a = np.repeat(a, counts)
     ev_b = np.repeat(b, counts)
     times = rng.random(sum(counts)) * horizon
     order = np.argsort(times, kind="stable")  # ties broken by insertion order
-    return LinkSchedule(horizon, times[order], ev_a[order], ev_b[order],
-                        float(rates.sum()))
+    return LinkSchedule(horizon, times[order], ev_a[order], ev_b[order])
 
 
 def replay(bits, schedule: LinkSchedule, t: float, marks=()):

@@ -227,7 +227,7 @@ def _run_intermittency_kappa0(*, d: int, L: int, rho: float, p_list: list, t: fl
     strict = True
     holder = True
     for order in p_list:
-        spec = OperatorSpec(torus=torus, kernel=kernel, kappa=0.0, p=int(order),
+        spec = OperatorSpec(torus=torus, kernel=kernel, kappa=0.0, p=order,
                             rho=rho, gamma=gamma)
         lam = float(exact_lambda_profile(spec, [t])[0])
         rows.append({"p": order, "Lambda": lam, "t": t})
@@ -370,11 +370,3 @@ def _asymptote_column(d: int, rho: float, kappas) -> list:
     gd = green(srw_kernel(d))
     return [rho + rho * (1 - rho) * gd / (2 * d * k) if k > 0 else float("nan")
             for k in kappas]
-
-
-def parse_figure_file(path: str):
-    """Round-trip reader for emitted figure files: (header_keys, rows)."""
-    with open(path) as fh:
-        header = fh.readline().lstrip("# ").split()
-        rows = [[float(v) for v in line.split()] for line in fh if line.strip()]
-    return header, rows

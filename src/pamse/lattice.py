@@ -49,9 +49,9 @@ def check_horizon(t, positive: bool = False) -> None:
 
 
 def check_walkers(p) -> None:
-    """The moment order p counts walkers, p >= 0."""
-    if not (isinstance(p, numbers.Real) and p >= 0):
-        raise ValueError("walker count must be >= 0")
+    """The moment order p counts walkers: an integer p >= 0."""
+    if not (isinstance(p, numbers.Integral) and p >= 0):
+        raise ValueError("walker count must be an integer >= 0")
 
 
 @dataclass(frozen=True)
@@ -83,10 +83,6 @@ class Torus:
             out.append(index % self.L)
             index //= self.L
         return tuple(reversed(out))
-
-    def shift_index(self, index: int, offset) -> int:
-        c = self.coords(index)
-        return self.index(tuple(ci + oi for ci, oi in zip(c, offset)))
 
     def all_coords(self) -> np.ndarray:
         """(n_sites, d) integer coordinates in index order."""
@@ -263,18 +259,6 @@ def _transition_general(kernel: Kernel, s: float, zs: np.ndarray) -> np.ndarray:
     vals = np.fft.fftn(decay).real / n**kernel.d
     idx = tuple(zs[:, j] % n for j in range(kernel.d))
     return vals[idx]
-
-
-def heat_window(kernel: Kernel, t: float, radius: int) -> np.ndarray:
-    """p_t(0, z) on the cube |z_i| <= radius, shape (2*radius+1,)*d."""
-    r = int(radius)
-    side = 2 * r + 1
-    if kernel.is_srw:
-        tau = kernel.rate * t / kernel.d
-        return outer_power(heat1d(np.arange(-r, r + 1), tau), kernel.d)
-    grids = np.meshgrid(*[np.arange(-r, r + 1)] * kernel.d, indexing="ij")
-    zs = np.stack([g.ravel() for g in grids], axis=1)
-    return transition_prob_many(kernel, t, zs).reshape((side,) * kernel.d)
 
 
 def torus_heat_row(torus: Torus, kernel: Kernel, t: float) -> np.ndarray:

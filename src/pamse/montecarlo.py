@@ -1,5 +1,5 @@
-"""Feynman-Kac Monte Carlo for moments and Lyapunov exponents, plus walk
-statistics and the large-diffusion Gaussian-regime probe.
+"""Feynman-Kac Monte Carlo for moments and Lyapunov exponents, plus the
+large-diffusion Gaussian-regime probe.
 
 Every trial draws its own generator from (base_seed, trial_index), so results
 are bitwise reproducible and independent of worker count or execution order;
@@ -18,13 +18,15 @@ import numpy as np
 
 from .exact import OperatorSpec
 from .exclusion import build_schedule, replay
-from .lattice import (Kernel, check_horizon, check_kappa, check_samples, gauss_legendre,
-                      heat1d, srw_kernel, green)
+from .lattice import (check_horizon, check_kappa, check_samples, gauss_legendre, heat1d,
+                      srw_kernel, green)
 
 TRIAL_CHUNK = 256  # trials per task handed to a worker process
 # merged events per vectorised pass of a probe trial: each temporary stays in
 # L2 and under glibc's 128 KiB mmap threshold, so no pass faults fresh pages
 PROBE_CHUNK_EVENTS = 2**14
+PROBE_PANELS = 14  # panels of the probe's lag grid, geometric toward 0
+PROBE_NODES_PER_PANEL = 12  # Gauss-Legendre nodes per lag panel
 
 
 @dataclass
@@ -216,106 +218,14 @@ def lambda_curve(spec: OperatorSpec, t_grid, n: int, seed,
 
 
 # ---------------------------------------------------------------------------
-# Path-blocking lower bound and the range of the catalyst walk.
-# ---------------------------------------------------------------------------
-
-
-def range_mean(kernel: Kernel, t: float, n: int, seed) -> McEstimate:
-    """E R_t: mean number of distinct sites visited up to time t."""
-    check_samples(n, 2)
-    offsets = np.stack([np.asarray(v) for v, _ in kernel.offsets])
-    weights = np.array([w for _, w in kernel.offsets])
-    vals = np.empty(n)
-    for trial in range(n):
-        rng = np.random.default_rng(flat_seed(seed) + (trial,))
-        n_jumps = rng.poisson(kernel.rate * t)
-        if n_jumps == 0:
-            vals[trial] = 1.0
-            continue
-        steps = offsets[rng.choice(len(offsets), size=n_jumps, p=weights)]
-        path = np.vstack([np.zeros((1, kernel.d), dtype=int), np.cumsum(steps, axis=0)])
-        vals[trial] = len({tuple(r) for r in path})
-    return McEstimate(mean=float(vals.mean()),
-                      stderr=float(vals.std(ddof=1) / np.sqrt(n)),
-                      n=n, seed=seed)
-
-
-@dataclass
-class BlockingBound:
-    mc_bound: float
-    analytic_bound: float
-    p_catalyst_full: McEstimate
-    p_walker_stays: McEstimate
-    range_estimate: McEstimate
-    t: float
-
-
-def blocking_lower_bound(spec: OperatorSpec, box_sites, t: float, n: int,
-                         seed) -> BlockingBound:
-    """Lower bound gamma + (1/t) log[ P(catalyst fills Q up to t) *
-    P(walker stays in Q up to t) ] with both probabilities Monte Carlo, plus
-    the analytic sub-bound rho^{|Q| E R_t} for the catalyst factor."""
-    torus = spec.torus
-    box = np.asarray([torus.index(s) if not np.isscalar(s) else int(s)
-                      for s in box_sites], dtype=int)
-    full_hits = 0
-    for trial in range(n):
-        rng = np.random.default_rng(flat_seed(seed) + (1, trial))
-        bits = (rng.random(torus.n_sites) < spec.rho).astype(np.uint8)
-        if not np.all(bits[box]):
-            continue
-        sched = build_schedule(torus, spec.kernel, t, rng)
-        full_hits += all(np.all(bits[box]) for _ in replay(bits, sched, t))
-    p_full = full_hits / n
-    p_full_est = McEstimate(p_full, float(np.sqrt(max(p_full * (1 - p_full), 1e-300) / n)), n, seed)
-
-    d = torus.d
-    moves = torus.unit_moves()
-    box_set = set(int(b) for b in box)
-    origin = torus.index((0,) * d)
-    stay_hits = 0
-    for trial in range(n):
-        rng = np.random.default_rng(flat_seed(seed) + (2, trial))
-        site = origin
-        inside = origin in box_set
-        if inside:
-            n_jumps = rng.poisson(2.0 * d * spec.kappa * t)
-            dirs = rng.integers(0, 2 * d, n_jumps)
-            for k in dirs:
-                site = int(moves[k, site])
-                if site not in box_set:
-                    inside = False
-                    break
-        stay_hits += inside
-    p_stay = stay_hits / n
-    p_stay_est = McEstimate(p_stay, float(np.sqrt(max(p_stay * (1 - p_stay), 1e-300) / n)), n, seed)
-
-    rng_est = range_mean(spec.kernel, t, max(n // 4, 2), flat_seed(seed) + (3,))
-    if t == 0:
-        mc_bound = spec.gamma
-        analytic = spec.gamma
-    elif p_full > 0 and p_stay > 0:
-        mc_bound = spec.gamma + (np.log(p_full) + np.log(p_stay)) / t
-        analytic = (spec.gamma
-                    + (len(box) * rng_est.mean * np.log(spec.rho)) / t
-                    + np.log(p_stay) / t if p_stay > 0 else -np.inf)
-    else:
-        mc_bound = -np.inf
-        analytic = -np.inf
-    return BlockingBound(mc_bound=float(mc_bound), analytic_bound=float(analytic),
-                         p_catalyst_full=p_full_est, p_walker_stays=p_stay_est,
-                         range_estimate=rng_est, t=t)
-
-
-# ---------------------------------------------------------------------------
 # Large-kappa Gaussian-regime probe.
 # ---------------------------------------------------------------------------
 
 
-def _probe_nodes(t: float, n_panels: int = 14, nodes_per_panel: int = 12):
+def _probe_nodes(t: float):
     """Composite GL grid in the lag variable, geometric toward 0."""
-    edges = np.concatenate([[0.0], np.geomspace(min(0.25, t / 4), t, n_panels)])
-    return gauss_legendre(edges, nodes_per_panel)
+    edges = np.concatenate([[0.0], np.geomspace(min(0.25, t / 4), t, PROBE_PANELS)])
+    return gauss_legendre(edges, PROBE_NODES_PER_PANEL)
 
 
 def _probe_trials(d: int, kappa: float, t: float, shift: float, seed,

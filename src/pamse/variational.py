@@ -1,5 +1,5 @@
 """Rayleigh-Ritz machinery for the joint operator, the bump-test-function
-lower bound, occupation-time tilt maximization, and Dirichlet eigenvalues.
+lower bound and occupation-time tilt maximization.
 
 The joint operator is self-adjoint in the Bernoulli-weighted inner product,
 so iteration happens on its diagonal similarity transform D^{1/2} G D^{-1/2},
@@ -22,6 +22,7 @@ from .exclusion import torus_bonds
 from .lattice import Torus
 
 DENSE_CUTOFF = 1200  # largest walker-frame dimension solved densely
+TILT_GRID = 20001  # points of the tilt functional's grid search on [0, 1]
 
 
 @dataclass
@@ -255,15 +256,14 @@ def varadhan_closed_form(gamma: float, rho: float, G: float) -> TiltMax:
                    interior=False)
 
 
-def occupation_tilt_max(gamma: float, rho: float, G: float,
-                        n_grid: int = 20001) -> TiltMax:
+def occupation_tilt_max(gamma: float, rho: float, G: float) -> TiltMax:
     """Numerical maximization of the tilted functional over a dense grid with
     golden-section refinement; independent of the closed form."""
-    betas = np.linspace(0.0, 1.0, n_grid)
+    betas = np.linspace(0.0, 1.0, TILT_GRID)
     vals = gamma * betas - (np.sqrt(betas) - np.sqrt(rho)) ** 2 / (2 * G)
     k = int(np.argmax(vals))
     lo = betas[max(k - 1, 0)]
-    hi = betas[min(k + 1, n_grid - 1)]
+    hi = betas[min(k + 1, TILT_GRID - 1)]
     invphi = (np.sqrt(5.0) - 1.0) / 2.0
 
     def f(b):
@@ -281,61 +281,3 @@ def occupation_tilt_max(gamma: float, rho: float, G: float,
     mx = 0.5 * (a + b)
     return TiltMax(value=float(f(mx)), maximizer=float(mx),
                    interior=0.0 < mx < 1.0)
-
-
-@dataclass
-class SurrogateLambda:
-    p: int
-    value: float
-    branch: str
-    label: str = "SURROGATE"
-
-
-def lambda0_via_varadhan(p_list, rho: float, G: float) -> list:
-    """Tilt-maximization surrogate for the zero-diffusion exponents,
-    lambda_p(0) ~ (1/p) max_alpha [p alpha - quadratic bound]; the quadratic
-    stand-in for the true rate function makes every output a SURROGATE.
-
-    The sequence is strictly increasing in p; values stay in [rho, 1)."""
-    out = []
-    for p in p_list:
-        if p <= 0:
-            raise ValueError("moment order must be positive")
-        tm = occupation_tilt_max(float(p), rho, G)
-        out.append(SurrogateLambda(p=int(p), value=tm.value / p,
-                                   branch="interior" if tm.interior else "boundary"))
-    return out
-
-
-# ---------------------------------------------------------------------------
-# Dirichlet eigenvalue of -kappa Delta on a finite box.
-# ---------------------------------------------------------------------------
-
-
-def dirichlet_eigenvalue(kappa: float, shape) -> float:
-    """Principal eigenvalue of -kappa * Delta on the box prod [0, shape_i)
-    with zero boundary conditions; Delta is the 2d-rate Laplacian."""
-    shape = tuple(int(s) for s in shape)
-    if any(s < 1 for s in shape):
-        raise ValueError("box must be non-empty")
-    d = len(shape)
-    n = int(np.prod(shape))
-    idx = np.arange(n).reshape(shape)
-    rows, cols = [], []
-    for axis in range(d):
-        src = np.take(idx, np.arange(shape[axis] - 1), axis=axis).ravel()
-        dst = np.take(idx, np.arange(1, shape[axis]), axis=axis).ravel()
-        rows.extend([src, dst])
-        cols.extend([dst, src])
-    if rows:
-        rows = np.concatenate(rows)
-        cols = np.concatenate(cols)
-        adj = sp.coo_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, n)).tocsr()
-    else:
-        adj = sp.csr_matrix((n, n))
-    minus_lap = sp.diags(np.full(n, 2.0 * d)) - adj
-    if n <= 2000:
-        evals = np.linalg.eigvalsh(minus_lap.toarray())
-        return float(kappa * evals[0])
-    val = eigsh(minus_lap, k=1, which="SA", return_eigenvectors=False)
-    return float(kappa * val[0])

@@ -1,0 +1,40 @@
+"""Every public top-level object of the package has a caller outside the
+tests: code that only its own unit tests call is deleted, not kept."""
+
+import ast
+from pathlib import Path
+
+import pamse
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = sorted((ROOT / "src" / "pamse").glob("*.py"))
+CALLERS = PACKAGE + sorted((ROOT / "scripts").glob("*.py")) + sorted(
+    (ROOT / "perfbench").glob("*.py"))
+
+# waits on the exact finite-t probe value (ROADMAP item 2), which replaces it
+ALLOWED = {"probe_frozen_value"}
+
+
+def _names(node) -> set:
+    return {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+            if isinstance(n, (ast.Name, ast.Attribute))}
+
+
+def test_every_public_object_has_a_caller():
+    defined = {}  # name -> modules defining it at top level
+    used = {}  # name -> (module, top-level owner) pairs that read it
+    for path in CALLERS:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for stmt in tree.body:
+            owner = None
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                owner = stmt.name
+                if path in PACKAGE and not owner.startswith("_"):
+                    defined.setdefault(owner, set()).add(path)
+            for name in _names(stmt):
+                used.setdefault(name, set()).add((path, owner))
+    orphans = sorted(
+        f"{path.stem}.{name}" for name, paths in defined.items() for path in paths
+        if name not in pamse.__all__ and name not in ALLOWED
+        and not used.get(name, set()) - {(path, name)})
+    assert orphans == []

@@ -145,13 +145,21 @@ class TestScenarios:
             harness.run_scenario(cfg)
 
 
+def _read_figure_file(path):
+    """(header keys, rows of floats) of an emitted figure file."""
+    with open(path) as fh:
+        header = fh.readline().lstrip("# ").split()
+        rows = [[float(v) for v in line.split()] for line in fh if line.strip()]
+    return header, rows
+
+
 class TestFigures:
     def test_kappa_sweep_files(self, tmp_path):
         cfg = harness.ScenarioConfig("kappa_sweep", {
             "d": 1, "L": 4, "rho": 0.5, "p": 1, "kappas": [0.5, 1.0, 2.0]})
         rep = harness.run_scenario(cfg)
         files = harness.emit_figures_data(rep, str(tmp_path))
-        header, rows = harness.parse_figure_file(files[0])
+        header, rows = _read_figure_file(files[0])
         assert header == ["kappa", "lambda_p", "ci", "asymptote"]
         assert len(rows) == 3
         # columns round-trip as floats
@@ -167,7 +175,7 @@ class TestFigures:
                              {"params": {"d": 1, "rho": 0.5, "p": 1}},
                              rows=[], flags={}, passed=True)
         files = harness.emit_figures_data(rep, str(tmp_path))
-        header, rows = harness.parse_figure_file(files[0])
+        header, rows = _read_figure_file(files[0])
         assert header and rows == []
 
     def test_generic_scenario_table(self, tmp_path):
@@ -177,7 +185,7 @@ class TestFigures:
                                     "n": 10}],
                              flags={}, passed=True)
         files = harness.emit_figures_data(rep, str(tmp_path))
-        header, rows = harness.parse_figure_file(files[0])
+        header, rows = _read_figure_file(files[0])
         assert "mc_mean" in header and len(rows) == 1
 
 
@@ -262,8 +270,9 @@ class TestCli:
         ("field_checks", "kappa", 0.0, "kappa must be > 0"),
         ("field_checks", "limit_kappa", 0.0, "kappa must be > 0"),
         ("kappa_sweep", "kappas", [0.0, -0.5], "kappa must be >= 0"),
-        ("kappa_sweep", "p", -1, "walker count must be >= 0"),
-        ("intermittency_kappa0", "p_list", [1, -2], "walker count must be >= 0")])
+        ("kappa_sweep", "p", -1, "walker count must be an integer >= 0"),
+        ("intermittency_kappa0", "p_list", [1, -2], "walker count must be an integer >= 0"),
+        ("intermittency_kappa0", "p_list", [1, 2.5], "walker count must be an integer >= 0")])
     def test_validate_rejects_bad_model_as_run_does(self, tmp_path, capsys, scenario,
                                                     key, value, message):
         # unchecked, a zero kappa ends run in a traceback: an OverflowError in

@@ -36,6 +36,12 @@ def uniformization_p1d(m: int, t: float, tol: float = 1e-14) -> float:
     return total
 
 
+def _cube(d: int, r: int) -> np.ndarray:
+    """The displacements z with |z_i| <= r in C order, the origin in the middle."""
+    return np.stack(np.meshgrid(*[np.arange(-r, r + 1)] * d, indexing="ij"),
+                    -1).reshape(-1, d)
+
+
 class TestKernels:
     def test_srw_d1(self):
         k = lat.srw_kernel(1, rate=1.0)
@@ -59,7 +65,7 @@ class TestKernels:
         assert moves.shape == (4, 9)
         for row, (vec, _) in zip(moves, lat.srw_kernel(2).offsets):
             for x in range(9):
-                assert row[x] == trs.shift_index(x, vec)
+                assert row[x] == trs.index(np.add(trs.coords(x), vec))
 
     def test_zero_dimension_rejected(self):
         with pytest.raises(ValueError):
@@ -98,9 +104,9 @@ class TestTransitionProb:
             assert got == pytest.approx(float(ive(m, t)), abs=1e-13)
 
     def test_origin_maximizes_d3(self):
-        k = lat.srw_kernel(3)
-        w = lat.heat_window(k, 5.0, 8)
-        assert np.argmax(w) == (w.size - 1) // 2
+        cube = _cube(3, 8)
+        w = lat.transition_prob_many(lat.srw_kernel(3), 5.0, cube)
+        assert np.argmax(w) == (len(cube) - 1) // 2
 
     def test_rate_is_time_rescaling(self):
         fast = lat.srw_kernel(2, rate=4.0)
@@ -123,10 +129,8 @@ class TestTransitionProb:
     def test_chapman_kolmogorov_window(self):
         k = lat.srw_kernel(2)
         s, t = 0.8, 1.3
-        r = 14
-        ws = lat.heat_window(k, s, r).ravel()
-        coords = np.stack(np.meshgrid(*[np.arange(-r, r + 1)] * 2,
-                                      indexing="ij"), -1).reshape(-1, 2)
+        coords = _cube(2, 14)
+        ws = lat.transition_prob_many(k, s, coords)
         for target in [(0, 0), (1, 2), (-3, 1)]:
             comp = float(ws @ lat.transition_prob_many(
                 k, t, np.asarray(target) - coords))
@@ -277,24 +281,6 @@ class TestTorusWrap:
         np.testing.assert_allclose(mat, mat.T, atol=1e-12)
 
 
-class TestHeatTable:
-    """The windowed heat table p_t(0, z), |z_i| <= radius, of heat_window."""
-
-    def test_build_and_lookup(self):
-        k = lat.srw_kernel(1)
-        for t in (0.5, 1.0):
-            window = lat.heat_window(k, t, radius=6)
-            assert window.shape == (13,)
-            assert window[6] == pytest.approx(lat.transition_prob(k, t, (0,)),
-                                              abs=1e-14)
-
-    def test_slice_mass_below_one(self):
-        k = lat.srw_kernel(2)
-        sums = [lat.heat_window(k, t, radius=10).sum() for t in (0.5, 2.0)]
-        assert np.all(np.array(sums) <= 1.0 + 1e-12)
-        assert sums[0] == pytest.approx(1.0, abs=1e-10)
-
-
 def _digest(values):
     """Exact fingerprint of a float array (sha256 of its float64 bytes)."""
     data = np.ascontiguousarray(values, dtype=np.float64).tobytes()
@@ -315,14 +301,6 @@ class TestGreenPin:
     ])
     def test_green(self, d, t_min, z, want):
         assert float(lat.green(lat.srw_kernel(d), t_min=t_min, z=z)).hex() == want
-
-    @pytest.mark.parametrize("d, t, radius, want", [
-        (1, 0.5, 6, "0d3f9ec9c96cbf49"),
-        (2, 2.0, 10, "0385e77cc42ea61a"),
-        (3, 0.7, 4, "96e5cbcf974e707d"),
-    ])
-    def test_heat_window(self, d, t, radius, want):
-        assert _digest(lat.heat_window(lat.srw_kernel(d), t, radius)) == want
 
     @pytest.mark.parametrize("d, L, t, want", [
         (1, 7, 0.9, "d0dff8a2cc1630e1"),

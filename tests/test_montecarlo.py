@@ -116,48 +116,6 @@ class TestLambdaCurve:
         assert lams[1] > lams[0]
 
 
-class TestRange:
-    def test_time_zero_is_one(self):
-        est = mc.range_mean(srw_kernel(2), 0.0, 20, 1)
-        assert est.mean == 1.0
-
-    def test_d1_density_decreasing(self):
-        vals = [mc.range_mean(srw_kernel(1), t, 2000, 13).mean / t
-                for t in (2.0, 8.0, 32.0)]
-        assert vals[0] > vals[1] > vals[2]
-
-    def test_d3_density_approaches_escape_rate(self):
-        est = mc.range_mean(srw_kernel(3), 120.0, 1500, 17)
-        target = 1.0 / 1.5163860591519780  # escape probability of the walk
-        assert est.mean / 120.0 == pytest.approx(target, rel=0.12)
-
-
-class TestBlockingBound:
-    def test_time_zero(self):
-        params = _spec(d=1, L=8, rho=0.9, kappa=0.5, p=1)
-        bound = mc.blocking_lower_bound(params, [(0,)], 0.0, 200, 1)
-        assert bound.mc_bound == pytest.approx(1.0)
-
-    def test_single_site_consistency(self):
-        params = _spec(d=1, L=8, rho=0.9, kappa=0.5, p=1)
-        t = 1.0
-        bound = mc.blocking_lower_bound(params, [(0,)], t, 4000, 3)
-        est = mc.estimate_moment(params, t, 4000, 4)
-        lam = est.log_mean / t
-        assert np.isfinite(bound.mc_bound)
-        assert bound.mc_bound <= lam + 4 * est.log_stderr / t + 0.05
-
-    def test_catalyst_probability_floor(self):
-        # rho^{E R_t |Q|} lower-bounds the full-occupancy probability
-        params = _spec(d=1, L=8, rho=0.8, kappa=0.5, p=1)
-        t = 1.0
-        bound = mc.blocking_lower_bound(params, [(0,)], t, 6000, 7)
-        floor = params.rho ** bound.range_estimate.mean
-        p_full = bound.p_catalyst_full
-        assert p_full.mean >= floor - 4 * (p_full.stderr
-                                           + bound.range_estimate.stderr)
-
-
 class TestAsymptoticProbe:
     def test_low_dimension_rejected(self):
         with pytest.raises(ValueError):
@@ -298,22 +256,6 @@ class TestReplayPin:
         est = mc.estimate_moment(_spec(**kw), t, n, seed, **extra)
         assert tuple(_hexes((est.mean, est.stderr, est.log_mean,
                              est.log_stderr))) == want
-
-    def test_blocking_lower_bound(self):
-        bound = mc.blocking_lower_bound(
-            _spec(d=1, L=6, rho=0.7, kappa=0.3, p=1), [0, 1], 0.8, 400, 51)
-        assert _hexes((bound.mc_bound, bound.analytic_bound,
-                       bound.p_catalyst_full.mean, bound.p_walker_stays.mean)) == [
-            "-0x1.1da0b2713da1ap-1", "-0x1.976547e690f7ep-1",
-            "0x1.7851eb851eb85p-2", "0x1.90a3d70a3d70ap-1"]
-        bound = mc.blocking_lower_bound(
-            _spec(d=2, L=3, rho=0.8, kappa=0.2, p=1), [(0, 0), (0, 1)],
-            0.5, 400, 52)
-        assert _hexes((bound.mc_bound, bound.analytic_bound,
-                       bound.p_catalyst_full.mean, bound.p_walker_stays.mean)) == [
-            "-0x1.499d8c057cbcep-1", "-0x1.ae84aa99e7ba0p-1",
-            "0x1.1eb851eb851ecp-1", "0x1.91eb851eb851fp-1"]
-
 
 class TestProbePin:
     """Exact values of the probe (its geometric Gauss-Legendre lag grid) and

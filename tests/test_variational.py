@@ -178,56 +178,3 @@ class TestTiltMaximization:
         closed = var.varadhan_closed_form(gamma, rho, G)
         grid = var.occupation_tilt_max(gamma, rho, G)
         assert closed.value == pytest.approx(grid.value, abs=1e-8)
-
-    def test_surrogate_sequence(self):
-        G = 1.5163860591519780
-        seq = var.lambda0_via_varadhan([1, 2, 3], 0.5, G)
-        vals = [s.value for s in seq]
-        assert vals[0] < vals[1] < vals[2]
-        assert all(0.5 <= v < 1.0 for v in vals)
-        assert all(s.label == "SURROGATE" for s in seq)
-
-    def test_surrogate_interior_branch(self):
-        seq = var.lambda0_via_varadhan([1], 0.3, 0.2)
-        assert seq[0].branch == "interior"
-        assert seq[0].value == pytest.approx(0.3 / (1 - 0.4), abs=1e-7)
-
-
-class TestDirichlet:
-    def test_single_site(self):
-        assert var.dirichlet_eigenvalue(1.0, (1,)) == pytest.approx(2.0)
-        assert var.dirichlet_eigenvalue(2.0, (1, 1)) == pytest.approx(8.0)
-
-    @pytest.mark.parametrize("n", [2, 5, 11])
-    def test_interval_closed_form(self, n):
-        lam = var.dirichlet_eigenvalue(1.7, (n,))
-        assert lam == pytest.approx(2 * 1.7 * (1 - np.cos(np.pi / (n + 1))),
-                                    abs=1e-10)
-
-    def test_domain_monotone(self):
-        vals = [var.dirichlet_eigenvalue(1.0, (n, n)) for n in (2, 4, 8)]
-        assert vals[0] > vals[1] > vals[2] > 0
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            var.dirichlet_eigenvalue(1.0, (0,))
-
-    def test_vanishes_for_growing_box(self):
-        assert var.dirichlet_eigenvalue(1.0, (60,)) < 0.006
-
-    def test_confinement_rate_matches_walk(self):
-        # exp(-lambda t) is the decay rate of staying probabilities
-        import scipy.sparse as sp
-        from scipy.sparse.linalg import expm_multiply
-
-        n, kappa = 7, 0.8
-        lam = var.dirichlet_eigenvalue(kappa, (n,))
-        gen = sp.diags([np.full(n - 1, kappa), np.full(n, -2 * kappa),
-                        np.full(n - 1, kappa)], [-1, 0, 1]).tocsr()
-        start = np.zeros(n)
-        start[n // 2] = 1.0
-        t1, t2 = 30.0, 40.0
-        p1 = float(expm_multiply(gen.T * t1, start).sum())
-        p2 = float(expm_multiply(gen.T * t2, start).sum())
-        rate = -(np.log(p2) - np.log(p1)) / (t2 - t1)
-        assert rate == pytest.approx(lam, rel=1e-6)
