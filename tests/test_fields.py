@@ -398,6 +398,19 @@ class TestQuadraturePin:
                                          kk.closed_form_norm,
                                          kk.kappa_limit_norm)] == want_norms
 
+    @pytest.mark.parametrize("d, L, T, kappa, want", [
+        (1, 30, 3.0, 0.8, "4333e0fa37ca8e41"),
+        (2, 15, 2.0, 1.0, "e4491a8d16dc9042"),
+        (3, 13, 1.5, 0.7, "265756b3b09ac921"),
+        (4, 7, 0.5, 3.0, "ee77c4b713227709"),
+        # the field_checks grid of the probe_fields benchmark and criterion 10
+        (3, 73, 5.0, 2.0, "640f56dc5d6ee2f5"),
+        (3, 73, 5.0, 1e3, "06e3a1466da27fe5"),
+    ])
+    def test_chi_table(self, d, L, T, kappa, want):
+        spec = fields.PsiSpec(kappa=kappa, T=T, torus=Torus(d, L))
+        assert _digest(fields.chi_table(spec).values) == want
+
 
 class TestCauchyPin:
     """Exact values of the Cauchy solvers, mass residuals and Green contraction

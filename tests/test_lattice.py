@@ -311,6 +311,29 @@ class TestGreenPin:
         row = lat.torus_heat_row(lat.Torus(d, L), lat.srw_kernel(d, rate=2.0), t)
         assert _digest(row) == want
 
+    @pytest.mark.parametrize("d, t, zs, want", [
+        # halfspace_transition's two rows: every column but the first repeats
+        (3, 2.5, [[3, 0, 0], [-2, 0, 0]], ("9b4287fd13994cd6", "fbfd28ba9ae58858")),
+        (3, 0.7, [[1, 2, 2], [4, 2, 2], [1, -1, -1]],
+         ("f5a8e14413d84e7c", "f9a4e9dc576fdfff")),
+        (4, 11.0, [[2, 5, 2, 0], [-1, 5, -1, 0], [2, -3, 2, 7]],
+         ("0424c71f61cb4fc2", "c6b3e63d91efa82f")),
+        # green's integrand: d equal zero columns
+        (4, 1e3, [[0, 0, 0, 0]], ("f80a6263c357416e", "2aa5f89db5a33342")),
+    ])
+    def test_transition_prob_many(self, d, t, zs, want):
+        got = tuple(_digest(lat.transition_prob_many(lat.srw_kernel(d, rate=rate), t,
+                                                     np.array(zs)))
+                    for rate in (1.0, 2.0))
+        assert got == want
+
+    def test_halfspace_transition(self):
+        assert float(lat.halfspace_transition(lat.srw_kernel(3), 2.5, (2, 1, 0),
+                                              (1, 1, 0))).hex() == "0x1.001874ad422f7p-4"
+        assert float(lat.halfspace_transition(lat.srw_kernel(4, rate=2.0), 0.9,
+                                              (3, 1, 1, 0), (1, 2, 2, 0))).hex() == \
+            "0x1.0c64e14c39272p-12"
+
     @pytest.mark.parametrize("d, want, probs", [
         (3, "0x1.8431e0742af4bp+0", "6a4fcf7d298fca86"),
         (4, "0x1.3d4db7a0ce7a5p+0", "5cc6566c67d3af77"),
