@@ -23,12 +23,13 @@ from scipy.sparse.linalg import expm_multiply
 from .exact import occupation_bits
 from .lattice import (Kernel, Torus, _tail_by_power_fit, check_density, check_horizon,
                       check_kappa, check_samples, cycle_heat1d, gauss_legendre, green, heat1d,
-                      outer_power, srw_kernel, transition_prob_many)
+                      srw_kernel, transition_prob_many)
 
 GL_NODES_PER_PANEL = 12
 PSI_PANELS = 10  # time panels of the chi and gradient-kernel quadrature
 MASS_PANELS = 24  # time panels of the mass-identity integrals
 GREEN_SPLIT = 2000.0  # Green window table: quadrature on [0, split], power tail beyond
+CHI_SLAB = 8  # leading-axis planes of the chi grid summed per buffer pass
 
 
 def _panel_edges(T: float, n_panels: int) -> np.ndarray:
@@ -87,14 +88,28 @@ class Field:
 
 @lru_cache(maxsize=32)
 def _chi_grid_cached(spec: PsiSpec) -> np.ndarray:
-    """The chi grid of a spec, read-only."""
-    trs = spec.torus
+    """The chi grid of a spec, read-only. Summed in node order one slab of
+    CHI_SLAB leading-axis planes at a time through one buffer; each element is
+    the same product and sum as w * outer_power(row, d) over the whole grid."""
+    L, d = spec.torus.L, spec.torus.d
     nodes, weights = time_quadrature(spec.T, PSI_PANELS)
     # rate-1 d-dim walk at time 2 d s 1k => per-coordinate clock 2 s 1k
-    taus = 2.0 * spec.one_kappa * nodes
-    out = np.zeros((trs.L,) * trs.d)
-    for tau, w in zip(taus, weights):
-        out += w * outer_power(cycle_heat1d(trs.L, tau), trs.d)
+    rows = [cycle_heat1d(L, tau) for tau in 2.0 * spec.one_kappa * nodes]
+    out = np.zeros((L,) * d)
+    buf = np.empty((min(CHI_SLAB, L),) + (L,) * (d - 1))
+    for lo in range(0, L, CHI_SLAB):
+        slab = out[lo:lo + CHI_SLAB]
+        part = buf[:len(slab)]
+        for row, w in zip(rows, weights):
+            head = row[lo:lo + CHI_SLAB]
+            if d == 1:
+                np.multiply(w, head, out=part)
+            else:
+                for _ in range(d - 2):
+                    head = np.multiply.outer(head, row)
+                np.multiply.outer(head, row, out=part)
+                np.multiply(w, part, out=part)
+            slab += part
     out.flags.writeable = False
     return out
 

@@ -64,10 +64,10 @@ def scenario_parameters(scenario: str):
 
 def validate_config(cfg: ScenarioConfig) -> dict:
     """Check cfg.params against the runner's signature and return its kwargs;
-    an int given for a float is converted, lists must be non-empty, and the
-    model keys (`rho`, `kappa`, `p` and their lists), the sample counts (`n`,
-    `n_eta`) and the horizons (`t`, `T`, `t_grid`, `t_ref`) obey the range
-    rules the models apply."""
+    an int given for a float is converted, a bool is never a number, lists
+    must be non-empty, and the model keys (`rho`, `kappa`, `p` and their
+    lists), the sample counts (`n`, `n_eta`) and the horizons (`t`, `T`,
+    `t_grid`, `t_ref`) obey the range rules the models apply."""
     if not isinstance(cfg.params, dict):
         raise ConfigError(f"{cfg.scenario}: params must be a JSON object")
     params = scenario_parameters(cfg.scenario)
@@ -78,10 +78,10 @@ def validate_config(cfg: ScenarioConfig) -> dict:
                 raise ConfigError(f"{cfg.scenario}: missing required key {key!r}")
             continue
         val, typ = cfg.params[key], param.annotation
-        if typ is float and isinstance(val, int):
+        if typ is float and isinstance(val, int) and not isinstance(val, bool):
             val = float(val)
-        if not isinstance(val, typ):
-            raise ConfigError(f"{cfg.scenario}: key {key!r} must be {typ.__name__}")
+        if not isinstance(val, typ) or isinstance(val, bool):
+            raise ConfigError(f"{cfg.scenario}: key {key!r}: must be {typ.__name__}")
         if typ is list and not val:
             raise ConfigError(f"{cfg.scenario}: key {key!r} must be non-empty")
         kwargs[key] = val

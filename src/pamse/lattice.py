@@ -1,6 +1,6 @@
 """Lattice geometry, symmetric walk kernels, heat kernels and Green functions,
 and the range rules of the model parameters (rho, kappa, p), sample counts
-and horizons.
+and horizons (booleans pass none of them).
 
 Everything here is deterministic. Transition probabilities follow the rate-1
 normalization internally: a kernel with rate r at time t is evaluated as the
@@ -22,35 +22,40 @@ from scipy.integrate import quad
 Vector = tuple[int, ...]
 
 
+def _number(x, kind) -> bool:
+    """x is a numbers.Real/Integral other than a bool (which is an Integral)."""
+    return isinstance(x, kind) and not isinstance(x, bool)
+
+
 def check_density(rho) -> None:
     """The density rule of every model: the catalyst starts from Bernoulli(rho)
     with 0 < rho < 1."""
-    if not (isinstance(rho, numbers.Real) and 0.0 < rho < 1.0):
+    if not (_number(rho, numbers.Real) and 0.0 < rho < 1.0):
         raise ValueError("density must lie in (0, 1)")
 
 
 def check_kappa(kappa, positive: bool = False) -> None:
     """Walkers jump at rate 2 d kappa >= 0; where 1[kappa] = 1 + 1/(2 d kappa)
     enters (the fields and the large-kappa probe), kappa > 0."""
-    if not (isinstance(kappa, numbers.Real) and (kappa > 0 if positive else kappa >= 0)):
+    if not (_number(kappa, numbers.Real) and (kappa > 0 if positive else kappa >= 0)):
         raise ValueError("kappa must be > 0" if positive else "kappa must be >= 0")
 
 
 def check_samples(n, least: int = 1) -> None:
     """Sample counts are integers >= least (2 where a stderr is taken)."""
-    if not (isinstance(n, numbers.Integral) and n >= least):
+    if not (_number(n, numbers.Integral) and n >= least):
         raise ValueError(f"sample count must be an integer >= {least}")
 
 
 def check_horizon(t, positive: bool = False) -> None:
     """Horizons are real, t >= 0, and t > 0 where a value is divided by t."""
-    if not (isinstance(t, numbers.Real) and (t > 0 if positive else t >= 0)):
+    if not (_number(t, numbers.Real) and (t > 0 if positive else t >= 0)):
         raise ValueError("horizon must be > 0" if positive else "horizon must be >= 0")
 
 
 def check_walkers(p) -> None:
     """The moment order p counts walkers: an integer p >= 0."""
-    if not (isinstance(p, numbers.Integral) and p >= 0):
+    if not (_number(p, numbers.Integral) and p >= 0):
         raise ValueError("walker count must be an integer >= 0")
 
 
@@ -240,10 +245,13 @@ def transition_prob_many(kernel: Kernel, t: float, zs: np.ndarray) -> np.ndarray
     if kernel.is_srw:
         tau = s / kernel.d
         out = np.ones(len(zs))
+        rows = {}  # one heat row per distinct column, multiplied in per axis
         for j in range(kernel.d):
-            col = zs[:, j]
-            uniq, inv = np.unique(col, return_inverse=True)
-            out *= heat1d(uniq, tau)[inv]
+            key = zs[:, j].tobytes()
+            if key not in rows:
+                uniq, inv = np.unique(zs[:, j], return_inverse=True)
+                rows[key] = heat1d(uniq, tau)[inv]
+            out *= rows[key]
         return out
     return _transition_general(kernel, s, zs)
 
@@ -321,13 +329,20 @@ def green(kernel: Kernel, t_min: float = 0.0, z=None, split: float = 2000.0) -> 
     """Truncated Green value integral_{t_min}^inf p_s(0, z) ds, rate-1 clock.
 
     Finite only for transient kernels (d >= 3): the integrand decays like
-    s^(-d/2), so the tail diverges in d <= 2 for every t_min.
+    s^(-d/2), so the tail diverges in d <= 2 for every t_min. Memoized per
+    (kernel, t_min, z, split) in `_green_cached`.
     """
     if t_min < 0:
         raise ValueError("negative t_min")
     if kernel.d <= 2:
         raise ValueError("Green integral diverges for d <= 2")
-    zvec = np.zeros(kernel.d, dtype=int) if z is None else np.asarray(z, dtype=int)
+    ztuple = None if z is None else tuple(int(v) for v in np.asarray(z, dtype=int))
+    return _green_cached(kernel, float(t_min), ztuple, float(split))
+
+
+@lru_cache(maxsize=64)
+def _green_cached(kernel: Kernel, t_min: float, z, split: float) -> float:
+    zvec = np.zeros(kernel.d, dtype=int) if z is None else np.array(z, dtype=int)
     rate1 = Kernel(d=kernel.d, offsets=kernel.offsets, rate=1.0)
 
     def f(s: float) -> float:

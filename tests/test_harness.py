@@ -293,7 +293,11 @@ class TestCli:
         ("field_checks", "n_eta", 0, "sample count must be an integer >= 1"),
         ("field_checks", "T", -1.0, "horizon must be >= 0"),
         ("exact_vs_mc", "t", -1.0, "horizon must be >= 0"),
-        ("exact_vs_mc", "n", 1, "sample count must be an integer >= 2")])
+        ("exact_vs_mc", "n", 1, "sample count must be an integer >= 2"),
+        # a JSON true is an int (and was converted to the float 1.0)
+        ("kappa_sweep", "p", True, "must be int"),
+        ("field_checks", "n_eta", True, "must be int"),
+        ("exact_vs_mc", "kappa", True, "must be float")])
     def test_validate_rejects_bad_count_or_horizon_as_run_does(
             self, tmp_path, capsys, scenario, key, value, message):
         # unchecked, n_eta: 0 passes with no configuration checked and T: -1

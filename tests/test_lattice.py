@@ -186,6 +186,54 @@ class TestGreen:
         assert lat.green(k, t_min=t0) == pytest.approx(oracle + tail, rel=1e-8)
 
 
+class TestGreenMemo:
+    """green's value is memoized by lat._green_cached on (kernel, t_min, z, split)."""
+
+    def test_z_forms_agree(self):
+        k = lat.srw_kernel(3)
+        vals = [lat.green(k, z=z) for z in ((1, 2, 0), [1, 2, 0], np.array([1, 2, 0]))]
+        assert vals[0].hex() == vals[1].hex() == vals[2].hex()
+
+    def test_caller_array_not_kept(self):
+        k = lat.srw_kernel(3)
+        z = np.array([1, 0, 0])
+        first = lat.green(k, z=z)
+        z[0] = 3
+        assert lat.green(k, z=z) != first
+        assert lat.green(k, z=(1, 0, 0)) == first
+
+    def test_cold_equals_cached(self):
+        k = lat.srw_kernel(4)
+        warm = lat.green(k, t_min=1.5)
+        lat._green_cached.cache_clear()
+        assert lat.green(k, t_min=1.5).hex() == warm.hex() == lat.green(k, t_min=1.5).hex()
+
+    def test_cache_is_clearable_module_attribute(self):
+        # the benchmark empties every module-level functools cache each round
+        assert callable(getattr(lat._green_cached, "cache_clear", None))
+        lat.green(lat.srw_kernel(3))
+        assert lat._green_cached.cache_info().currsize >= 1
+        lat._green_cached.cache_clear()
+        assert lat._green_cached.cache_info().currsize == 0
+
+    def test_one_heat_row_per_distinct_column(self, monkeypatch):
+        calls = []
+        heat1d = lat.heat1d
+        monkeypatch.setattr(lat, "heat1d", lambda ms, tau: calls.append(1) or heat1d(ms, tau))
+        lat.transition_prob_many(lat.srw_kernel(4), 2.0, np.array([[1, 0, 1, 0], [2, 0, 2, 3]]))
+        assert len(calls) == 3
+
+
+class TestRangeRules:
+    @pytest.mark.parametrize("rule", [
+        lat.check_density, lat.check_kappa, lat.check_samples, lat.check_horizon,
+        lat.check_walkers])
+    def test_bool_rejected(self, rule):
+        rule(1 if rule in (lat.check_samples, lat.check_walkers) else 0.5)
+        with pytest.raises(ValueError):
+            rule(True)
+
+
 class TestHalfspace:
     def test_identity_at_zero_time(self):
         k = lat.srw_kernel(1)
