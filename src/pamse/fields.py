@@ -88,9 +88,8 @@ class Field:
 
 @lru_cache(maxsize=32)
 def _chi_grid_cached(spec: PsiSpec) -> np.ndarray:
-    """The chi grid of a spec, read-only. Summed in node order one slab of
-    CHI_SLAB leading-axis planes at a time through one buffer; each element is
-    the same product and sum as w * outer_power(row, d) over the whole grid."""
+    """The chi grid of a spec, read-only: sum over nodes of w * row x ... x row,
+    added in node order into slabs of CHI_SLAB leading-axis planes."""
     L, d = spec.torus.L, spec.torus.d
     nodes, weights = time_quadrature(spec.T, PSI_PANELS)
     # rate-1 d-dim walk at time 2 d s 1k => per-coordinate clock 2 s 1k

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 from scipy.integrate import quad
@@ -217,14 +217,6 @@ def cycle_heat1d(L: int, tau: float) -> np.ndarray:
     return np.cos(np.outer(m, k)) @ decay / L
 
 
-def outer_power(row: np.ndarray, d: int) -> np.ndarray:
-    """row x row x ... x row (d factors): a product-form kernel on d axes."""
-    out = row
-    for _ in range(d - 1):
-        out = np.multiply.outer(out, row)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Transition probabilities on Z^d.
 # ---------------------------------------------------------------------------
@@ -275,7 +267,8 @@ def torus_heat_row(torus: Torus, kernel: Kernel, t: float) -> np.ndarray:
         raise ValueError("negative time")
     s = kernel.rate * t
     if kernel.is_srw:
-        return outer_power(cycle_heat1d(torus.L, s / kernel.d), torus.d).ravel()
+        # product form row x row x ... x row over the d axes
+        return reduce(np.multiply.outer, [cycle_heat1d(torus.L, s / kernel.d)] * torus.d).ravel()
     k = 2.0 * np.pi * np.arange(torus.L) / torus.L
     grid = np.stack(np.meshgrid(*[k] * torus.d, indexing="ij"), axis=-1)
     decay = np.exp(-s * kernel.symbol(grid))

@@ -1,12 +1,13 @@
 """Smoothing fields, gradient kernels, Cauchy solvers, Green contraction."""
 
 import hashlib
+from functools import reduce
 
 import numpy as np
 import pytest
 
 from pamse import fields
-from pamse.lattice import Torus, green, srw_kernel
+from pamse.lattice import Torus, cycle_heat1d, green, srw_kernel
 
 
 @pytest.fixture
@@ -397,6 +398,16 @@ class TestQuadraturePin:
         assert [float(v).hex() for v in (kk.k_diag_norm, kk.k_off_norm_bound,
                                          kk.closed_form_norm,
                                          kk.kappa_limit_norm)] == want_norms
+
+    @pytest.mark.parametrize("d, L", [(1, 5), (2, 8), (2, 17), (3, 9), (4, 6)])
+    def test_chi_matches_full_grid_sum(self, d, L):
+        # the whole-grid sum of w * (row x ... x row) in node order
+        spec = fields.PsiSpec(kappa=0.9, T=1.5, torus=Torus(d, L))
+        nodes, weights = fields.time_quadrature(spec.T, fields.PSI_PANELS)
+        want = np.zeros((L,) * d)
+        for tau, w in zip(2.0 * spec.one_kappa * nodes, weights):
+            want += w * reduce(np.multiply.outer, [cycle_heat1d(L, tau)] * d)
+        assert np.array_equal(fields.chi_table(spec).grid(), want)
 
     @pytest.mark.parametrize("d, L, T, kappa, want", [
         (1, 30, 3.0, 0.8, "4333e0fa37ca8e41"),

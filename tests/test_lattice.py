@@ -137,6 +137,13 @@ class TestTransitionProb:
             direct = lat.transition_prob(k, s + t, target)
             assert comp == pytest.approx(direct, abs=1e-8)
 
+    def test_one_heat_row_per_distinct_column(self, monkeypatch):
+        calls = []
+        heat1d = lat.heat1d
+        monkeypatch.setattr(lat, "heat1d", lambda ms, tau: calls.append(1) or heat1d(ms, tau))
+        lat.transition_prob_many(lat.srw_kernel(4), 2.0, np.array([[1, 0, 1, 0], [2, 0, 2, 3]]))
+        assert len(calls) == 3
+
     def test_general_kernel_matches_srw_path(self):
         # same distribution, forced through the d-dim Fourier grid
         srw = lat.srw_kernel(2)
@@ -215,13 +222,6 @@ class TestGreenMemo:
         assert lat._green_cached.cache_info().currsize >= 1
         lat._green_cached.cache_clear()
         assert lat._green_cached.cache_info().currsize == 0
-
-    def test_one_heat_row_per_distinct_column(self, monkeypatch):
-        calls = []
-        heat1d = lat.heat1d
-        monkeypatch.setattr(lat, "heat1d", lambda ms, tau: calls.append(1) or heat1d(ms, tau))
-        lat.transition_prob_many(lat.srw_kernel(4), 2.0, np.array([[1, 0, 1, 0], [2, 0, 2, 3]]))
-        assert len(calls) == 3
 
 
 class TestRangeRules:
