@@ -78,10 +78,10 @@ def validate_config(cfg: ScenarioConfig) -> dict:
                 raise ConfigError(f"{cfg.scenario}: missing required key {key!r}")
             continue
         val, typ = cfg.params[key], param.annotation
-        if typ is float and isinstance(val, int) and not isinstance(val, bool):
-            val = float(val)
-        if not isinstance(val, typ) or isinstance(val, bool):
+        if isinstance(val, bool) or not isinstance(val, (int, float) if typ is float else typ):
             raise ConfigError(f"{cfg.scenario}: key {key!r}: must be {typ.__name__}")
+        if typ is float:
+            val = float(val)
         if typ is list and not val:
             raise ConfigError(f"{cfg.scenario}: key {key!r} must be non-empty")
         kwargs[key] = val
