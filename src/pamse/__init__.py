@@ -6,8 +6,7 @@ field estimates entering the large-diffusion asymptotics.
 """
 
 from .exact import OperatorSpec
-from .exclusion import Configuration, LinkSchedule, Trajectory, build_schedule, \
-    evolve, occupation_time, sample_initial
+from .exclusion import Configuration, LinkSchedule, build_schedule, sample_initial
 from .harness import Report, ScenarioConfig, emit_figures_data, run_scenario
 from .irw import WeightFunction, compare_se_irw, irw_exp_functional
 from .lattice import Kernel, Torus, green, srw_kernel, transition_prob
@@ -18,8 +17,8 @@ __version__ = "0.1.0"
 __all__ = [
     "Configuration", "Kernel", "LinkSchedule", "McEstimate",
     "OperatorSpec", "Report", "ScenarioConfig", "Torus",
-    "Trajectory", "WeightFunction", "build_schedule", "compare_se_irw",
-    "emit_figures_data", "estimate_moment", "evolve", "green",
-    "irw_exp_functional", "lambda_curve", "occupation_time", "run_scenario",
+    "WeightFunction", "build_schedule", "compare_se_irw",
+    "emit_figures_data", "estimate_moment", "green",
+    "irw_exp_functional", "lambda_curve", "run_scenario",
     "sample_initial", "srw_kernel", "transition_prob",
 ]

@@ -12,18 +12,14 @@ from .harness import Report, ScenarioConfig, emit_figures_data, run_scenario, \
 
 
 def _cmd_run(args) -> int:
-    try:
-        cfg = ScenarioConfig.from_file(args.config)
-        validate_config(cfg)
-        if args.output:
-            cfg.output_path = args.output
-        # trial merges are index-ordered, so worker count never changes results
-        if args.workers and "n_workers" in scenario_parameters(cfg.scenario):
-            cfg.params.setdefault("n_workers", args.workers)
-        report = run_scenario(cfg)
-    except (OSError, ValueError) as exc:
-        print(f"invalid: {exc}", file=sys.stderr)
-        return 1
+    cfg = ScenarioConfig.from_file(args.config)
+    validate_config(cfg)
+    if args.output:
+        cfg.output_path = args.output
+    # trial merges are index-ordered, so worker count never changes results
+    if args.workers and "n_workers" in scenario_parameters(cfg.scenario):
+        cfg.params.setdefault("n_workers", args.workers)
+    report = run_scenario(cfg)
     print(report.to_json() if args.verbose else _summary(report))
     return 0 if report.passed else 1
 
@@ -35,20 +31,14 @@ def _summary(report: Report) -> str:
 
 
 def _cmd_validate(args) -> int:
-    try:
-        cfg = ScenarioConfig.from_file(args.config)
-        validate_config(cfg)
-    except (OSError, ValueError) as exc:
-        print(f"invalid: {exc}", file=sys.stderr)
-        return 1
+    cfg = ScenarioConfig.from_file(args.config)
+    validate_config(cfg)
     print(f"ok: {cfg.scenario}")
     return 0
 
 
 def _cmd_figures(args) -> int:
-    report = Report.from_json(args.report)
-    files = emit_figures_data(report, args.outdir)
-    for f in files:
+    for f in emit_figures_data(Report.from_json(args.report), args.outdir):
         print(f)
     return 0
 
@@ -94,7 +84,13 @@ def main(argv=None) -> int:
     p_self.set_defaults(fn=_cmd_selftest)
 
     args = parser.parse_args(argv)
-    return args.fn(args)
+    if args.command == "selftest":  # reads no input file
+        return args.fn(args)
+    try:
+        return args.fn(args)
+    except (OSError, ValueError) as exc:  # unreadable or invalid input file
+        print(f"invalid: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

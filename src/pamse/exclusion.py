@@ -139,33 +139,6 @@ def replay(bits, schedule: LinkSchedule, t: float, marks=()):
     yield prev, t, mi
 
 
-@dataclass
-class Trajectory:
-    """Deterministic function of (initial, schedule)."""
-
-    initial: Configuration
-    schedule: LinkSchedule
-
-
-def evolve(trajectory: Trajectory, t: float) -> Configuration:
-    """Apply all link events up to time t (stirring swaps), in order,
-    replaying from the initial state."""
-    bits = trajectory.initial.bits.copy()
-    for _ in replay(bits, trajectory.schedule, t):
-        pass
-    return Configuration(trajectory.initial.torus, bits)
-
-
-def occupation_time(trajectory: Trajectory, site: int, t: float) -> float:
-    """T_t = integral_0^t xi_s(site) ds, exact over inter-event intervals."""
-    bits = trajectory.initial.bits.copy()
-    acc = 0.0
-    for t0, t1, _ in replay(bits, trajectory.schedule, t):
-        if bits[site]:
-            acc += t1 - t0
-    return acc
-
-
 def marginal_mc(initial: Configuration, kernel: Kernel, queries, n: int, seed):
     """Monte-Carlo means of xi_t(y) over link schedules, for fixed initial
     state and a list of (site, t) queries. Returns (means, stderrs)."""
@@ -190,7 +163,7 @@ def marginal_mc(initial: Configuration, kernel: Kernel, queries, n: int, seed):
 
 
 def exp_weight_mc(torus: Torus, kernel: Kernel, rho: float, slices, t: float,
-                  n: int, seed, initial: Configuration | None = None):
+                  n: int, seed):
     """MC estimate of E exp[sum_z int_0^t K(z,s) xi_s(z) ds] for a piecewise
     constant weight given as time-sorted, non-overlapping slices
     [(t0, t1, site_value_array)]; the weight is zero outside them.
@@ -204,10 +177,7 @@ def exp_weight_mc(torus: Torus, kernel: Kernel, rho: float, slices, t: float,
     weights = np.empty(n)
     for trial in range(n):
         rng = np.random.default_rng([seed, trial])
-        if initial is None:
-            bits = (rng.random(torus.n_sites) < rho).astype(np.uint8)
-        else:
-            bits = initial.bits.copy()
+        bits = (rng.random(torus.n_sites) < rho).astype(np.uint8)
         sched = build_schedule(torus, kernel, t, rng)
         acc = 0.0
         for t0, t1, m in replay(bits, sched, end, edges):

@@ -126,8 +126,8 @@ def chi_table(spec: PsiSpec) -> Field:
     return Field(spec.torus, _chi_grid_cached(spec).ravel().copy())
 
 
-def psi_field(eta_bits: np.ndarray, spec: PsiSpec, sites=None) -> np.ndarray:
-    """psi(eta, x) = sum_z chi(z - x) (eta(z) - rho), all sites or selected.
+def psi_field(eta_bits: np.ndarray, spec: PsiSpec) -> np.ndarray:
+    """psi(eta, x) = sum_z chi(z - x) (eta(z) - rho) at every site x.
 
     Exact on the wrapped window (circular correlation by FFT); for eta == 1
     everywhere this returns (1 - rho) T at every site since the chi table
@@ -139,11 +139,8 @@ def psi_field(eta_bits: np.ndarray, spec: PsiSpec, sites=None) -> np.ndarray:
         raise ValueError("eta must live on the spec torus")
     shape = (trs.L,) * trs.d
     centered = (eta_bits - spec.rho).reshape(shape)
-    out = np.fft.irfftn(np.fft.rfftn(centered) * _chi_spectrum(spec), s=shape,
-                        axes=tuple(range(trs.d))).ravel()
-    if sites is None:
-        return out
-    return out[np.asarray(sites, dtype=int)]
+    return np.fft.irfftn(np.fft.rfftn(centered) * _chi_spectrum(spec), s=shape,
+                         axes=tuple(range(trs.d))).ravel()
 
 
 def psi_joint_matrix(spec: PsiSpec) -> np.ndarray:
@@ -159,7 +156,6 @@ def psi_joint_matrix(spec: PsiSpec) -> np.ndarray:
 
 @dataclass
 class PsiBoundsReport:
-    n_samples: int
     max_site_diff: float
     site_diff_bound: float
     max_swap_diff: float
@@ -233,7 +229,6 @@ def psi_bounds_check(spec: PsiSpec, n_samples: int, seed,
             delta = psi_field(swapped, spec) - psi_all
             swap_ok = swap_ok and float(np.max(np.abs(delta - want))) <= tol * spec.T
     return PsiBoundsReport(
-        n_samples=n_samples,
         max_site_diff=max_site,
         site_diff_bound=2 * spec.T + tol,
         max_swap_diff=swap_mag,
@@ -369,7 +364,6 @@ class CauchyProblem:
 class CauchySolution:
     times: np.ndarray
     v: np.ndarray  # (n_times, n_live_sites)
-    mode: str
     stderr: np.ndarray | None = None  # mc mode only
 
     @property
@@ -403,10 +397,10 @@ def solve_cauchy(problem: CauchyProblem, times, mode: str = "stepping",
         v = (4.0 * fine - coarse) / 3.0
     elif mode == "mc":
         v, err = _solve_mc(problem, times, mc_trials, seed, start_sites)
-        return CauchySolution(times=times, v=v, mode=mode, stderr=err)
+        return CauchySolution(times=times, v=v, stderr=err)
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    return CauchySolution(times=times, v=v, mode=mode)
+    return CauchySolution(times=times, v=v)
 
 
 def _solve_stepping(problem: CauchyProblem, times: np.ndarray) -> np.ndarray:

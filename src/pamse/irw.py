@@ -46,9 +46,6 @@ class WeightFunction:
                 return int(np.sign(v))
         return 0
 
-    def horizon(self) -> float:
-        return max((t1 for _, (t0, t1), _ in self.cells), default=0.0)
-
     def time_slices(self, torus: Torus) -> list:
         """Piecewise-constant representation [(t0, t1, per-site values)]."""
         edges = sorted({0.0} | {float(e) for _, (t0, t1), _ in self.cells
@@ -99,17 +96,7 @@ def irw_exp_functional(rho: float, K: WeightFunction, t: float, torus: Torus,
     return float(np.exp(np.sum(np.log(factors))))
 
 
-def irw_exp_functional_eta(eta_bits: np.ndarray, K: WeightFunction, t: float,
-                           torus: Torus, kernel: Kernel) -> float:
-    """Same functional for a deterministic start: product over occupied sites."""
-    v = single_walk_values(torus, kernel, K, t)
-    occ = np.asarray(eta_bits, dtype=bool)
-    if np.any(v[occ] <= 0):
-        raise OverflowError("single-walk solution out of range")
-    return float(np.exp(np.sum(np.log(v[occ]))))
-
-
-def se_exp_functional(rho_or_eta, K: WeightFunction, t: float, torus: Torus,
+def se_exp_functional(rho: float, K: WeightFunction, t: float, torus: Torus,
                       kernel: Kernel) -> float:
     """Exclusion-side expectation, exact via the configuration-space
     semigroup (state count 2^sites must fit the cap of build_se_generator)."""
@@ -122,28 +109,20 @@ def se_exp_functional(rho_or_eta, K: WeightFunction, t: float, torus: Torus,
     for dt, vals in _pieces_latest_first(K, torus, t):
         op = (gen + sp.diags(bits @ vals)).tocsr()
         v = expm_multiply(op * dt, v)
-    if np.isscalar(rho_or_eta):
-        start = nu_weights(n, float(rho_or_eta))
-        return float(start @ v)
-    eta_idx = int(np.sum((np.asarray(rho_or_eta) > 0) << np.arange(n)))
-    return float(v[eta_idx])
+    return float(nu_weights(n, rho) @ v)
 
 
 @dataclass
 class ComparisonReport:
-    torus: Torus
-    rho_or_eta: object
-    t: float
     se_value: float
     irw_value: float
     margin: float
     se_method: str
-    irw_method: str
     se_stderr: float | None = None
     violation: bool = False
 
 
-def compare_se_irw(torus: Torus, kernel: Kernel, rho_or_eta, K: WeightFunction,
+def compare_se_irw(torus: Torus, kernel: Kernel, rho: float, K: WeightFunction,
                    t: float, mc_trials: int = 20000, seed=0,
                    tol: float = 1e-10) -> ComparisonReport:
     """Exclusion value vs IRW value of the exponential functional, with the
@@ -152,29 +131,18 @@ def compare_se_irw(torus: Torus, kernel: Kernel, rho_or_eta, K: WeightFunction,
     SE is exact when 2^sites fits `exact.DEFAULT_STATE_CAP`, else Monte Carlo
     with its own stderr; IRW is always the exact product formula.
     """
-    scalar_start = np.isscalar(rho_or_eta)
-    if scalar_start:
-        irw_value = irw_exp_functional(float(rho_or_eta), K, t, torus, kernel)
-    else:
-        irw_value = irw_exp_functional_eta(rho_or_eta, K, t, torus, kernel)
+    irw_value = irw_exp_functional(rho, K, t, torus, kernel)
     se_stderr = None
     if 2**torus.n_sites <= exact.DEFAULT_STATE_CAP:
-        se_value = se_exp_functional(rho_or_eta, K, t, torus, kernel)
+        se_value = se_exp_functional(rho, K, t, torus, kernel)
         se_method = "matrix-exponential"
         violation = irw_value - se_value < -tol
     else:
-        from .exclusion import Configuration
-
-        slices = K.time_slices(torus)
-        initial = None if scalar_start else Configuration(torus, rho_or_eta)
-        rho = float(rho_or_eta) if scalar_start else 0.5
-        se_value, se_stderr = exp_weight_mc(torus, kernel, rho, slices, t,
-                                            mc_trials, seed, initial=initial)
+        se_value, se_stderr = exp_weight_mc(torus, kernel, rho, K.time_slices(torus), t,
+                                            mc_trials, seed)
         se_method = f"mc(n={mc_trials})"
         violation = irw_value - se_value < -4.0 * se_stderr
     return ComparisonReport(
-        torus=torus, rho_or_eta=rho_or_eta, t=t, se_value=se_value,
-        irw_value=irw_value, margin=irw_value - se_value,
-        se_method=se_method, irw_method="product-formula",
-        se_stderr=se_stderr, violation=violation,
+        se_value=se_value, irw_value=irw_value, margin=irw_value - se_value,
+        se_method=se_method, se_stderr=se_stderr, violation=violation,
     )

@@ -166,14 +166,6 @@ class Kernel:
             out.append((key, w))
         return out
 
-    def symbol(self, k: np.ndarray) -> np.ndarray:
-        """phi(k) = 1 - sum_v p(v) cos(k.v) >= 0 on [-pi,pi)^d."""
-        k = np.asarray(k, dtype=float)
-        acc = np.zeros(k.shape[:-1])
-        for vec, w in self.offsets:
-            acc = acc + w * np.cos(k @ np.asarray(vec, dtype=float))
-        return 1.0 - acc
-
 
 def srw_kernel(d: int, rate: float = 1.0) -> Kernel:
     """Nearest-neighbour kernel with weight 1/(2d) per unit vector."""
@@ -228,51 +220,35 @@ def transition_prob(kernel: Kernel, t: float, z) -> float:
 
 
 def transition_prob_many(kernel: Kernel, t: float, zs: np.ndarray) -> np.ndarray:
+    """p_t(0, z) for each row z of zs; nearest-neighbour kernels only."""
     if t < 0:
         raise ValueError("negative time")
+    if not kernel.is_srw:
+        raise ValueError("heat kernels need a nearest-neighbour kernel")
     zs = np.asarray(zs, dtype=int)
     if zs.ndim == 1:
         zs = zs[None, :]
-    s = kernel.rate * t
-    if kernel.is_srw:
-        tau = s / kernel.d
-        out = np.ones(len(zs))
-        rows = {}  # one heat row per distinct column, multiplied in per axis
-        for j in range(kernel.d):
-            key = zs[:, j].tobytes()
-            if key not in rows:
-                uniq, inv = np.unique(zs[:, j], return_inverse=True)
-                rows[key] = heat1d(uniq, tau)[inv]
-            out *= rows[key]
-        return out
-    return _transition_general(kernel, s, zs)
-
-
-def _transition_general(kernel: Kernel, s: float, zs: np.ndarray) -> np.ndarray:
-    if kernel.d > 3:
-        raise ValueError("general kernels supported for d <= 3 only")
-    m_max = int(np.max(np.abs(zs))) if zs.size else 0
-    n = _fourier_grid_size(s, m_max)
-    axes = [2.0 * np.pi * np.arange(n) / n] * kernel.d
-    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
-    decay = np.exp(-s * kernel.symbol(grid))
-    vals = np.fft.fftn(decay).real / n**kernel.d
-    idx = tuple(zs[:, j] % n for j in range(kernel.d))
-    return vals[idx]
+    tau = kernel.rate * t / kernel.d
+    out = np.ones(len(zs))
+    rows = {}  # one heat row per distinct column, multiplied in per axis
+    for j in range(kernel.d):
+        key = zs[:, j].tobytes()
+        if key not in rows:
+            uniq, inv = np.unique(zs[:, j], return_inverse=True)
+            rows[key] = heat1d(uniq, tau)[inv]
+        out *= rows[key]
+    return out
 
 
 def torus_heat_row(torus: Torus, kernel: Kernel, t: float) -> np.ndarray:
-    """Wrapped p_t(0, v) over torus sites (exact mode sum)."""
+    """Wrapped p_t(0, v) over torus sites (exact mode sum), as the product
+    row x row x ... x row over the d axes; nearest-neighbour kernels only."""
     if t < 0:
         raise ValueError("negative time")
-    s = kernel.rate * t
-    if kernel.is_srw:
-        # product form row x row x ... x row over the d axes
-        return reduce(np.multiply.outer, [cycle_heat1d(torus.L, s / kernel.d)] * torus.d).ravel()
-    k = 2.0 * np.pi * np.arange(torus.L) / torus.L
-    grid = np.stack(np.meshgrid(*[k] * torus.d, indexing="ij"), axis=-1)
-    decay = np.exp(-s * kernel.symbol(grid))
-    return (np.fft.fftn(decay).real / torus.n_sites).ravel()
+    if not kernel.is_srw:
+        raise ValueError("heat kernels need a nearest-neighbour kernel")
+    row = cycle_heat1d(torus.L, kernel.rate * t / kernel.d)
+    return reduce(np.multiply.outer, [row] * torus.d).ravel()
 
 
 def torus_heat_matrix(torus: Torus, kernel: Kernel, t: float) -> np.ndarray:
@@ -339,7 +315,7 @@ def _green_cached(kernel: Kernel, t_min: float, z, split: float) -> float:
     rate1 = Kernel(d=kernel.d, offsets=kernel.offsets, rate=1.0)
 
     def f(s: float) -> float:
-        return float(transition_prob_many(rate1, s, zvec[None, :])[0])
+        return transition_prob(rate1, s, zvec)
 
     s0 = max(split, 4.0 * t_min, 50.0)
     body, _ = quad(f, t_min, s0, limit=400, epsabs=1e-13, epsrel=1e-11)

@@ -8,10 +8,9 @@ parallel runs merge trial arrays by index.
 
 from __future__ import annotations
 
-import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -34,10 +33,8 @@ class McEstimate:
     mean: float
     stderr: float
     n: int
-    seed: object
     log_mean: float | None = None
     log_stderr: float | None = None
-    seconds: float = 0.0
 
     def within(self, value: float, n_sigma: float) -> bool:
         return abs(self.mean - value) <= n_sigma * self.stderr
@@ -139,7 +136,6 @@ def estimate_moment(spec: OperatorSpec, t: float, n: int, seed,
     initial_bits pins the catalyst start instead of sampling it from nu_rho."""
     check_horizon(t)
     check_samples(n, 2)
-    t0 = time.time()
     w = _run_trials(partial(_moment_trials, spec, t, seed, initial_bits), n, n_workers)
     vals = np.exp(w)
     ess = effective_sample_size(w)
@@ -151,10 +147,9 @@ def estimate_moment(spec: OperatorSpec, t: float, n: int, seed,
     return McEstimate(
         mean=float(vals.mean()),
         stderr=float(vals.std(ddof=1) / np.sqrt(n)),
-        n=n, seed=seed,
+        n=n,
         log_mean=_logmeanexp(w),
         log_stderr=_jackknife_log_stderr(w),
-        seconds=time.time() - t0,
     )
 
 
@@ -167,7 +162,6 @@ class LyapunovRun:
     plateau: float
     plateau_err: float
     fit_window: tuple
-    estimates: list = field(default_factory=list)
 
     def bounds_ok(self) -> bool:
         """Jensen floor gamma*rho and the trivial ceiling gamma (4 sigma),
@@ -192,13 +186,12 @@ def lambda_curve(spec: OperatorSpec, t_grid, n: int, seed,
     t_grid = np.asarray(t_grid, dtype=float)
     if np.any(np.diff(t_grid) <= 0) or np.any(t_grid <= 0):
         raise ValueError("t grid must be positive and increasing")
-    lambdas, errs, ests = [], [], []
+    lambdas, errs = [], []
     for i, t in enumerate(t_grid):
         est = estimate_moment(spec, t, n, [seed, i], n_workers=n_workers)
         scale = spec.p * t
         lambdas.append(est.log_mean / scale)
         errs.append(est.log_stderr / scale)
-        ests.append(est)
     lambdas = np.asarray(lambdas)
     errs = np.asarray(errs)
     k0 = max(0, len(t_grid) - max(2, len(t_grid) // 3))
@@ -213,7 +206,7 @@ def lambda_curve(spec: OperatorSpec, t_grid, n: int, seed,
     return LyapunovRun(
         spec=spec, t_grid=t_grid, lambdas=lambdas, lambda_err=errs,
         plateau=float(coef[0]), plateau_err=plateau_err,
-        fit_window=(float(t_grid[k0]), float(t_grid[-1])), estimates=ests,
+        fit_window=(float(t_grid[k0]), float(t_grid[-1])),
     )
 
 
@@ -320,8 +313,7 @@ def asymptotic_probe(d: int, kappa: float, t: float, n: int, seed,
     worker = partial(_probe_trials, d, kappa, t, shift, seed, v_nodes, v_weights)
     vals = _run_trials(worker, n, n_workers)
     est = McEstimate(mean=float(vals.mean()),
-                     stderr=float(vals.std(ddof=1) / np.sqrt(n)),
-                     n=n, seed=seed)
+                     stderr=float(vals.std(ddof=1) / np.sqrt(n)), n=n)
     one_kappa = 1.0 + 1.0 / (2 * d * kappa)
     kernel = srw_kernel(d)
     reference = green(kernel, t_min=shift) / (2 * d * one_kappa)

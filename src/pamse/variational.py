@@ -147,7 +147,6 @@ class BumpBound:
     bound: float
     phi: np.ndarray
     phi_energy: float
-    numerator_parts: tuple
 
 
 def _bump_profile(torus: Torus, width: float) -> np.ndarray:
@@ -205,8 +204,7 @@ def test_function_bound(epsilon: float, rho: float, kappa: float,
     part3 = 0.5 * norm2 * energy + epsilon**2 * rho * (1 - rho) * nn_prod
     bound = (part1 - part2 - kappa * part3) / norm2
     return BumpBound(epsilon=epsilon, rho=rho, kappa=kappa, bound=bound,
-                     phi=phi, phi_energy=energy,
-                     numerator_parts=(part1, part2, kappa * part3))
+                     phi=phi, phi_energy=energy)
 
 
 def bump_as_test_function(bump: BumpBound, spec: OperatorSpec) -> TestFunction:

@@ -89,29 +89,45 @@ class TestSchedule:
         assert np.all(np.diff(sched.times) >= 0)
 
 
+def _state_at(eta, sched, t):
+    """xi_t: the initial bits carried through the link events up to t."""
+    bits = eta.bits.copy()
+    for _ in ex.replay(bits, sched, t):
+        pass
+    return bits
+
+
+def _occupation(eta, sched, site, t):
+    """T_t = integral_0^t xi_s(site) ds, summed over the replay pieces."""
+    bits = eta.bits.copy()
+    acc = 0.0
+    for t0, t1, _ in ex.replay(bits, sched, t):
+        if bits[site]:
+            acc += t1 - t0
+    return acc
+
+
 class TestEvolve:
     def test_no_events_returns_initial(self, ring6):
         trs, k = ring6
         eta = ex.sample_initial(trs, 0.5, 5)
         sched = ex.build_schedule(trs, k, 4.0, 8)
         t_first = sched.times[0]
-        out = ex.evolve(ex.Trajectory(eta, sched), t_first * 0.5)
-        np.testing.assert_array_equal(out.bits, eta.bits)
+        np.testing.assert_array_equal(_state_at(eta, sched, t_first * 0.5), eta.bits)
 
     def test_single_swap(self, ring6):
         trs, k = ring6
         bits = np.zeros(6, dtype=np.uint8)
         bits[2] = 1
         sched = ex.LinkSchedule(1.0, np.array([0.5]), np.array([2]), np.array([3]))
-        out = ex.evolve(ex.Trajectory(ex.Configuration(trs, bits), sched), 0.9)
-        assert out.bits[2] == 0 and out.bits[3] == 1
+        out = _state_at(ex.Configuration(trs, bits), sched, 0.9)
+        assert out[2] == 0 and out[3] == 1
 
     def test_full_configuration_fixed(self, ring6):
         trs, k = ring6
         ones = ex.Configuration(trs, np.ones(6, dtype=np.uint8))
         sched = ex.build_schedule(trs, k, 6.0, 2)
-        out = ex.evolve(ex.Trajectory(ones, sched), 6.0)
-        np.testing.assert_array_equal(out.bits, 1)
+        np.testing.assert_array_equal(_state_at(ones, sched, 6.0), 1)
 
     @settings(max_examples=20, deadline=None)
     @given(st.integers(0, 10_000), st.floats(0.1, 6.0))
@@ -120,27 +136,29 @@ class TestEvolve:
         k = srw_kernel(1)
         eta = ex.sample_initial(trs, 0.4, seed)
         sched = ex.build_schedule(trs, k, 6.0, seed + 1)
-        out = ex.evolve(ex.Trajectory(eta, sched), t)
-        assert out.particle_count == eta.particle_count
+        assert _state_at(eta, sched, t).sum() == eta.particle_count
 
     def test_beyond_horizon_rejected(self, ring6):
         trs, k = ring6
         eta = ex.sample_initial(trs, 0.5, 1)
         sched = ex.build_schedule(trs, k, 1.0, 1)
         with pytest.raises(ValueError):
-            ex.evolve(ex.Trajectory(eta, sched), 1.5)
+            _state_at(eta, sched, 1.5)
 
     def test_checkpoint_replay_consistent(self, ring6):
-        # every query replays from the initial state, in any order
+        # a replay to 7 passes through the state a replay to 3 ends in, and
+        # leaves the initial configuration untouched
         trs, k = ring6
         eta = ex.sample_initial(trs, 0.5, 9)
+        start = eta.bits.copy()
         sched = ex.build_schedule(trs, k, 8.0, 10)
-        traj = ex.Trajectory(eta, sched)
-        mid = ex.evolve(traj, 3.0)
-        late_cached = ex.evolve(traj, 7.0)
-        late_fresh = ex.evolve(ex.Trajectory(eta, sched), 7.0)
-        np.testing.assert_array_equal(late_cached.bits, late_fresh.bits)
-        np.testing.assert_array_equal(ex.evolve(traj, 3.0).bits, mid.bits)
+        mid = _state_at(eta, sched, 3.0)
+        bits = eta.bits.copy()
+        seen = [bits.copy() for t0, t1, _ in ex.replay(bits, sched, 7.0) if t0 <= 3.0 < t1]
+        assert len(seen) == 1
+        np.testing.assert_array_equal(seen[0], mid)
+        np.testing.assert_array_equal(_state_at(eta, sched, 7.0), bits)
+        np.testing.assert_array_equal(eta.bits, start)
 
 
 def _pieces(bits, sched, t, marks=()):
@@ -200,8 +218,8 @@ class TestOccupationTime:
         sched = ex.build_schedule(trs, k, 5.0, 4)
         ones = ex.Configuration(trs, np.ones(6, dtype=np.uint8))
         zeros = ex.Configuration(trs, np.zeros(6, dtype=np.uint8))
-        assert ex.occupation_time(ex.Trajectory(ones, sched), 0, 5.0) == pytest.approx(5.0)
-        assert ex.occupation_time(ex.Trajectory(zeros, sched), 0, 5.0) == 0.0
+        assert _occupation(ones, sched, 0, 5.0) == pytest.approx(5.0)
+        assert _occupation(zeros, sched, 0, 5.0) == 0.0
 
     @settings(max_examples=15, deadline=None)
     @given(st.integers(0, 10_000), st.floats(0.2, 5.0))
@@ -210,7 +228,7 @@ class TestOccupationTime:
         k = srw_kernel(1)
         eta = ex.sample_initial(trs, 0.5, seed)
         sched = ex.build_schedule(trs, k, 5.0, seed)
-        tt = ex.occupation_time(ex.Trajectory(eta, sched), 2, t)
+        tt = _occupation(eta, sched, 2, t)
         assert 0.0 <= tt <= t + 1e-12
 
     def test_stationary_mean(self):
@@ -223,7 +241,7 @@ class TestOccupationTime:
         for i in range(n):
             eta = ex.sample_initial(trs, 0.5, [31, i])
             sched = ex.build_schedule(trs, k, t, [32, i])
-            vals[i] = ex.occupation_time(ex.Trajectory(eta, sched), 0, t) / t
+            vals[i] = _occupation(eta, sched, 0, t) / t
         stderr = vals.std(ddof=1) / np.sqrt(n)
         assert abs(vals.mean() - 0.5) <= 4 * stderr
 
@@ -248,7 +266,7 @@ class TestGraphicalIdentity:
         for i in range(n):
             eta = ex.sample_initial(trs, 0.5, [41, i])
             sched = ex.build_schedule(trs, k, t, [42, i])
-            hits += int(ex.evolve(ex.Trajectory(eta, sched), t).bits[3])
+            hits += int(_state_at(eta, sched, t)[3])
         mean = hits / n
         assert abs(mean - 0.5) <= 4 * np.sqrt(0.25 / n)
 
@@ -262,8 +280,7 @@ class TestGraphicalIdentity:
         for i in range(n):
             eta = ex.sample_initial(trs, 0.5, [61, i])
             sched = ex.build_schedule(trs, k, t, [62, i])
-            late = ex.evolve(ex.Trajectory(eta, sched), t)
-            a, b = eta.bits[2], late.bits[2]
+            a, b = eta.bits[2], _state_at(eta, sched, t)[2]
             n01 += (a == 0) and (b == 1)
             n10 += (a == 1) and (b == 0)
         diff = (n01 - n10) / n
@@ -366,10 +383,6 @@ class TestReplayPin:
         slices = K.time_slices(trs)
         assert _hexes(ex.exp_weight_mc(trs, k, 0.4, slices, 1.5, 300, 31)) == [
             "0x1.ef9b7075df393p+0", "0x1.9a10038cbd5bfp-5"]
-        fixed = ex.Configuration(trs, [1, 1, 0, 0, 1, 0])
-        assert _hexes(ex.exp_weight_mc(trs, k, 0.4, slices, 1.2, 300, 32,
-                                       initial=fixed)) == [
-            "0x1.203e370e7472fp+1", "0x1.d8b76ca954d87p-6"]
         # a weight that ends before t
         short = irw.WeightFunction((((1,), (0.0, 0.8), -0.6), ((3,), (0.2, 0.5), -1.1)))
         assert _hexes(ex.exp_weight_mc(trs, k, 0.5, short.time_slices(trs), 2.0,
@@ -385,13 +398,12 @@ class TestReplayPin:
         trs = Torus(1, 8)
         eta = ex.Configuration(trs, [1, 0, 1, 1, 0, 1, 0, 0])
         sched = ex.build_schedule(trs, srw_kernel(1), 3.0, 42)
-        traj = ex.Trajectory(eta, sched)
-        occ = [ex.occupation_time(traj, site, t)
+        occ = [_occupation(eta, sched, site, t)
                for site, t in ((0, 3.0), (2, 1.7), (5, 0.0), (7, 2.4), (3, 3.0))]
         assert _hexes(occ) == ["0x1.bb3d5813cc861p-1", "0x1.c47b49b6c6a54p-1",
                                "0x0.0p+0", "0x1.88c7ba5c80236p+0",
                                "0x1.47741abf73a48p+0"]
-        states = ["".join(map(str, ex.evolve(traj, t).bits))
+        states = ["".join(map(str, _state_at(eta, sched, t)))
                   for t in (0.7, 2.1, 1.0, 3.0, 0.0, 3.0)]
         assert states == ["00011101", "00100111", "00011011", "00100111",
                           "10110100", "00100111"]

@@ -146,8 +146,8 @@ class TestPsiBounds:
         assert rep.swap_delta_matches_chi and rep.passed
         real = fields.psi_field
 
-        def skewed(eta, spec, sites=None):
-            return (1.0 + 1e-6) * real(eta, spec, sites)
+        def skewed(eta, spec):
+            return (1.0 + 1e-6) * real(eta, spec)
 
         monkeypatch.setattr(fields, "psi_field", skewed)
         rep = fields.psi_bounds_check(spec, 4, 5, green_value=1.5163860592)

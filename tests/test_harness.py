@@ -94,6 +94,22 @@ class TestScenarios:
         assert rep.passed
         assert len(rep.rows) == 4
         assert all(r["margin"] >= -1e-10 for r in rep.rows)
+        assert all(r["se_stderr"] is None for r in rep.rows)  # exact branch
+
+    def test_comparison_suite_mc_branch_allows_for_noise(self, monkeypatch):
+        # above the state cap the exclusion side is Monte Carlo; a weak weight
+        # leaves margins far below its noise, so a row fails only beyond
+        # 4 stderr, as compare_se_irw flags it
+        from pamse import exact
+
+        monkeypatch.setattr(exact, "DEFAULT_STATE_CAP", 4)
+        cfg = harness.ScenarioConfig("comparison_suite", {
+            "d": 1, "L": 6, "rhos": [0.3], "t": 1.0, "seed": 3,
+            "weight_values": [0.01]})
+        rep = harness.run_scenario(cfg)
+        assert min(r["margin"] for r in rep.rows) < -1e-10
+        assert rep.passed
+        assert all(r["se_stderr"] > 0 and not r["violation"] for r in rep.rows)
 
     def test_kappa_sweep_flags(self):
         cfg = harness.ScenarioConfig("kappa_sweep", {
@@ -313,6 +329,19 @@ class TestCli:
             captured = capsys.readouterr()
             assert captured.out == ""
             assert captured.err == f"invalid: {scenario}: key '{key}': {message}\n"
+
+    @pytest.mark.parametrize("raw", [None, [1, 2]], ids=["missing", "list"])
+    def test_figures_rejects_missing_or_non_report(self, tmp_path, capsys, raw):
+        from pamse.cli import main
+
+        path = tmp_path / "report.json"
+        if raw is not None:
+            path.write_text(json.dumps(raw))
+        assert main(["figures", str(path), "--outdir", str(tmp_path / "figs")]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("invalid: ") and captured.err.count("\n") == 1
+        assert not (tmp_path / "figs").exists()
 
     def test_shipped_configs_validate(self):
         from pamse.cli import main

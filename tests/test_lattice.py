@@ -144,14 +144,18 @@ class TestTransitionProb:
         lat.transition_prob_many(lat.srw_kernel(4), 2.0, np.array([[1, 0, 1, 0], [2, 0, 2, 3]]))
         assert len(calls) == 3
 
-    def test_general_kernel_matches_srw_path(self):
-        # same distribution, forced through the d-dim Fourier grid
-        srw = lat.srw_kernel(2)
-        generic = lat.Kernel(d=2, offsets=srw.offsets, rate=1.0)
-        zs = np.array([[0, 0], [1, 1], [2, -1]])
-        a = lat.transition_prob_many(srw, 1.7, zs)
-        b = lat._transition_general(generic, 1.7, zs)
-        np.testing.assert_allclose(a, b, atol=1e-12)
+    def test_non_nearest_neighbour_kernel_rejected(self):
+        # heat kernels are products of 1-d simple-walk rows
+        wide = lat.Kernel(d=1, offsets=(((1,), 0.25), ((-1,), 0.25),
+                                        ((2,), 0.25), ((-2,), 0.25)))
+        diagonal = lat.Kernel(d=3, offsets=(((1, 1, 0), 0.5), ((-1, -1, 0), 0.5)))
+        for call in (lambda: lat.transition_prob(wide, 1.0, (0,)),
+                     lambda: lat.transition_prob_many(wide, 1.0, np.array([[0], [2]])),
+                     lambda: lat.torus_heat_row(lat.Torus(1, 6), wide, 1.0),
+                     lambda: lat.torus_heat_matrix(lat.Torus(1, 6), wide, 1.0),
+                     lambda: lat.green(diagonal)):
+            with pytest.raises(ValueError, match="nearest-neighbour"):
+                call()
 
 
 class TestGreen:
