@@ -1,12 +1,14 @@
 """Exact generators, semigroup moments, martingale identity."""
 
+import hashlib
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from pamse import exact
-from pamse.fields import PsiSpec, psi_joint_matrix
-from pamse.lattice import Torus, srw_kernel
+from pamse import exact, variational
+from pamse.fields import PsiSpec, Region, halfspace_region, psi_joint_matrix
+from pamse.lattice import Kernel, Torus, srw_kernel
 
 
 def _free_generator(spec, walker_frame=False):
@@ -302,3 +304,112 @@ class TestMartingale:
         lhs = -(gen @ psi)
         rhs = phi - expm_multiply(gen * T, phi)
         np.testing.assert_allclose(lhs, rhs, atol=1e-10)
+
+
+# the rate-3 catalyst kernel with jumps +-1 and +-2 of the Monte Carlo tests
+_CAT4 = Kernel(d=1, offsets=(((1,), 0.25), ((-1,), 0.25), ((2,), 0.25), ((-2,), 0.25)),
+               rate=3.0)
+
+
+def _pin_kernel(name, d):
+    return _CAT4 if name == "cat4" else srw_kernel(d)
+
+
+def _pin_spec(d, L, kernel, p, kappa):
+    return exact.OperatorSpec(torus=Torus(d, L), kernel=_pin_kernel(kernel, d),
+                              kappa=kappa, p=p, rho=0.35)
+
+
+def _csr_digest(m):
+    """Exact fingerprint of a csr matrix: sha256 of its float64 data, then its
+    indices and indptr as int64."""
+    h = hashlib.sha256()
+    h.update(np.ascontiguousarray(m.data, dtype=np.float64).tobytes())
+    h.update(np.ascontiguousarray(m.indices, dtype=np.int64).tobytes())
+    h.update(np.ascontiguousarray(m.indptr, dtype=np.int64).tobytes())
+    return h.hexdigest()[:16]
+
+
+class TestGeneratorPin:
+    """Exact arrays of every sparse generator and exact values of the moments
+    and top eigenvalues built on them, recorded while each generator still
+    had its own assembly code. The cases cover p = 1, 2, 3, kappa zero and
+    positive, d = 2, the parallel bonds of L = 2 and a catalyst kernel with
+    jumps of length 2."""
+
+    @pytest.mark.parametrize("d, L, kernel, want", [
+        (1, 2, "srw", "ea9bbdf1a6081070"),
+        (1, 6, "srw", "ee6954070f99cf4a"),
+        (2, 3, "srw", "ab4f5026429c1464"),
+        (1, 6, "cat4", "e5aae9f5f3cc8444"),
+    ])
+    def test_se_generator(self, d, L, kernel, want):
+        gen = exact.build_se_generator(Torus(d, L), _pin_kernel(kernel, d))
+        assert _csr_digest(gen) == want
+
+    @pytest.mark.parametrize("case, want_full, want_frame", [
+        ((1, 2, "srw", 1, 0.5), "f853c9ef6c343822", "8793257f831d82e9"),
+        ((1, 2, "srw", 3, 0.5), "77cb9115255548da", "fd9b7b0f11f7452a"),
+        ((1, 5, "srw", 1, 0.0), "7a65ad808c5251a0", "4c9ebc837462f268"),
+        ((1, 5, "srw", 2, 1.3), "36eb1a70b157da2d", "146aa126f9949762"),
+        ((1, 4, "srw", 3, 0.3), "dcabac4ea3c06ff7", "cd799d09f0b7f763"),
+        ((2, 2, "srw", 2, 0.7), "7a0c772934c09a8a", "319810326e2e0d49"),
+        ((2, 3, "srw", 1, 0.4), "11bbba6f253730f5", "c74d45d280b9f509"),
+        ((1, 6, "cat4", 1, 0.5), "aedaaeee1e30ab2b", "4179bf0237b429f8"),
+        ((1, 6, "cat4", 2, 0.0), "bff09b538527bd05", "00bbedf131877c15"),
+    ])
+    def test_joint_generator(self, case, want_full, want_frame):
+        # read through a `matrix` field too: the pin was recorded when the
+        # builders returned a wrapper around the csr matrix
+        spec = _pin_spec(*case)
+        full = exact.build_joint_generator(spec)
+        frame = exact.build_joint_generator(spec, walker_frame=True)
+        assert (_csr_digest(getattr(full, "matrix", full)),
+                _csr_digest(getattr(frame, "matrix", frame))) == (want_full, want_frame)
+
+    @pytest.mark.parametrize("case, want", [
+        ((1, 4, "srw", 1, 1.0), "3f83ba6ecddc2726"),
+        ((1, 2, "srw", 2, 0.5), "4098824f027e3bbb"),
+        ((2, 2, "srw", 1, 2.0), "3c401f1fcca07994"),
+        ((1, 6, "cat4", 2, 0.5), "5e1099bfade278e6"),
+    ])
+    def test_scaled_generator(self, case, want):
+        gen = exact.build_scaled_generator(_pin_spec(*case))
+        assert _csr_digest(getattr(gen, "matrix", gen)) == want
+
+    @pytest.mark.parametrize("d, L, kernel, want_whole, want_half", [
+        (1, 2, srw_kernel(1), "d355f930ca6b8256", "374708fff7719dd5"),
+        (1, 7, srw_kernel(1, 2.0), "8c3577612d6571ad", "4199fc32a8927e39"),
+        (2, 4, srw_kernel(2), "60890fa419f00563", "5d06afb93e5057d0"),
+        (3, 5, srw_kernel(3, 2.0), "ccaf69c27a20fab0", "9b9f5c72e1e09d0e"),
+        (1, 6, _CAT4, "c4634634b3801113", "6ba3bbc6136c1902"),
+    ])
+    def test_region_generator(self, d, L, kernel, want_whole, want_half):
+        torus = Torus(d, L)
+        assert (_csr_digest(Region(torus).generator(kernel)),
+                _csr_digest(halfspace_region(torus).generator(kernel))) == (
+                    want_whole, want_half)
+
+    @pytest.mark.parametrize("case, t, want", [
+        ((1, 2, "srw", 1, 0.5), 1.5,
+         ["0x1.65ff8f4c5c30ep-1", "0x1.205c24e07c9a3p-1", "0x1.0000000000000p+0"]),
+        ((1, 5, "srw", 1, 0.0), 2.0,
+         ["0x1.017a6c0b64d50p+0", "0x1.358e10e819efap-1", "0x1.0000000000000p+0"]),
+        ((1, 5, "srw", 2, 1.3), 1.5,
+         ["0x1.6b602fff2c3b5p+0", "0x1.19d6f9d544b84p+0", "0x1.0000000000002p+1"]),
+        ((1, 4, "srw", 3, 0.3), 1.0,
+         ["0x1.a8938c488f9e6p+0", "0x1.fd091f77f50a8p+0", "0x1.8000000000000p+1"]),
+        ((2, 2, "srw", 2, 0.7), 1.2,
+         ["0x1.1ab205076921fp+0", "0x1.129928e3ef5a2p+0", "0x1.0000000000000p+1"]),
+        ((2, 3, "srw", 1, 0.4), 0.8,
+         ["0x1.4cd3372b38594p-2", "0x1.c4294bad9537ep-2", "0x1.0000000000000p+0"]),
+        ((1, 6, "cat4", 1, 0.5), 1.0,
+         ["0x1.9d6379b65ee62p-2", "0x1.bc659503f91b0p-2", "0x1.0000000000000p+0"]),
+        ((1, 6, "cat4", 2, 0.0), 0.7,
+         ["0x1.4301fe74c97e0p-1", "0x1.0779a53f636c8p+0", "0x1.0000000000000p+1"]),
+    ])
+    def test_moments_and_top_eigenvalue(self, case, t, want):
+        spec = _pin_spec(*case)
+        got = (exact.log_moment(spec, t), exact.moment_slope(spec, t),
+               variational.top_eigenvalue(spec).mu)
+        assert [float(v).hex() for v in got] == want
