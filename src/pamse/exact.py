@@ -14,8 +14,10 @@ f(eta, x) = g(tau_{x_1} eta, x - x_1). In the frame, walker 1 stepping by e
 moves the catalyst and the other walkers the opposite way:
 eta' -> eta'(. + e), y_i -> y_i - e.
 
-Everything is plain scipy sparse linear algebra; moments use a spectral
-shift so arbitrary horizons stay in range.
+Every Markov generator (stirring, walker Laplacian, frame recentring, and
+the walk on a `fields.Region`) is built by `rate_matrix` from index arrays of
+moves and their rates. Everything is plain scipy sparse linear algebra;
+moments use a spectral shift so arbitrary horizons stay in range.
 """
 
 from __future__ import annotations
@@ -69,17 +71,6 @@ class OperatorSpec:
         return self.n_eta * self.n_walker
 
 
-@dataclass
-class SparseOperator:
-    matrix: sp.csr_matrix
-    n_eta: int
-    n_walker: int
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-
 def occupation_bits(n_sites: int) -> np.ndarray:
     """(2^n, n) matrix of site occupations per configuration index."""
     eta = np.arange(2**n_sites, dtype=np.int64)
@@ -100,6 +91,17 @@ def shifted_configs(torus: Torus, offset) -> np.ndarray:
     return bits @ (np.int64(1) << np.arange(n, dtype=np.int64))
 
 
+def rate_matrix(n: int, src, dst, rates) -> sp.csr_matrix:
+    """Markov generator on n states with a jump src -> dst at each rate. The
+    arrays broadcast, repeated moves add up and self-moves are dropped; the
+    diagonal holds minus the row sums."""
+    src, dst, rates = (a.ravel() for a in np.broadcast_arrays(src, dst, rates))
+    move = src != dst
+    gen = sp.coo_matrix((rates[move].astype(float), (src[move], dst[move])),
+                        shape=(n, n)).tocsr()
+    return gen - sp.diags(np.asarray(gen.sum(axis=1)).ravel())
+
+
 @lru_cache(maxsize=2)
 def build_se_generator(torus: Torus, kernel: Kernel) -> sp.csr_matrix:
     """Stirring generator on {0,1}^sites: swap across each unoriented bond.
@@ -109,37 +111,14 @@ def build_se_generator(torus: Torus, kernel: Kernel) -> sp.csr_matrix:
     if 2**n > DEFAULT_STATE_CAP:
         raise ValueError("configuration space exceeds cap")
     a, b, rates = torus_bonds(torus, kernel)
+    a, b = a[:, None], b[:, None]
     eta = np.arange(2**n, dtype=np.int64)
-    rows, cols, vals = [], [], []
-    for ai, bi, r in zip(a, b, rates):
-        if ai == bi:
-            continue
-        bit_a = (eta >> int(ai)) & 1
-        bit_b = (eta >> int(bi)) & 1
-        differ = bit_a != bit_b
-        src = eta[differ]
-        dst = src ^ ((1 << int(ai)) | (1 << int(bi)))
-        rows.append(src)
-        cols.append(dst)
-        vals.append(np.full(len(src), r))
-    if rows:
-        rows = np.concatenate(rows)
-        cols = np.concatenate(cols)
-        vals = np.concatenate(vals)
-    gen = sp.coo_matrix((vals, (rows, cols)), shape=(2**n, 2**n)).tocsr()
-    gen = gen - sp.diags(np.asarray(gen.sum(axis=1)).ravel())
+    # a swap across a bond whose ends agree leaves eta as it is
+    differ = ((eta >> a) ^ (eta >> b)) & 1
+    gen = rate_matrix(2**n, eta, eta ^ (differ * ((1 << a) | (1 << b))), rates[:, None])
     for arr in (gen.data, gen.indices, gen.indptr):
         arr.flags.writeable = False
     return gen
-
-
-def walker_laplacian(torus: Torus) -> sp.csr_matrix:
-    """Nearest-neighbour Laplacian Delta f(x) = sum_{|y-x|=1} [f(y) - f(x)]."""
-    n = torus.n_sites
-    cols = torus.unit_moves().ravel()
-    rows = np.tile(np.arange(n), 2 * torus.d)
-    lap = sp.coo_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, n)).tocsr()
-    return lap - sp.diags(np.asarray(lap.sum(axis=1)).ravel())
 
 
 def _free_walkers(spec: OperatorSpec, walker_frame: bool) -> int:
@@ -168,19 +147,14 @@ def potential_diag(spec: OperatorSpec, *, walker_frame: bool = False) -> np.ndar
 def _recentring_moves(spec: OperatorSpec) -> sp.csr_matrix:
     """Walker 1 stepping by each unit vector e, seen from the walker frame:
     eta' -> eta'(. + e) and every y_i -> y_i - e, at rate 1 per direction."""
-    trs = spec.torus
-    moves = None
-    for vec, _ in srw_kernel(trs.d).offsets:
-        dst = shifted_configs(trs, vec)
-        term = sp.csr_matrix((np.ones(dst.size), (np.arange(dst.size), dst)),
-                             shape=(dst.size, dst.size))
-        back = trs.shift_table(tuple(-v for v in vec))
-        step_back = sp.csr_matrix((np.ones(trs.n_sites), (np.arange(trs.n_sites), back)),
-                                  shape=(trs.n_sites, trs.n_sites))
-        for _ in range(spec.p - 1):
-            term = sp.kron(term, step_back, format="csr")
-        moves = term if moves is None else moves + term
-    return moves - sp.diags(np.asarray(moves.sum(axis=1)).ravel())
+    trs, n, m = spec.torus, spec.n_sites, spec.n_sites ** (spec.p - 1)
+    place = n ** np.arange(spec.p - 2, -1, -1)
+    state = np.arange(spec.n_eta * m)
+    eta, rel = np.divmod(state, m)
+    ys = rel[:, None] // place % n  # (y_2, ..., y_p) of every frame state
+    dst = [shifted_configs(trs, vec)[eta] * m + trs.shift_table(tuple(-v for v in vec))[ys] @ place
+           for vec, _ in srw_kernel(trs.d).offsets]
+    return rate_matrix(state.size, state, np.stack(dst), 1.0)
 
 
 def _joint_free_generator(spec: OperatorSpec, se_rate_factor: float,
@@ -191,7 +165,7 @@ def _joint_free_generator(spec: OperatorSpec, se_rate_factor: float,
     if dim > DEFAULT_STATE_CAP:
         raise ValueError(f"state space {dim} exceeds cap {DEFAULT_STATE_CAP}")
     gen_se = build_se_generator(spec.torus, spec.kernel) * se_rate_factor
-    lap = walker_laplacian(spec.torus)
+    lap = rate_matrix(n, np.arange(n), spec.torus.unit_moves(), 1.0)
     joint = sp.kron(gen_se, sp.identity(n**free, format="csr"), format="csr")
     for i in range(free):
         left = sp.identity(spec.n_eta * n**i, format="csr")
@@ -202,14 +176,13 @@ def _joint_free_generator(spec: OperatorSpec, se_rate_factor: float,
     return joint
 
 
-def build_joint_generator(spec: OperatorSpec, *, walker_frame: bool = False) -> SparseOperator:
+def build_joint_generator(spec: OperatorSpec, *, walker_frame: bool = False) -> sp.csr_matrix:
     """G^kappa_V = L + kappa * sum_i Delta_i + V on the diagonal, on the
     full basis or, with walker_frame, on the walker-frame basis of the
-    module docstring (n_walker then counts the relative positions)."""
-    joint = (_joint_free_generator(spec, 1.0, spec.kappa, walker_frame)
-             + sp.diags(potential_diag(spec, walker_frame=walker_frame)))
-    n_rel = spec.n_sites ** _free_walkers(spec, walker_frame)
-    return SparseOperator(joint.tocsr(), spec.n_eta, n_rel)
+    module docstring. Either way a configuration's block has
+    shape[0] // n_eta walker states."""
+    return (_joint_free_generator(spec, 1.0, spec.kappa, walker_frame)
+            + sp.diags(potential_diag(spec, walker_frame=walker_frame))).tocsr()
 
 
 def lift_frame_vector(spec: OperatorSpec, g: np.ndarray) -> np.ndarray:
@@ -231,13 +204,12 @@ def lift_frame_vector(spec: OperatorSpec, g: np.ndarray) -> np.ndarray:
     return g[idx.ravel()]
 
 
-def build_scaled_generator(spec: OperatorSpec) -> SparseOperator:
+def build_scaled_generator(spec: OperatorSpec) -> sp.csr_matrix:
     """Time-scaled joint generator (1/kappa) L + sum_i Delta_i: the catalyst
     is slowed by kappa while walkers run at their bare rate 2d."""
     if spec.kappa <= 0:
         raise ValueError("scaled generator needs kappa > 0")
-    joint = _joint_free_generator(spec, 1.0 / spec.kappa, 1.0)
-    return SparseOperator(joint.tocsr(), spec.n_eta, spec.n_walker)
+    return _joint_free_generator(spec, 1.0 / spec.kappa, 1.0)
 
 
 def _frozen_walker_generator(spec: OperatorSpec) -> sp.csr_matrix:
@@ -251,9 +223,10 @@ def _frozen_walker_generator(spec: OperatorSpec) -> sp.csr_matrix:
 def _frame_semigroup(spec: OperatorSpec, t: float):
     """(shifted frame generator G - gamma p, e^{t (G - gamma p)} 1, stride of
     the start states nu_rho x {y = 0} in the frame basis)."""
-    op = build_joint_generator(spec, walker_frame=True)
-    mat = op.matrix - sp.identity(op.dim) * (spec.gamma * spec.p)
-    return mat, expm_multiply(mat * t, np.ones(op.dim)), op.n_walker
+    gen = build_joint_generator(spec, walker_frame=True)
+    dim = gen.shape[0]
+    mat = gen - sp.identity(dim) * (spec.gamma * spec.p)
+    return mat, expm_multiply(mat * t, np.ones(dim)), dim // spec.n_eta
 
 
 def log_moment(spec: OperatorSpec, t: float) -> float:

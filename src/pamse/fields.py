@@ -20,7 +20,7 @@ import scipy.sparse as sp
 from scipy.linalg import expm as dense_expm
 from scipy.sparse.linalg import expm_multiply
 
-from .exact import occupation_bits
+from .exact import occupation_bits, rate_matrix
 from .lattice import (Kernel, Torus, _tail_by_power_fit, check_density, check_horizon,
                       check_kappa, check_samples, cycle_heat1d, gauss_legendre, green, heat1d,
                       srw_kernel, transition_prob_many)
@@ -322,22 +322,12 @@ class Region:
         return pos
 
     def generator(self, kernel: Kernel) -> sp.csr_matrix:
-        live = self.sites
-        pos = self.local_index()
-        rows, cols, vals = [], [], []
-        for vec, w in kernel.offsets:
-            perm = self.torus.shift_table(vec)
-            dst = perm[live]
-            ok = pos[dst] >= 0
-            rows.append(pos[live[ok]])
-            cols.append(pos[dst[ok]])
-            vals.append(np.full(int(ok.sum()), kernel.rate * w))
-        rows = np.concatenate(rows)
-        cols = np.concatenate(cols)
-        vals = np.concatenate(vals)
-        m = len(live)
-        gen = sp.coo_matrix((vals, (rows, cols)), shape=(m, m)).tocsr()
-        return gen - sp.diags(np.asarray(gen.sum(axis=1)).ravel())
+        live, pos = self.sites, self.local_index()
+        src = np.arange(len(live))
+        dst = np.stack([pos[self.torus.shift_table(vec)[live]] for vec, _ in kernel.offsets])
+        rates = kernel.rate * np.array([[w] for _, w in kernel.offsets])
+        # a jump blocked by the mask is a self-move, which rate_matrix drops
+        return rate_matrix(len(live), src, np.where(dst >= 0, dst, src), rates)
 
 
 def halfspace_region(torus: Torus) -> Region:

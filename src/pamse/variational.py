@@ -5,7 +5,8 @@ The joint operator is self-adjoint in the Bernoulli-weighted inner product,
 so iteration happens on its diagonal similarity transform D^{1/2} G D^{-1/2},
 which is symmetric in the plain Euclidean sense and has the same spectrum.
 The top eigenvalue is solved in the walker frame (see `pamse.exact`); test
-functions and Rayleigh quotients live on the full joint basis.
+functions live on the full joint basis, and their Rayleigh quotients are read
+off the full-basis joint generator.
 """
 
 from __future__ import annotations
@@ -17,8 +18,8 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import eigsh
 
 from .exact import (OperatorSpec, build_joint_generator, lift_frame_vector,
-                    nu_weights, occupation_bits, potential_diag)
-from .exclusion import torus_bonds
+                    nu_weights, occupation_bits)
+from .exclusion import torus_bonds  # noqa: F401  unused; perfbench/spans.py patches it here
 from .lattice import Torus
 
 DENSE_CUTOFF = 1200  # largest walker-frame dimension solved densely
@@ -46,47 +47,13 @@ def random_test_function(spec: OperatorSpec, seed) -> TestFunction:
     return TestFunction(rng.standard_normal(spec.joint_dim), spec).normalized()
 
 
-def quadratic_form_parts(f: TestFunction, spec: OperatorSpec):
-    """(potential part, exclusion Dirichlet form, walker Dirichlet form):
-    the quadratic form of the joint operator is part1 - part2 - kappa*part3."""
-    n = spec.n_sites
-    w_eta = nu_weights(n, spec.rho)
-    w = np.repeat(w_eta, spec.n_walker)
-    vals = f.values
-    a1 = float(np.sum(w * potential_diag(spec) * vals**2))
-
-    grid = vals.reshape(spec.n_eta, spec.n_walker)
-    a2 = 0.0
-    eta = np.arange(spec.n_eta, dtype=np.int64)
-    a_idx, b_idx, rates = torus_bonds(spec.torus, spec.kernel)
-    for ai, bi, r in zip(a_idx, b_idx, rates):
-        if ai == bi:
-            continue
-        swapped = eta ^ ((1 << int(ai)) | (1 << int(bi)))
-        bit_a = (eta >> int(ai)) & 1
-        bit_b = (eta >> int(bi)) & 1
-        act = bit_a != bit_b  # swap changes the state only across such bonds
-        diff = grid[swapped[act]] - grid[act]
-        a2 += 0.5 * r * float(np.sum(w_eta[act, None] * diff**2))
-
-    a3 = 0.0
-    walker = np.arange(spec.n_walker)
-    moves = spec.torus.unit_moves()
-    for i in range(spec.p):
-        x_i = (walker // n ** (spec.p - 1 - i)) % n
-        for perm in moves:
-            moved = walker + (perm[x_i] - x_i) * n ** (spec.p - 1 - i)
-            diff = grid[:, moved] - grid
-            a3 += 0.5 * float(np.sum(w_eta[:, None] * diff**2))
-    return a1, a2, a3
-
-
 def rayleigh_quotient(f: TestFunction, spec: OperatorSpec, tol: float = 1e-9) -> float:
-    """(G f, f) for a normalized f, assembled from the three exact parts."""
+    """(G f, f) in L^2(nu_rho x counting) for a normalized f, with G the
+    joint generator on the full basis."""
     if abs(f.norm() - 1.0) > tol:
         raise ValueError("test function must be normalized")
-    a1, a2, a3 = quadratic_form_parts(f, spec)
-    return a1 - a2 - spec.kappa * a3
+    w = np.repeat(nu_weights(spec.n_sites, spec.rho), spec.n_walker)
+    return float(np.sum(w * f.values * (build_joint_generator(spec) @ f.values)))
 
 
 @dataclass
@@ -110,11 +77,11 @@ def top_eigenvalue(spec: OperatorSpec, tol: float = 1e-10) -> TopEigen:
     L^2(nu_rho x counting); the residual is the nu-weighted relative residual,
     the same in the frame as on the full basis.
     """
-    op = build_joint_generator(spec, walker_frame=True)
+    gen = build_joint_generator(spec, walker_frame=True)
     nu = nu_weights(spec.n_sites, spec.rho)
-    sq = np.sqrt(np.repeat(nu, op.n_walker))
-    sym = sp.diags(sq) @ op.matrix @ sp.diags(1.0 / sq)
-    if op.dim <= DENSE_CUTOFF:
+    sq = np.sqrt(np.repeat(nu, gen.shape[0] // spec.n_eta))
+    sym = sp.diags(sq) @ gen @ sp.diags(1.0 / sq)
+    if gen.shape[0] <= DENSE_CUTOFF:
         dense = 0.5 * (sym.toarray() + sym.toarray().T)
         evals, evecs = np.linalg.eigh(dense)
         mu = float(evals[-1])

@@ -3,6 +3,8 @@ tests and outside `__init__.py`: code that only its own unit tests call is
 deleted, not kept, and an export in `pamse.__all__` needs a reader too."""
 
 import ast
+import importlib
+import importlib.util
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -36,3 +38,24 @@ def test_every_public_object_has_a_caller():
         f"{path.stem}.{name}" for name, paths in defined.items() for path in paths
         if name not in ALLOWED and not used.get(name, set()) - {(path, name)})
     assert orphans == []
+
+
+def test_benchmark_span_hooks_resolve_and_restore():
+    # perfbench/spans.py patches package attributes by name: each must
+    # resolve, and restore() must put back the very objects it replaced
+    loc = importlib.util.spec_from_file_location("perfbench_spans",
+                                                 ROOT / "perfbench" / "spans.py")
+    spans = importlib.util.module_from_spec(loc)
+    loc.loader.exec_module(spans)
+    modules = {name: importlib.import_module(f"pamse.{name}") for name in (
+        "exact", "exclusion", "fields", "harness", "irw", "lattice", "montecarlo",
+        "variational")}
+    before = {name: dict(vars(mod)) for name, mod in modules.items()}
+    tracer = spans.Tracer()
+    spans.install(tracer, modules)
+    patched = list(tracer._undo)
+    tracer.restore()
+    assert patched
+    for module, attr, original in patched:
+        assert before[module.__name__.rsplit(".", 1)[1]][attr] is original
+        assert getattr(module, attr) is original

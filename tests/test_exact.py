@@ -113,7 +113,7 @@ class TestJointGenerator:
                                    atol=1e-12)
 
     def test_potential_on_diagonal_only(self, spec6):
-        with_v = exact.build_joint_generator(spec6).matrix
+        with_v = exact.build_joint_generator(spec6)
         without = _free_generator(spec6)
         diff = (with_v - without).tocoo()
         assert np.all(diff.row == diff.col)
@@ -132,7 +132,7 @@ class TestJointGenerator:
         monkeypatch.setattr(exact, "DEFAULT_STATE_CAP", 2**6 * 6)
         spec = exact.OperatorSpec(torus=Torus(1, 6), kernel=srw_kernel(1),
                                   kappa=1.0, p=2, rho=0.5)
-        assert exact.build_joint_generator(spec, walker_frame=True).dim == 2**6 * 6
+        assert exact.build_joint_generator(spec, walker_frame=True).shape[0] == 2**6 * 6
         assert np.isfinite(exact.log_moment(spec, 1.0))
         with pytest.raises(ValueError, match="exceeds cap"):
             exact.build_joint_generator(spec)
@@ -169,7 +169,8 @@ class TestWalkerFrame:
         t = 1.7
         shift = spec.gamma * spec.p
         op = exact.build_joint_generator(spec)
-        v = expm_multiply((op.matrix - sp.identity(op.dim) * shift) * t, np.ones(op.dim))
+        dim = op.shape[0]
+        v = expm_multiply((op - sp.identity(dim) * shift) * t, np.ones(dim))
         full = np.log(_start_moment(spec, v)) + shift * t
         assert exact.log_moment(spec, t) == pytest.approx(full, rel=1e-12, abs=0.0)
 
@@ -181,9 +182,9 @@ class TestWalkerFrame:
         # D G_V is symmetric for D the nu_rho x counting weights
         spec = _frame_spec(d, L, p, 1.3, 0.5)
         op = exact.build_joint_generator(spec, walker_frame=walker_frame)
-        assert op.dim * (spec.n_sites if walker_frame else 1) == spec.joint_dim
-        w = np.repeat(exact.nu_weights(spec.n_sites, spec.rho), op.n_walker)
-        m = sp.diags(w) @ op.matrix
+        assert op.shape[0] * (spec.n_sites if walker_frame else 1) == spec.joint_dim
+        w = np.repeat(exact.nu_weights(spec.n_sites, spec.rho), op.shape[0] // spec.n_eta)
+        m = sp.diags(w) @ op
         assert abs(m - m.T).max() <= 1e-12
 
     def test_frame_markov_without_potential(self):
@@ -194,7 +195,7 @@ class TestWalkerFrame:
 
     def test_kappa_zero_frame_is_fast_path(self):
         spec = _frame_spec(1, 6, 1, 0.0, 0.5)
-        frame = exact.build_joint_generator(spec, walker_frame=True).matrix
+        frame = exact.build_joint_generator(spec, walker_frame=True)
         fast = exact._frozen_walker_generator(spec)
         assert frame.shape == fast.shape
         assert (frame != fast).nnz == 0
@@ -236,8 +237,8 @@ class TestMoments:
         op = exact.build_joint_generator(spec)
         from scipy.sparse.linalg import expm_multiply
         shift = spec.gamma * spec.p
-        mat = op.matrix - sp.identity(op.dim) * shift
-        v = expm_multiply(mat * 3.0, np.ones(op.dim))
+        mat = op - sp.identity(op.shape[0]) * shift
+        v = expm_multiply(mat * 3.0, np.ones(op.shape[0]))
         generic = np.log(_start_moment(spec, v)) + shift * 3.0
         assert fast == pytest.approx(generic, abs=1e-10)
 
@@ -272,7 +273,7 @@ class TestMartingale:
         trs = Torus(1, 4)
         spec = exact.OperatorSpec(torus=trs, kernel=srw_kernel(1), kappa=kappa,
                                   p=1, rho=0.5)
-        gen = exact.build_scaled_generator(spec).matrix
+        gen = exact.build_scaled_generator(spec)
         psi = psi_joint_matrix(PsiSpec(kappa=kappa, T=T, torus=trs, rho=0.5)).ravel()
         return gen, psi
 
@@ -297,7 +298,7 @@ class TestMartingale:
         kappa, T = 1.0, 1.3
         spec = exact.OperatorSpec(torus=trs, kernel=srw_kernel(1), kappa=kappa,
                                   p=1, rho=0.5)
-        gen = exact.build_scaled_generator(spec).matrix
+        gen = exact.build_scaled_generator(spec)
         psi = psi_joint_matrix(PsiSpec(kappa=kappa, T=T, torus=trs, rho=0.5)).ravel()
         bits = exact.occupation_bits(4).astype(float)
         phi = np.stack([bits[:, x] - 0.5 for x in range(4)], axis=1).ravel()

@@ -330,7 +330,11 @@ class TestCli:
             assert captured.out == ""
             assert captured.err == f"invalid: {scenario}: key '{key}': {message}\n"
 
-    @pytest.mark.parametrize("raw", [None, [1, 2]], ids=["missing", "list"])
+    @pytest.mark.parametrize("raw", [
+        None, [1, 2],
+        {"scenario": "x", "config": {}, "rows": [1, 2], "flags": {}, "passed": True},
+        {"scenario": "x", "config": {}, "rows": [], "flags": [], "passed": True},
+    ], ids=["missing", "list", "rows-not-objects", "flags-not-object"])
     def test_figures_rejects_missing_or_non_report(self, tmp_path, capsys, raw):
         from pamse.cli import main
 

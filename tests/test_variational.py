@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pamse import exact, variational as var
+from pamse.exclusion import torus_bonds
 from pamse.lattice import Torus, srw_kernel
 
 
@@ -15,15 +16,49 @@ def spec6():
                               kappa=0.7, p=1, rho=0.5)
 
 
+def _quadratic_form_parts(f, spec):
+    """Independent route to the quadratic form, bond by bond: (potential part,
+    exclusion Dirichlet form, walker Dirichlet form), so that
+    (G f, f) = part1 - part2 - kappa * part3."""
+    n = spec.n_sites
+    w_eta = exact.nu_weights(n, spec.rho)
+    w = np.repeat(w_eta, spec.n_walker)
+    vals = f.values
+    a1 = float(np.sum(w * exact.potential_diag(spec) * vals**2))
+
+    grid = vals.reshape(spec.n_eta, spec.n_walker)
+    a2 = 0.0
+    eta = np.arange(spec.n_eta, dtype=np.int64)
+    a_idx, b_idx, rates = torus_bonds(spec.torus, spec.kernel)
+    for ai, bi, r in zip(a_idx, b_idx, rates):
+        if ai == bi:
+            continue
+        swapped = eta ^ ((1 << int(ai)) | (1 << int(bi)))
+        bit_a = (eta >> int(ai)) & 1
+        bit_b = (eta >> int(bi)) & 1
+        act = bit_a != bit_b  # swap changes the state only across such bonds
+        diff = grid[swapped[act]] - grid[act]
+        a2 += 0.5 * r * float(np.sum(w_eta[act, None] * diff**2))
+
+    a3 = 0.0
+    walker = np.arange(spec.n_walker)
+    moves = spec.torus.unit_moves()
+    for i in range(spec.p):
+        x_i = (walker // n ** (spec.p - 1 - i)) % n
+        for perm in moves:
+            moved = walker + (perm[x_i] - x_i) * n ** (spec.p - 1 - i)
+            diff = grid[:, moved] - grid
+            a3 += 0.5 * float(np.sum(w_eta[:, None] * diff**2))
+    return a1, a2, a3
+
+
 class TestRayleighQuotient:
     def test_matches_matrix_form(self, spec6):
-        op = exact.build_joint_generator(spec6).matrix
-        w = np.repeat(exact.nu_weights(6, 0.5), 6)
         for seed in range(5):
             f = var.random_test_function(spec6, seed)
-            direct = float(np.sum(w * f.values * (op @ f.values)))
-            assert var.rayleigh_quotient(f, spec6) == pytest.approx(direct,
-                                                                    abs=1e-12)
+            a1, a2, a3 = _quadratic_form_parts(f, spec6)
+            assert var.rayleigh_quotient(f, spec6) == pytest.approx(
+                a1 - a2 - spec6.kappa * a3, abs=1e-12)
 
     def test_unnormalized_rejected(self, spec6):
         f = var.TestFunction(np.ones(spec6.joint_dim) * 3.0, spec6)
@@ -38,7 +73,7 @@ class TestRayleighQuotient:
         vals = np.zeros((16, 4))
         vals[:, 1] = 1.0
         f = var.TestFunction(vals.ravel(), spec).normalized()
-        a1, a2, a3 = var.quadratic_form_parts(f, spec)
+        a1, a2, a3 = _quadratic_form_parts(f, spec)
         assert a2 == pytest.approx(0.0, abs=1e-14)
         assert a1 == pytest.approx(0.5, abs=1e-12)
         assert var.rayleigh_quotient(f, spec) == pytest.approx(
@@ -89,7 +124,7 @@ class TestTopEigenvalue:
         spec = exact.OperatorSpec(torus=Torus(d, L), kernel=srw_kernel(d),
                                   kappa=kappa, p=p, rho=0.35, gamma=0.5)
         top = var.top_eigenvalue(spec)
-        op = exact.build_joint_generator(spec).matrix
+        op = exact.build_joint_generator(spec)
         w = np.repeat(exact.nu_weights(spec.n_sites, spec.rho), spec.n_walker)
         assert top.vector.shape == (spec.joint_dim,)
         assert np.sum(w * top.vector**2) == pytest.approx(1.0, abs=1e-12)
