@@ -152,7 +152,8 @@ def _recentring_moves(spec: OperatorSpec) -> sp.csr_matrix:
     state = np.arange(spec.n_eta * m)
     eta, rel = np.divmod(state, m)
     ys = rel[:, None] // place % n  # (y_2, ..., y_p) of every frame state
-    dst = [shifted_configs(trs, vec)[eta] * m + trs.shift_table(tuple(-v for v in vec))[ys] @ place
+    dst = [shifted_configs(trs, vec)[eta] * m
+           + trs.shift_table(tuple(-v for v in vec))[ys] @ place
            for vec, _ in srw_kernel(trs.d).offsets]
     return rate_matrix(state.size, state, np.stack(dst), 1.0)
 

@@ -138,7 +138,8 @@ class Report:
         keys = ("scenario", "config", "rows", "flags", "passed")
         if not isinstance(raw, dict) or not all(k in raw for k in keys):
             raise ValueError(f"{path}: not a report (needs keys {', '.join(keys)})")
-        if not isinstance(raw["rows"], list) or not all(isinstance(r, dict) for r in raw["rows"]):
+        rows = raw["rows"]
+        if not isinstance(rows, list) or not all(isinstance(r, dict) for r in rows):
             raise ValueError(f"{path}: report rows must be a list of objects")
         if not isinstance(raw["config"], dict) or not isinstance(raw["flags"], dict):
             raise ValueError(f"{path}: report config and flags must be objects")
