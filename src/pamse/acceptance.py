@@ -16,14 +16,14 @@ import numpy as np
 from . import montecarlo as mc
 from . import variational as var
 from .exact import (OperatorSpec, build_scaled_generator, exact_lambda_profile,
-                    martingale_check, moment_slope)
+                    moment_slope, occupation_bits)
 from .exclusion import marginal_mc, sample_initial
 from .fields import (CauchyProblem, PsiSpec, Region, green_contraction, halfspace_region,
                      halfspace_mass_residual, mass_identity_residual, psi_joint_matrix,
                      solve_cauchy)
 from .harness import ScenarioConfig, run_scenario
 from .lattice import (Torus, green, green_discrete_sum, halfspace_green_diag,
-                      halfspace_transition, srw_kernel, torus_heat_matrix)
+                      halfspace_transition, one_kappa, srw_kernel, torus_heat_matrix)
 
 
 @dataclass
@@ -97,21 +97,22 @@ def criterion_3_comparison(tol: float = 1e-10) -> CriterionResult:
 
 
 @_timed
-def criterion_4_martingale(tol: float = 1e-8) -> CriterionResult:
-    """Tilted-semigroup martingale identity on d=1, L=4, kappa=1."""
-    torus = Torus(1, 4)
+def criterion_4_martingale(tol: float = 1e-10) -> CriterionResult:
+    """Drift of the exponential martingale's field psi on d=1 tori: linear in
+    eta, the time-scaled generator G acts as 2d 1[kappa] times the rate-1 walk,
+    so G psi(eta, x) = sum_z [p_{2dT 1[kappa]}(z - x) - delta(z, x)] (eta(z) - rho)."""
     kernel = srw_kernel(1)
-    worst = 0.0
     cases = []
-    for T in (0.5, 2.0):
-        spec = OperatorSpec(torus=torus, kernel=kernel, kappa=1.0, p=1, rho=0.5)
-        psi = psi_joint_matrix(PsiSpec(kappa=1.0, T=T, torus=torus, rho=0.5)).ravel()
-        gen = build_scaled_generator(spec)
-        for r in (-1.0, 0.5, 2.0):
-            dev = martingale_check(gen, psi, r, 1.0, 1.0)
-            cases.append({"T": T, "r": r, "deviation": dev})
-            worst = max(worst, dev)
-    return CriterionResult(4, "exponential martingale identity", worst <= tol,
+    for L, T, kappa in ((4, 0.5, 1.0), (4, 2.0, 1.0), (6, 2.0, 0.5), (6, 5.0, 2.0)):
+        torus = Torus(1, L)
+        spec = OperatorSpec(torus=torus, kernel=kernel, kappa=kappa, p=1, rho=0.5)
+        psi = psi_joint_matrix(PsiSpec(kappa=kappa, T=T, torus=torus, rho=0.5)).ravel()
+        heat = torus_heat_matrix(torus, kernel, 2 * T * one_kappa(1, kappa)) - np.identity(L)
+        drift = ((occupation_bits(L) - 0.5) @ heat).ravel()
+        dev = float(np.max(np.abs(build_scaled_generator(spec) @ psi - drift)))
+        cases.append({"L": L, "T": T, "kappa": kappa, "deviation": dev})
+    worst = max(c["deviation"] for c in cases)
+    return CriterionResult(4, "exponential martingale drift", worst <= tol,
                            {"worst_deviation": worst, "cases": cases})
 
 
@@ -198,7 +199,8 @@ def criterion_7_intermittency(min_gap: float = 1e-6) -> CriterionResult:
 
 @_timed
 def criterion_8_asymptotic_probe(n: int = 2000) -> CriterionResult:
-    """Gaussian-regime probe at d=4, kappa=10, t=200 within 5% of the
+    """Gaussian-regime probe at d=4, kappa=10, t=200: the Monte Carlo mean
+    within 4 sigma of its exact value, and that value within 5% of the
     first-order Green value."""
     cfg = ScenarioConfig("asymptotic_probe", {
         "d": 4, "kappa": 10.0, "t": 200.0, "n": n, "seed": 424242,

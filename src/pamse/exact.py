@@ -267,26 +267,3 @@ def moment_slope(spec: OperatorSpec, t: float) -> float:
     mat, v, stride = _frame_semigroup(spec, t)
     nu = nu_weights(spec.n_sites, spec.rho)
     return spec.gamma * spec.p + float(nu @ (mat @ v)[::stride]) / float(nu @ v[::stride])
-
-
-def martingale_check(generator: sp.spmatrix, psi: np.ndarray, r: float,
-                     kappa: float, t: float) -> float:
-    """Max deviation of E_{eta,x}[N_t^r] from 1 over all start states.
-
-    N^r is the exponential martingale of the tilting exp[(r/kappa) psi]. The
-    expectation is evaluated along two routes: through the tilted semigroup
-    (whose generator is D^{-1} A D minus its own action on constants) and
-    through the Feynman-Kac form with the tilting's carre-du-champ field as a
-    killing potential. Both must return the constant 1.
-    """
-    dim = generator.shape[0]
-    ones = np.ones(dim)
-    scale = np.exp((r / kappa) * (psi - psi.max()))
-    tilted = sp.diags(1.0 / scale) @ generator @ sp.diags(scale)
-    carre = np.asarray(tilted @ ones).ravel()  # (e^{-r psi/k} A e^{r psi/k})(z)
-    new_gen = (tilted - sp.diags(carre)).tocsr()
-    dev1 = np.max(np.abs(expm_multiply(new_gen * t, ones) - 1.0))
-    killed = (generator - sp.diags(carre)).tocsr()
-    dev2 = np.max(np.abs(expm_multiply(killed * t, scale) / scale - 1.0))
-    return float(max(dev1, dev2))
-

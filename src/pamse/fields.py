@@ -23,7 +23,7 @@ from scipy.sparse.linalg import expm_multiply
 from .exact import occupation_bits, rate_matrix
 from .lattice import (Kernel, Torus, _tail_by_power_fit, check_density, check_horizon,
                       check_kappa, check_samples, cycle_heat1d, gauss_legendre, green, heat1d,
-                      srw_kernel, transition_prob_many)
+                      one_kappa, srw_kernel, transition_prob_many)
 
 GL_NODES_PER_PANEL = 12
 PSI_PANELS = 10  # time panels of the chi and gradient-kernel quadrature
@@ -60,11 +60,6 @@ class PsiSpec:
         check_density(self.rho)
 
     @property
-    def one_kappa(self) -> float:
-        """1[k] = 1 + 1/(2 d kappa), always > 1."""
-        return 1.0 + 1.0 / (2 * self.torus.d * self.kappa)
-
-    @property
     def quad_node_count(self) -> int:
         return PSI_PANELS * GL_NODES_PER_PANEL
 
@@ -72,8 +67,7 @@ class PsiSpec:
 def recommended_side(d: int, T: float, kappa: float) -> int:
     """Window sizing rule: radius >= ceil(6 sqrt(2 d T 1k)) + 1, the spread of
     the nearest-neighbour kernel."""
-    onek = 1.0 + 1.0 / (2 * d * kappa)
-    radius = int(np.ceil(6.0 * np.sqrt(2 * d * T * onek))) + 1
+    radius = int(np.ceil(6.0 * np.sqrt(2 * d * T * one_kappa(d, kappa)))) + 1
     return 2 * radius + 1
 
 
@@ -93,7 +87,7 @@ def _chi_grid_cached(spec: PsiSpec) -> np.ndarray:
     L, d = spec.torus.L, spec.torus.d
     nodes, weights = time_quadrature(spec.T, PSI_PANELS)
     # rate-1 d-dim walk at time 2 d s 1k => per-coordinate clock 2 s 1k
-    rows = [cycle_heat1d(L, tau) for tau in 2.0 * spec.one_kappa * nodes]
+    rows = [cycle_heat1d(L, tau) for tau in 2.0 * one_kappa(d, spec.kappa) * nodes]
     out = np.zeros((L,) * d)
     buf = np.empty((min(CHI_SLAB, L),) + (L,) * (d - 1))
     for lo in range(0, L, CHI_SLAB):
@@ -261,7 +255,7 @@ def _heat_diag(d: int, tau_per_coord: float) -> float:
 
 def _kdiag_closed_form(spec: PsiSpec) -> float:
     """(4/1k) int_0^T [ p_{4 d u 1k}(0,0) - p_{2 d (u+T) 1k}(0,0) ] du."""
-    d, onek, T = spec.torus.d, spec.one_kappa, spec.T
+    d, onek, T = spec.torus.d, one_kappa(spec.torus.d, spec.kappa), spec.T
     us, ws = time_quadrature(T, PSI_PANELS)
     a = sum(w * _heat_diag(d, 4.0 * u * onek) for u, w in zip(us, ws))
     b = sum(w * _heat_diag(d, 2.0 * (u + T) * onek) for u, w in zip(us, ws))

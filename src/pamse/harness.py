@@ -24,7 +24,7 @@ from .irw import WeightFunction, compare_se_irw
 from .lattice import (Torus, check_density, check_horizon, check_kappa, check_samples,
                       check_walkers, green, srw_kernel)
 
-# scenarios whose kappa enters through 1[kappa] = 1 + 1/(2 d kappa)
+# scenarios whose kappa enters through lattice.one_kappa
 _POSITIVE_KAPPA = {"asymptotic_probe", "field_checks"}
 _POSITIVE_HORIZON = {"asymptotic_probe", "intermittency_kappa0"}  # divide by t
 
@@ -41,8 +41,10 @@ class ScenarioConfig:
             raw = json.load(fh)
         if not isinstance(raw, dict):
             raise ConfigError(f"{path}: top level must be a JSON object")
-        return cls(scenario=raw.get("scenario", ""), params=raw.get("params", {}),
-                   output_path=raw.get("output_path"))
+        scenario, output = raw.get("scenario", ""), raw.get("output_path")
+        if not isinstance(scenario, str) or not isinstance(output, (str, type(None))):
+            raise ConfigError(f"{path}: scenario must be a string, output_path a string or null")
+        return cls(scenario=scenario, params=raw.get("params", {}), output_path=output)
 
     def to_dict(self) -> dict:
         return {"scenario": self.scenario, "params": self.params,
@@ -272,11 +274,12 @@ def _run_asymptotic_probe(*, d: int, kappa: float, t: float, n: int, seed: int,
                           n_workers: int = 1) -> Report:
     est, ref = mc.asymptotic_probe(d, kappa, t, n, seed, shift=shift,
                                    n_workers=n_workers)
-    rel = abs(est.mean - ref) / ref
-    ok = rel <= rel_tol
-    rows = [{"mc_mean": est.mean, "stderr": est.stderr, "reference": ref,
-             "rel_gap": rel, "n": est.n}]
-    return Report("asymptotic_probe", {}, rows, {"within_rel_tol": ok}, ok)
+    exact = mc.probe_expectation(d, kappa, t, shift)
+    rel = abs(exact - ref) / ref
+    flags = {"within_sigma": est.within(exact, 4.0), "within_rel_tol": bool(rel <= rel_tol)}
+    rows = [{"mc_mean": est.mean, "stderr": est.stderr, "exact": exact,
+             "reference": ref, "rel_gap": rel, "n": est.n}]
+    return Report("asymptotic_probe", {}, rows, flags, all(flags.values()))
 
 
 def _run_field_checks(*, d: int, T: float, kappa: float, n_eta: int, seed: int,

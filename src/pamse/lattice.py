@@ -35,10 +35,16 @@ def check_density(rho) -> None:
 
 
 def check_kappa(kappa, positive: bool = False) -> None:
-    """Walkers jump at rate 2 d kappa >= 0; where 1[kappa] = 1 + 1/(2 d kappa)
-    enters (the fields and the large-kappa probe), kappa > 0."""
+    """Walkers jump at rate 2 d kappa >= 0; where `one_kappa` enters (the
+    fields and the large-kappa probe), kappa > 0."""
     if not (_number(kappa, numbers.Real) and (kappa > 0 if positive else kappa >= 0)):
         raise ValueError("kappa must be > 0" if positive else "kappa must be >= 0")
+
+
+def one_kappa(d: int, kappa: float) -> float:
+    """1[kappa] = 1 + 1/(2 d kappa): in time scaled by kappa, a walker (rate 2d)
+    seen from a catalyst particle (rate 1/kappa) jumps at rate 2d 1[kappa]."""
+    return 1.0 + 1.0 / (2 * d * kappa)
 
 
 def check_samples(n, least: int = 1) -> None:

@@ -18,7 +18,7 @@ import numpy as np
 from .exact import OperatorSpec
 from .exclusion import build_schedule, replay
 from .lattice import (check_horizon, check_kappa, check_samples, gauss_legendre, heat1d,
-                      srw_kernel, green)
+                      one_kappa, srw_kernel, green)
 
 TRIAL_CHUNK = 256  # trials per task handed to a worker process
 # merged events per vectorised pass of a probe trial: each temporary stays in
@@ -314,19 +314,19 @@ def asymptotic_probe(d: int, kappa: float, t: float, n: int, seed,
     vals = _run_trials(worker, n, n_workers)
     est = McEstimate(mean=float(vals.mean()),
                      stderr=float(vals.std(ddof=1) / np.sqrt(n)), n=n)
-    one_kappa = 1.0 + 1.0 / (2 * d * kappa)
-    kernel = srw_kernel(d)
-    reference = green(kernel, t_min=shift) / (2 * d * one_kappa)
+    reference = green(srw_kernel(d), t_min=shift) / (2 * d * one_kappa(d, kappa))
     return est, reference
 
 
-def probe_frozen_value(d: int, kappa: float, t: float, shift: float = 0.0) -> float:
-    """Skeleton-quadrature value of the probe for a walk with no jumps,
-    which must match (1/t) iint p_{(u-s)/kappa + shift}(0, 0) du ds."""
+def probe_expectation(d: int, kappa: float, t: float, shift: float = 0.0) -> float:
+    """Exact mean of `asymptotic_probe` on its lag nodes, (1/t) int_0^t (t - v)
+    p_{2d 1[kappa] v + shift}(0, 0) dv: X_{s+v} - X_s is the rate-2d walk, which
+    adds 2d v to the clock v/kappa + shift of a walk frozen at X_s."""
     v_nodes, v_weights = _probe_nodes(t)
     zero = np.zeros(1, dtype=int)
+    clock = 2 * d * one_kappa(d, kappa)
     total = 0.0
     for v, w in zip(v_nodes, v_weights):
-        tau = (v / kappa + shift) / d
+        tau = (clock * v + shift) / d
         total += w * (t - v) * float(heat1d(zero, tau)[0] ** d)
-    return total / t
+    return float(total / t)

@@ -10,6 +10,7 @@ import dataclasses
 import pytest
 
 from pamse import acceptance, fields
+from pamse import montecarlo as mc
 from pamse import variational as var
 
 pytestmark = pytest.mark.acceptance
@@ -21,6 +22,44 @@ def test_criterion(criterion):
     result = criterion()
     print(result.line())
     assert result.passed, f"{result.name}: {result.detail}"
+
+
+@pytest.fixture
+def fresh_chi_cache():
+    # the chi grid is memoized per PsiSpec: a mutant neither reads nor leaves one
+    caches = (fields._chi_grid_cached, fields._chi_spectrum)
+    for cache in caches:
+        cache.cache_clear()
+    yield
+    for cache in caches:
+        cache.cache_clear()
+
+
+def _scaled_kappa(monkeypatch):
+    build = acceptance.build_scaled_generator
+    monkeypatch.setattr(acceptance, "build_scaled_generator",
+                        lambda spec: build(dataclasses.replace(spec, kappa=1.1 * spec.kappa)))
+
+
+def _unit_one_kappa(monkeypatch):
+    for module in (acceptance, fields):
+        monkeypatch.setattr(module, "one_kappa", lambda d, kappa: 1.0)
+
+
+@pytest.mark.parametrize("mutate", [
+    pytest.param(_scaled_kappa, id="generator_at_1.1_kappa"),
+    pytest.param(_unit_one_kappa, id="unit_one_kappa")])
+def test_criterion_4_fails_on_wrong_drift(monkeypatch, fresh_chi_cache, mutate):
+    # worst deviations 3.8e-2 and 0.79 against a 1e-10 gate
+    mutate(monkeypatch)
+    assert acceptance.criterion_4_martingale().passed is False
+
+
+def test_criterion_8_fails_on_unit_one_kappa(monkeypatch):
+    # the exact value then runs on the walk's clock alone: the Monte Carlo
+    # mean, which never reads one_kappa, lands about 6 sigma away at n = 300
+    monkeypatch.setattr(mc, "one_kappa", lambda d, kappa: 1.0)
+    assert acceptance.criterion_8_asymptotic_probe(n=300).passed is False
 
 
 def test_criterion_5_fails_on_shifted_bump_bound(monkeypatch):

@@ -12,9 +12,6 @@ PACKAGE = sorted((ROOT / "src" / "pamse").glob("*.py"))
 CALLERS = [p for p in PACKAGE if p.name != "__init__.py"] + sorted(
     (ROOT / "scripts").glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
 
-# waits on the exact finite-t probe value (ROADMAP item 2), which replaces it
-ALLOWED = {"probe_frozen_value"}
-
 
 def _names(node) -> set:
     return {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
@@ -36,7 +33,7 @@ def test_every_public_object_has_a_caller():
                 used.setdefault(name, set()).add((path, owner))
     orphans = sorted(
         f"{path.stem}.{name}" for name, paths in defined.items() for path in paths
-        if name not in ALLOWED and not used.get(name, set()) - {(path, name)})
+        if not used.get(name, set()) - {(path, name)})
     assert orphans == []
 
 

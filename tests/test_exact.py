@@ -1,4 +1,4 @@
-"""Exact generators, semigroup moments, martingale identity."""
+"""Exact generators, semigroup moments, the smoothing field's Poisson equation."""
 
 import hashlib
 
@@ -269,27 +269,6 @@ class TestMoments:
 
 
 class TestMartingale:
-    def _setup(self, T=1.0, kappa=1.0):
-        trs = Torus(1, 4)
-        spec = exact.OperatorSpec(torus=trs, kernel=srw_kernel(1), kappa=kappa,
-                                  p=1, rho=0.5)
-        gen = exact.build_scaled_generator(spec)
-        psi = psi_joint_matrix(PsiSpec(kappa=kappa, T=T, torus=trs, rho=0.5)).ravel()
-        return gen, psi
-
-    def test_zero_tilt(self):
-        gen, psi = self._setup()
-        assert exact.martingale_check(gen, psi, 0.0, 1.0, 1.0) < 1e-12
-
-    def test_constant_field_cancels(self):
-        gen, _ = self._setup()
-        psi = np.full(gen.shape[0], 3.7)
-        assert exact.martingale_check(gen, psi, 2.0, 1.0, 1.5) < 1e-12
-
-    def test_smoothing_field_tilt(self):
-        gen, psi = self._setup(T=1.0, kappa=1.0)
-        assert exact.martingale_check(gen, psi, 0.5, 1.0, 1.0) < 1e-8
-
     def test_smoothing_field_residual_identity(self):
         # -A psi must equal phi - P_T phi on the joint space
         from scipy.sparse.linalg import expm_multiply

@@ -231,8 +231,11 @@ class TestCli:
         bad.write_text(json.dumps({"scenario": "nope", "params": {}}))
         assert main(["validate", str(bad)]) == 1
 
-    @pytest.mark.parametrize("raw", [[1, 2], "x",
-                                     {"scenario": "kappa_sweep", "params": "d L rho"}])
+    @pytest.mark.parametrize("raw", [
+        [1, 2], "x", {"scenario": "kappa_sweep", "params": "d L rho"},
+        {"scenario": ["x"], "params": {}},
+        {"scenario": "kappa_sweep", "output_path": 5,
+         "params": {"d": 1, "L": 4, "rho": 0.5, "p": 1, "kappas": [1.0]}}])
     def test_validate_rejects_non_object(self, tmp_path, raw):
         from pamse.cli import main
 

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from scipy.integrate import dblquad
+from scipy.integrate import dblquad, quad
 from scipy.special import ive
 
 from pamse import exact
@@ -121,19 +121,30 @@ class TestAsymptoticProbe:
         with pytest.raises(ValueError):
             mc.asymptotic_probe(2, 1.0, 10.0, 10, 0)
 
+    # the exact probe value is the frozen-walk double integral on the
+    # relative clock (u - s)(2d + 1/kappa) = 2d 1[kappa] (u - s)
     def test_frozen_walk_matches_quadrature(self):
         d, kappa, t = 3, 2.0, 0.8
-        mine = mc.probe_frozen_value(d, kappa, t)
-        oracle = dblquad(lambda u, s: float(ive(0, (u - s) / (kappa * d))) ** d,
+        mine = mc.probe_expectation(d, kappa, t)
+        oracle = dblquad(lambda u, s: float(ive(0, (u - s) * (2 * d + 1 / kappa) / d)) ** d,
                          0, t, lambda s: s, lambda s: t, epsabs=1e-13)[0] / t
         assert mine == pytest.approx(oracle, abs=1e-10)
 
     def test_frozen_walk_with_shift(self):
         d, kappa, t, shift = 4, 5.0, 0.5, 0.3
-        mine = mc.probe_frozen_value(d, kappa, t, shift)
-        oracle = dblquad(lambda u, s: float(ive(0, ((u - s) / kappa + shift) / d)) ** d,
-                         0, t, lambda s: s, lambda s: t, epsabs=1e-13)[0] / t
+        mine = mc.probe_expectation(d, kappa, t, shift)
+        oracle = dblquad(
+            lambda u, s: float(ive(0, ((u - s) * (2 * d + 1 / kappa) + shift) / d)) ** d,
+            0, t, lambda s: s, lambda s: t, epsabs=1e-13)[0] / t
         assert mine == pytest.approx(oracle, abs=1e-10)
+
+    def test_expectation_matches_adaptive_quad(self):
+        # criterion 8's parameters: the lag nodes against the 1-d integral
+        d, kappa, t = 4, 10.0, 200.0
+        mine = mc.probe_expectation(d, kappa, t)
+        oracle = quad(lambda v: (t - v) * ive(0, (2 * d + 1 / kappa) * v / d) ** d,
+                      0, t, limit=400, epsabs=1e-15, epsrel=1e-13)[0] / t
+        assert mine == pytest.approx(oracle, rel=1e-12)
 
     def test_kappa_infinity_reference(self):
         # with no shift the reference tends to G_d/(2d) as kappa grows
@@ -263,13 +274,13 @@ class TestProbePin:
     shared with the field module."""
 
     @pytest.mark.parametrize("d, kappa, t, shift, want", [
-        (4, 10.0, 0.6, 0.0, "0x1.2d287e6a31199p-2"),
-        (4, 10.0, 3.0, 0.0, "0x1.5c9df47b12a01p+0"),
-        (4, 10.0, 40.0, 0.0, "0x1.006f970273acep+3"),
-        (3, 2.0, 200.0, 1.5, "0x1.2b716712c474dp+0"),
+        (4, 10.0, 0.6, 0.0, "0x1.b107e97e314b7p-4"),
+        (4, 10.0, 3.0, 0.0, "0x1.1e3da0999c8cbp-3"),
+        (4, 10.0, 40.0, 0.0, "0x1.3684bb618beabp-3"),
+        (3, 2.0, 200.0, 1.5, "0x1.a68eb129a88ddp-4"),
     ])
-    def test_probe_frozen_value(self, d, kappa, t, shift, want):
-        assert float(mc.probe_frozen_value(d, kappa, t, shift)).hex() == want
+    def test_probe_expectation(self, d, kappa, t, shift, want):
+        assert mc.probe_expectation(d, kappa, t, shift).hex() == want
 
     @pytest.mark.parametrize("d, kappa, t, n, seed, shift, want", [
         (4, 10.0, 20.0, 30, 5, 0.0,
