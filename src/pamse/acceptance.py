@@ -19,8 +19,7 @@ from .exact import (OperatorSpec, build_scaled_generator, exact_lambda_profile,
                     moment_slope, occupation_bits)
 from .exclusion import marginal_mc, sample_initial
 from .fields import (CauchyProblem, PsiSpec, Region, green_contraction, halfspace_region,
-                     halfspace_mass_residual, mass_identity_residual, psi_joint_matrix,
-                     solve_cauchy)
+                     mass_residual, psi_joint_matrix, solve_cauchy)
 from .harness import ScenarioConfig, run_scenario
 from .lattice import (Torus, green, green_discrete_sum, halfspace_green_diag,
                       halfspace_transition, one_kappa, srw_kernel, torus_heat_matrix)
@@ -200,11 +199,11 @@ def criterion_7_intermittency(min_gap: float = 1e-6) -> CriterionResult:
 @_timed
 def criterion_8_asymptotic_probe(n: int = 2000) -> CriterionResult:
     """Gaussian-regime probe at d=4, kappa=10, t=200: the Monte Carlo mean
-    within 4 sigma of its exact value, and that value within 5% of the
-    first-order Green value."""
+    within 4 sigma of its exact value, and that value within 0.5% of the
+    first-order Green value (0.22% apart; dropping 1[kappa] puts them 1.45% apart)."""
     cfg = ScenarioConfig("asymptotic_probe", {
         "d": 4, "kappa": 10.0, "t": 200.0, "n": n, "seed": 424242,
-        "rel_tol": 0.05,
+        "rel_tol": 0.005,
     })
     rep = run_scenario(cfg)
     return CriterionResult(8, "large-kappa Green asymptotics probe", rep.passed,
@@ -266,7 +265,7 @@ def criterion_11_cauchy(tol: float = 1e-8) -> CriterionResult:
     c3 = np.zeros(torus3.n_sites)
     c3[box] = 1.0 / len(box)
     prob3 = CauchyProblem(reg3, srw_kernel(3), 2.0, c3)
-    res_box = mass_identity_residual(prob3, box, 2.0)
+    res_box = mass_residual(prob3)
     cert = green_contraction(prob3)
     w_max = float(solve_cauchy(prob3, [2.0]).w.max())  # w grows in t: c >= 0
     cert_ok = cert.certified and w_max <= cert.sup_bound
@@ -279,7 +278,7 @@ def criterion_11_cauchy(tol: float = 1e-8) -> CriterionResult:
     ch = np.zeros(len(half.sites))
     ch[pos[z]] = strength
     prob_h = CauchyProblem(half, srw_kernel(3), 2.0, ch)
-    res_half = halfspace_mass_residual(prob_h, z, strength, 2.0)
+    res_half = mass_residual(prob_h)
 
     torus1 = Torus(1, 16)
     reg1 = Region(torus1)

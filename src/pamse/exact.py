@@ -194,12 +194,11 @@ def lift_frame_vector(spec: OperatorSpec, g: np.ndarray) -> np.ndarray:
         return g.copy()
     trs, n, p = spec.torus, spec.n_sites, spec.p
     coords = trs.all_coords()
-    place = trs.L ** np.arange(trs.d - 1, -1, -1)
     walker = np.arange(spec.n_walker)
     x = [(walker // n ** (p - 1 - i)) % n for i in range(p)]
     rel = np.zeros(spec.n_walker, dtype=np.int64)
     for x_i in x[1:]:
-        rel = rel * n + ((coords[x_i] - coords[x[0]]) % trs.L) @ place
+        rel = rel * n + trs.flat_index(coords[x_i] - coords[x[0]])
     recentred = np.stack([shifted_configs(trs, coords[s]) for s in range(n)])
     idx = recentred[x[0]].T * n ** (p - 1) + rel[None, :]
     return g[idx.ravel()]

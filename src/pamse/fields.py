@@ -21,14 +21,13 @@ from scipy.linalg import expm as dense_expm
 from scipy.sparse.linalg import expm_multiply
 
 from .exact import occupation_bits, rate_matrix
-from .lattice import (Kernel, Torus, _tail_by_power_fit, check_density, check_horizon,
-                      check_kappa, check_samples, cycle_heat1d, gauss_legendre, green, heat1d,
-                      one_kappa, srw_kernel, transition_prob_many)
+from .lattice import (GREEN_SPLIT, Kernel, Torus, _tail_by_power_fit, check_density,
+                      check_horizon, check_kappa, check_samples, cycle_heat1d, gauss_legendre,
+                      green, heat1d, one_kappa, srw_kernel, transition_prob_many)
 
 GL_NODES_PER_PANEL = 12
 PSI_PANELS = 10  # time panels of the chi and gradient-kernel quadrature
 MASS_PANELS = 24  # time panels of the mass-identity integrals
-GREEN_SPLIT = 2000.0  # Green window table: quadrature on [0, split], power tail beyond
 CHI_SLAB = 8  # leading-axis planes of the chi grid summed per buffer pass
 
 
@@ -486,46 +485,19 @@ def _solve_mc(problem: CauchyProblem, times: np.ndarray, n: int, seed,
 # ---------------------------------------------------------------------------
 
 
-def mass_identity_residual(problem: CauchyProblem, box_sites, t_end: float) -> float:
-    """Max residual of sum_x w(x,t) = int_0^t |Q|^-1 sum_{x in Q} w(x,s) ds + t
-    for the uniform-box source, checked at every quadrature panel boundary
-    along the integration."""
-    pos = problem.region.local_index()
-    box_local = pos[np.asarray(box_sites, dtype=int)]
-    if np.any(box_local < 0):
-        raise ValueError("box must lie inside the region")
+def mass_residual(problem: CauchyProblem) -> float:
+    """Max residual of sum_x w(x,t) = t sum_x c(x) + int_0^t sum_x c(x) w(x,s) ds
+    over the MASS_PANELS edges of [0, horizon]. The region's generator is
+    symmetric, so the walk conserves sum_x v and only the source moves it."""
+    t_end, c = problem.horizon, problem.source
     nodes, weights = time_quadrature(t_end, MASS_PANELS, 10)  # globally ascending
     edges = _panel_edges(t_end, MASS_PANELS)[1:]
     query = np.unique(np.concatenate([nodes, edges]))
-    sol = solve_cauchy(problem, query, mode="stepping")
-    w = sol.w
-    box_mean = w[np.searchsorted(query, nodes)][:, box_local].mean(axis=1)
-    cum = np.cumsum(weights * box_mean)
-    per_panel = len(nodes) // MASS_PANELS
-    worst = 0.0
-    for k in range(1, MASS_PANELS + 1):
-        t_edge = float(edges[k - 1])
-        total = float(w[np.searchsorted(query, t_edge)].sum())
-        integral = float(cum[k * per_panel - 1])
-        worst = max(worst, abs(total - (integral + t_edge)))
-    return worst
-
-
-def halfspace_mass_residual(problem: CauchyProblem, source_site: int,
-                            strength: float, t_end: float) -> float:
-    """Residual of sum_x w(x,t) = strength * t + strength * int_0^t w(z,s) ds
-    for a single-site source of signed total strength."""
-    pos = problem.region.local_index()
-    z = pos[int(source_site)]
-    if z < 0:
-        raise ValueError("source site outside region")
-    nodes, weights = time_quadrature(t_end, MASS_PANELS, 10)
-    query = np.unique(np.concatenate([nodes, [t_end]]))
-    sol = solve_cauchy(problem, query, mode="stepping")
-    w = sol.w
-    integral = float(np.sum(weights * w[np.searchsorted(query, nodes), z]))
-    total_end = float(w[-1].sum())
-    return abs(total_end - (strength * t_end + strength * integral))
+    w = solve_cauchy(problem, query, mode="stepping").w
+    cum = np.cumsum(weights * (w[np.searchsorted(query, nodes)] @ c))
+    integral = cum[len(nodes) // MASS_PANELS - 1::len(nodes) // MASS_PANELS]
+    total = w[np.searchsorted(query, edges)].sum(axis=1)
+    return float(np.max(np.abs(total - (integral + edges * c.sum()))))
 
 
 @dataclass
@@ -560,29 +532,20 @@ def green_window_table(kernel: Kernel, torus: Torus) -> np.ndarray:
 
 def green_contraction(problem: CauchyProblem) -> ContractionCertificate:
     """theta = sup_x sum_y G(x, y) |c(y)| for a time-independent source; when
-    theta < 1, sup_{x,t} w(x,t) <= theta / (1 - theta) is certified."""
+    theta < 1, sup_{x,t} w(x,t) <= theta / (1 - theta) is certified. On the
+    half-space the mirror images y -> (1 - y_1, ...) add a second sum."""
     c = np.abs(problem.source)
-    region = problem.region
-    trs = region.torus
-    live = region.sites
-    green_table = green_window_table(problem.kernel, trs)
-    support = np.nonzero(c > 0)[0]
-    halfspace = region.mask is not None
-    theta = 0.0
-    ys = live[support]
-    cy = c[support]
-    ycoords = np.stack([np.array(trs.coords(int(y))) for y in ys]) if len(ys) else np.empty((0, trs.d), int)
-    for x in live:
-        cx = np.array(trs.coords(int(x)))
-        disp = (ycoords - cx) % trs.L
-        weights = trs.L ** np.arange(trs.d - 1, -1, -1)
-        idx = disp @ weights
-        acc = float(green_table[idx] @ cy)
-        if halfspace:
-            mirror = ycoords.copy()
-            mirror[:, 0] = 1 - ycoords[:, 0]
-            mdisp = (mirror - cx) % trs.L
-            acc += float(green_table[mdisp @ weights] @ cy)
-        theta = max(theta, acc)
+    region, trs = problem.region, problem.region.torus
+    table = green_window_table(problem.kernel, trs)
+    xs = trs.all_coords()[region.sites]
+    ys, cy = xs[c > 0], c[c > 0]
+    images = [ys]
+    if region.mask is not None:
+        images.append(np.column_stack([1 - ys[:, 0], ys[:, 1:]]))
+    acc = np.zeros(len(xs))
+    for img in images:
+        # row-by-row dot products: one matmul would round theta differently
+        acc += [row @ cy for row in table[trs.flat_index(img[None] - xs[:, None])]]
+    theta = float(acc.max())
     bound = theta / (1.0 - theta) if theta < 1.0 else None
     return ContractionCertificate(theta=theta, sup_bound=bound)

@@ -149,7 +149,7 @@ class Report:
 
 
 def _jsonable(obj):
-    if isinstance(obj, (np.floating, np.integer)):
+    if isinstance(obj, np.generic):  # np.bool_ too: a JSON bool, not "np.True_"
         return obj.item()
     if isinstance(obj, np.ndarray):
         return obj.tolist()

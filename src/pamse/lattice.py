@@ -20,6 +20,7 @@ import numpy as np
 from scipy.integrate import quad
 
 Vector = tuple[int, ...]
+GREEN_SPLIT = 2000.0  # Green quadrature on [0, split], power-law tail fit beyond
 
 
 def _number(x, kind) -> bool:
@@ -100,12 +101,13 @@ class Torus:
         grids = np.meshgrid(*[np.arange(self.L)] * self.d, indexing="ij")
         return np.stack([g.ravel() for g in grids], axis=1)
 
+    def flat_index(self, coords) -> np.ndarray:
+        """Site indices of an (..., d) integer coordinate array, wrapped."""
+        return (np.asarray(coords) % self.L) @ (self.L ** np.arange(self.d - 1, -1, -1))
+
     def shift_table(self, offset) -> np.ndarray:
         """Site-index permutation x -> x + offset (wrapped)."""
-        coords = self.all_coords()
-        shifted = (coords + np.asarray(offset)) % self.L
-        weights = self.L ** np.arange(self.d - 1, -1, -1)
-        return shifted @ weights
+        return self.flat_index(self.all_coords() + np.asarray(offset))
 
     def unit_moves(self) -> np.ndarray:
         """(2d, n_sites) table of x -> x + e for the unit vectors e, in the
@@ -258,15 +260,9 @@ def torus_heat_row(torus: Torus, kernel: Kernel, t: float) -> np.ndarray:
 
 
 def torus_heat_matrix(torus: Torus, kernel: Kernel, t: float) -> np.ndarray:
-    """Full wrapped transition matrix p_t(x, y) on the torus."""
-    row = torus_heat_row(torus, kernel, t)
-    n = torus.n_sites
-    mat = np.empty((n, n))
-    for x in range(n):
-        cx = torus.coords(x)
-        perm = torus.shift_table(tuple(-c for c in cx))
-        mat[x] = row[perm]
-    return mat
+    """Full wrapped transition matrix p_t(x, y) = p_t(0, y - x) on the torus."""
+    c = torus.all_coords()
+    return torus_heat_row(torus, kernel, t)[torus.flat_index(c[None] - c[:, None])]
 
 
 # ---------------------------------------------------------------------------
@@ -300,7 +296,7 @@ def _tail_by_power_fit(f, s0: float, d: int):
     )
 
 
-def green(kernel: Kernel, t_min: float = 0.0, z=None, split: float = 2000.0) -> float:
+def green(kernel: Kernel, t_min: float = 0.0, z=None, split: float = GREEN_SPLIT) -> float:
     """Truncated Green value integral_{t_min}^inf p_s(0, z) ds, rate-1 clock.
 
     Finite only for transient kernels (d >= 3): the integrand decays like

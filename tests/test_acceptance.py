@@ -8,10 +8,12 @@ per criterion; `pamse selftest` drives the same battery from the CLI.
 import dataclasses
 
 import pytest
+import scipy.sparse as sp
 
 from pamse import acceptance, fields
 from pamse import montecarlo as mc
 from pamse import variational as var
+from pamse.lattice import one_kappa
 
 pytestmark = pytest.mark.acceptance
 
@@ -62,6 +64,15 @@ def test_criterion_8_fails_on_unit_one_kappa(monkeypatch):
     assert acceptance.criterion_8_asymptotic_probe(n=300).passed is False
 
 
+def test_criterion_8_fails_on_reference_without_one_kappa(monkeypatch):
+    # the reference then reads G_4 / (2d), 1.45% off the exact value: the
+    # 0.5% band fails it, where a 5% band let it pass
+    green = mc.green
+    monkeypatch.setattr(mc, "green",
+                        lambda *args, **kwargs: green(*args, **kwargs) * one_kappa(4, 10.0))
+    assert acceptance.criterion_8_asymptotic_probe(n=300).passed is False
+
+
 def test_criterion_5_fails_on_shifted_bump_bound(monkeypatch):
     bound = var.test_function_bound
 
@@ -83,3 +94,17 @@ def test_criterion_11_fails_on_wrong_green_table(monkeypatch, scale):
     monkeypatch.setattr(fields, "green_window_table",
                         lambda kernel, torus: table(kernel, torus) * scale(kernel.d))
     assert acceptance.criterion_11_cauchy().passed is False
+
+
+def test_criterion_11_fails_on_leaking_generator(monkeypatch):
+    # a walk that loses mass at rate 0.01 no longer conserves sum_x v
+    generator = fields.Region.generator
+
+    def leaking(region, kernel):
+        gen = generator(region, kernel)
+        return (gen - 0.01 * sp.identity(gen.shape[0])).tocsr()
+
+    monkeypatch.setattr(fields.Region, "generator", leaking)
+    result = acceptance.criterion_11_cauchy()
+    assert result.passed is False
+    assert result.detail["box_residual"] > 1e-8

@@ -136,6 +136,15 @@ class TestScenarios:
         assert back.config["params"]["kappas"] == [0.0, 1.0]
         assert "numpy" in back.env
 
+    def test_field_checks_flags_are_json_bools(self, tmp_path):
+        # numpy comparisons give np.bool_, which once reached the file as "np.True_"
+        out = tmp_path / "fields.json"
+        cfg = harness.ScenarioConfig("field_checks", {
+            "d": 3, "T": 0.5, "kappa": 1.0, "n_eta": 2, "seed": 0}, output_path=str(out))
+        harness.run_scenario(cfg)
+        flags = json.loads(out.read_text())["flags"]
+        assert len(flags) == 4 and all(isinstance(v, bool) for v in flags.values())
+
     def test_rerun_reproduces_bitwise(self):
         cfg = harness.ScenarioConfig("exact_vs_mc", {
             "d": 1, "L": 4, "rho": 0.5, "kappa": 0.5, "p": 1, "t": 1.0,
