@@ -495,7 +495,8 @@ def mass_residual(problem: CauchyProblem) -> float:
     query = np.unique(np.concatenate([nodes, edges]))
     w = solve_cauchy(problem, query, mode="stepping").w
     cum = np.cumsum(weights * (w[np.searchsorted(query, nodes)] @ c))
-    integral = cum[len(nodes) // MASS_PANELS - 1::len(nodes) // MASS_PANELS]
+    per_panel = len(nodes) // MASS_PANELS
+    integral = cum[per_panel - 1::per_panel]
     total = w[np.searchsorted(query, edges)].sum(axis=1)
     return float(np.max(np.abs(total - (integral + edges * c.sum()))))
 

@@ -107,7 +107,9 @@ class Torus:
 
     def shift_table(self, offset) -> np.ndarray:
         """Site-index permutation x -> x + offset (wrapped)."""
-        return self.flat_index(self.all_coords() + np.asarray(offset))
+        coords = self.all_coords()
+        coords += np.asarray(offset)  # in place: no second (n_sites, d) array on large tori
+        return self.flat_index(coords)
 
     def unit_moves(self) -> np.ndarray:
         """(2d, n_sites) table of x -> x + e for the unit vectors e, in the

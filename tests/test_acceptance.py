@@ -65,8 +65,8 @@ def test_criterion_8_fails_on_unit_one_kappa(monkeypatch):
 
 
 def test_criterion_8_fails_on_reference_without_one_kappa(monkeypatch):
-    # the reference then reads G_4 / (2d), 1.45% off the exact value: the
-    # 0.5% band fails it, where a 5% band let it pass
+    # the reference then reads G_4 / (2d), 1.45% off the exact value and
+    # outside the 0.5% band; the Monte Carlo mean stays within 4 sigma
     green = mc.green
     monkeypatch.setattr(mc, "green",
                         lambda *args, **kwargs: green(*args, **kwargs) * one_kappa(4, 10.0))

@@ -425,7 +425,8 @@ class TestQuadraturePin:
 class TestCauchyPin:
     """Exact values of the Cauchy solvers, mass residuals and Green contraction
     on criterion 11's three problems and the half-space certificate problem,
-    recorded while sources could still be given as time segments."""
+    recorded while sources could still be given as time segments (the
+    half-space mass residual since it is read at every panel edge)."""
 
     @pytest.fixture(scope="class")
     def problems(self):

@@ -137,7 +137,7 @@ class TestScenarios:
         assert "numpy" in back.env
 
     def test_field_checks_flags_are_json_bools(self, tmp_path):
-        # numpy comparisons give np.bool_, which once reached the file as "np.True_"
+        # two flags are numpy comparisons (np.bool_); the file must hold JSON bools
         out = tmp_path / "fields.json"
         cfg = harness.ScenarioConfig("field_checks", {
             "d": 3, "T": 0.5, "kappa": 1.0, "n_eta": 2, "seed": 0}, output_path=str(out))
