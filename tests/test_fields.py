@@ -1,5 +1,6 @@
 """Smoothing fields, gradient kernels, Cauchy solvers, Green contraction."""
 
+import dataclasses
 import hashlib
 from functools import reduce
 
@@ -413,13 +414,40 @@ class TestQuadraturePin:
         (2, 15, 2.0, 1.0, "e4491a8d16dc9042"),
         (3, 13, 1.5, 0.7, "265756b3b09ac921"),
         (4, 7, 0.5, 3.0, "ee77c4b713227709"),
-        # the field_checks grid of the probe_fields benchmark and criterion 10
         (3, 73, 5.0, 2.0, "640f56dc5d6ee2f5"),
         (3, 73, 5.0, 1e3, "06e3a1466da27fe5"),
+        # the field_checks grid of the probe_fields benchmark and criterion 10
+        (3, 75, 5.0, 2.0, "7f62930ce3565862"),
+        (3, 75, 5.0, 1e3, "47b4bf7af460c05e"),
     ])
     def test_chi_table(self, d, L, T, kappa, want):
         spec = fields.PsiSpec(kappa=kappa, T=T, torus=Torus(d, L))
         assert _digest(fields.chi_table(spec).values) == want
+
+
+class TestFieldPin:
+    """Exact values of psi_field and of every PsiBoundsReport field on two d=3
+    tori, recorded while psi_field allocated its product spectrum and
+    psi_bounds_check kept each configuration's arrays in the loop."""
+
+    @pytest.mark.parametrize("L, kappa, T, rho, seed, n, want_psi, want_report", [
+        (25, 2.0, 1.0, 0.5, 3, 4, ("751b36e497128d6f", "fb5b2a44d8e11471"),
+         ["0x1.5c513a9f321e2p-2", "0x1.0000000225c18p+1", "0x1.33121836d748bp-3",
+          "0x1.8431e0765163bp+1", "0x1.4dfbf173d7ffap-3", "0x1.02cbeb094b22cp-2",
+          True, 120]),
+        (73, 2.0, 5.0, 0.4, 11, 2, ("0d5a98e55e4e836c", "69ae6f8a8f0e95a2"),
+         ["0x1.cb14afba5a938p-2", "0x1.4000000089706p+3", "0x1.3a7ebd3e0820dp-3",
+          "0x1.8431e0765163bp+1", "0x1.8cd5a0e6b7ed3p-3", "0x1.02cbeb094b22cp-2",
+          True, 120]),
+    ])
+    def test_psi_field_and_bounds(self, L, kappa, T, rho, seed, n, want_psi, want_report):
+        spec = fields.PsiSpec(kappa=kappa, T=T, torus=Torus(3, L), rho=rho)
+        bits = (np.random.default_rng(L).random(L**3) < rho).astype(float)
+        assert (_digest(fields.psi_field(bits, spec)),
+                _digest(fields.psi_field(np.ones(L**3), spec))) == want_psi
+        rep = fields.psi_bounds_check(spec, n, seed)
+        got = [getattr(rep, f.name) for f in dataclasses.fields(rep)]
+        assert [v.hex() if isinstance(v, float) else v for v in got] == want_report
 
 
 class TestCauchyPin:
