@@ -64,10 +64,22 @@ class PsiSpec:
 
 
 def recommended_side(d: int, T: float, kappa: float) -> int:
-    """Window sizing rule: radius >= ceil(6 sqrt(2 d T 1k)) + 1, the spread of
-    the nearest-neighbour kernel."""
+    """Window sizing rule: the smallest odd side at or above 2 radius + 1 whose
+    prime factors are all <= 7, where radius >= ceil(6 sqrt(2 d T 1k)) + 1 is
+    the spread of the nearest-neighbour kernel. pocketfft has fast passes for
+    those factors only: a 73^3 round trip costs over 3x one on 75^3."""
     radius = int(np.ceil(6.0 * np.sqrt(2 * d * T * one_kappa(d, kappa)))) + 1
-    return 2 * radius + 1
+    side = 2 * radius + 1
+    while not _seven_smooth(side):
+        side += 2
+    return side
+
+
+def _seven_smooth(n: int) -> bool:
+    for p in (2, 3, 5, 7):
+        while n % p == 0:
+            n //= p
+    return n == 1
 
 
 @dataclass
@@ -131,9 +143,9 @@ def psi_field(eta_bits: np.ndarray, spec: PsiSpec) -> np.ndarray:
     if eta_bits.shape != (trs.n_sites,):
         raise ValueError("eta must live on the spec torus")
     shape = (trs.L,) * trs.d
-    centered = (eta_bits - spec.rho).reshape(shape)
-    return np.fft.irfftn(np.fft.rfftn(centered) * _chi_spectrum(spec), s=shape,
-                         axes=tuple(range(trs.d))).ravel()
+    spectrum = np.fft.rfftn((eta_bits - spec.rho).reshape(shape))
+    spectrum *= _chi_spectrum(spec)
+    return np.fft.irfftn(spectrum, s=shape, axes=tuple(range(trs.d))).ravel()
 
 
 def psi_joint_matrix(spec: PsiSpec) -> np.ndarray:
@@ -191,36 +203,22 @@ def psi_bounds_check(spec: PsiSpec, n_samples: int, seed,
     swap_mag = 0.0
     sq_sum = 0.0
     for axis in range(d):
-        diff = np.roll(dgrid, -1, axis=axis) - dgrid
+        diff = np.roll(dgrid, -1, axis=axis)
+        diff -= dgrid
         swap_mag = max(swap_mag, float(np.max(np.abs(diff))))
-        sq_sum += float(np.sum(diff**2))
+        diff *= diff
+        sq_sum += float(np.sum(diff))
+    del diff
 
-    axes = tuple(range(d))
-    reflected = np.roll(np.flip(dgrid), 1, axis=axes)  # chi(-x)
-
-    def chi_from(site):
-        """chi(site - x) at every site x."""
-        return np.roll(reflected, trs.coords(site), axis=axes).ravel()
-
+    reflected = np.roll(np.flip(dgrid), 1, axis=tuple(range(d)))  # chi(-x)
     perm = trs.shift_table(tuple(1 if i == 0 else 0 for i in range(d)))
     max_site = 0.0
     swap_ok = True
     for _ in range(n_samples):
         bits = (rng.random(trs.n_sites) < spec.rho).astype(float)
-        psi_all = psi_field(bits, spec)
-        grid = psi_all.reshape((trs.L,) * d)
-        for axis in range(d):
-            max_site = max(max_site, float(np.max(np.abs(
-                np.roll(grid, -1, axis=axis) - grid))))
-        unequal = np.nonzero(bits[perm] != bits)[0]
-        if len(unequal):
-            a = int(unequal[rng.integers(len(unequal))])
-            b = int(perm[a])
-            swapped = bits.copy()
-            swapped[a], swapped[b] = swapped[b], swapped[a]
-            want = (bits[b] - bits[a]) * (chi_from(a) - chi_from(b))
-            delta = psi_field(swapped, spec) - psi_all
-            swap_ok = swap_ok and float(np.max(np.abs(delta - want))) <= tol * spec.T
+        site_diff, swap_match = _check_sample(spec, bits, rng, reflected, perm, tol)
+        max_site = max(max_site, site_diff)
+        swap_ok = swap_ok and swap_match
     return PsiBoundsReport(
         max_site_diff=max_site,
         site_diff_bound=2 * spec.T + tol,
@@ -231,6 +229,39 @@ def psi_bounds_check(spec: PsiSpec, n_samples: int, seed,
         swap_delta_matches_chi=swap_ok,
         quad_nodes=spec.quad_node_count,
     )
+
+
+def _check_sample(spec: PsiSpec, bits: np.ndarray, rng, reflected: np.ndarray,
+                  perm: np.ndarray, tol: float) -> tuple:
+    """One configuration of psi_bounds_check: its largest nearest-neighbour
+    psi difference, and whether a swap across a random bond with unequal
+    occupations moves psi as the chi table says. Swaps bits in place."""
+    trs = spec.torus
+    axes = tuple(range(trs.d))
+    psi_all = psi_field(bits, spec)
+    grid = psi_all.reshape((trs.L,) * trs.d)
+    max_site = 0.0
+    for axis in axes:
+        step = np.roll(grid, -1, axis=axis)
+        step -= grid
+        max_site = max(max_site, float(np.max(np.abs(step, out=step))))
+    del step
+    unequal = np.nonzero(bits[perm] != bits)[0]
+    if not len(unequal):
+        return max_site, True
+    a = int(unequal[rng.integers(len(unequal))])
+    b = int(perm[a])
+    sign = bits[b] - bits[a]
+    bits[a], bits[b] = bits[b], bits[a]
+    delta = psi_field(bits, spec)
+    delta -= psi_all
+    del psi_all, grid
+    # chi(a - x) - chi(b - x) at every site x
+    want = np.roll(reflected, trs.coords(a), axis=axes).ravel()
+    want -= np.roll(reflected, trs.coords(b), axis=axes).ravel()
+    want *= sign
+    delta -= want
+    return max_site, float(np.max(np.abs(delta, out=delta))) <= tol * spec.T
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ TRIAL_CHUNK = 256  # trials per task handed to a worker process
 # merged events per vectorised pass of a probe trial: each temporary stays in
 # L2 and under glibc's 128 KiB mmap threshold, so no pass faults fresh pages
 PROBE_CHUNK_EVENTS = 2**14
-PROBE_PANELS = 14  # panels of the probe's lag grid, geometric toward 0
+PROBE_PANELS = 7  # panels of the probe's lag grid, geometric toward 0
 PROBE_NODES_PER_PANEL = 12  # Gauss-Legendre nodes per lag panel
 
 
