@@ -271,22 +271,23 @@ class TestReplayPin:
 class TestProbePin:
     """Exact values of the probe (its geometric Gauss-Legendre lag grid) and
     of lambda_curve at fixed seeds, recorded before the grid construction was
-    shared with the field module."""
+    shared with the field module; the probe rows re-pinned when the lag grid
+    went from 14 to 7 panels (the t = 0.6 and t = 40 values kept every bit)."""
 
     @pytest.mark.parametrize("d, kappa, t, shift, want", [
         (4, 10.0, 0.6, 0.0, "0x1.b107e97e314b7p-4"),
-        (4, 10.0, 3.0, 0.0, "0x1.1e3da0999c8cbp-3"),
+        (4, 10.0, 3.0, 0.0, "0x1.1e3da0999c8c7p-3"),
         (4, 10.0, 40.0, 0.0, "0x1.3684bb618beabp-3"),
-        (3, 2.0, 200.0, 1.5, "0x1.a68eb129a88ddp-4"),
+        (3, 2.0, 200.0, 1.5, "0x1.a68eb129a87cfp-4"),
     ])
     def test_probe_expectation(self, d, kappa, t, shift, want):
         assert mc.probe_expectation(d, kappa, t, shift).hex() == want
 
     @pytest.mark.parametrize("d, kappa, t, n, seed, shift, want", [
         (4, 10.0, 20.0, 30, 5, 0.0,
-         ["0x1.3451ed9be1b46p-3", "0x1.8b6b53d077228p-9", "0x1.3962e19ba928ap-3"]),
+         ["0x1.34672a78cb157p-3", "0x1.8a2a4d47f6abep-9", "0x1.3962e19ba928ap-3"]),
         (3, 2.0, 5.0, 30, 6, 0.5,
-         ["0x1.2508b1af1c00cp-3", "0x1.ac39a45408de9p-8", "0x1.610bbb6b302b6p-3"]),
+         ["0x1.25121f0b3b2eep-3", "0x1.ac46770a1d895p-8", "0x1.610bbb6b302b6p-3"]),
     ])
     def test_asymptotic_probe(self, d, kappa, t, n, seed, shift, want):
         est, reference = mc.asymptotic_probe(d, kappa, t, n, seed, shift=shift)
