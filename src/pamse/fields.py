@@ -371,7 +371,12 @@ class CauchyProblem:
     source: np.ndarray
 
     def __post_init__(self):
+        check_horizon(self.horizon)
         self.source = np.asarray(self.source, dtype=float)
+        n_live = len(self.region.sites)
+        if self.source.shape != (n_live,):
+            raise ValueError(f"source must hold one value per live site: "
+                             f"{n_live} sites, source of shape {self.source.shape}")
 
 
 @dataclass
@@ -520,6 +525,7 @@ def mass_residual(problem: CauchyProblem) -> float:
     """Max residual of sum_x w(x,t) = t sum_x c(x) + int_0^t sum_x c(x) w(x,s) ds
     over the MASS_PANELS edges of [0, horizon]. The region's generator is
     symmetric, so the walk conserves sum_x v and only the source moves it."""
+    check_horizon(problem.horizon, positive=True)
     t_end, c = problem.horizon, problem.source
     nodes, weights = time_quadrature(t_end, MASS_PANELS, 10)  # globally ascending
     edges = _panel_edges(t_end, MASS_PANELS)[1:]

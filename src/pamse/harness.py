@@ -22,10 +22,11 @@ from . import variational as var
 from .exact import OperatorSpec, exact_lambda_profile, exact_moment
 from .irw import WeightFunction, compare_se_irw
 from .lattice import (Torus, check_density, check_horizon, check_kappa, check_samples,
-                      check_walkers, green, srw_kernel)
+                      check_transient, check_walkers, green, srw_kernel)
 
-# scenarios whose kappa enters through lattice.one_kappa
-_POSITIVE_KAPPA = {"asymptotic_probe", "field_checks"}
+# scenarios whose kappa enters through lattice.one_kappa and whose Green sums
+# converge only for d >= 3
+_TRANSIENT = {"asymptotic_probe", "field_checks"}
 _POSITIVE_HORIZON = {"asymptotic_probe", "intermittency_kappa0"}  # divide by t
 
 
@@ -68,8 +69,9 @@ def validate_config(cfg: ScenarioConfig) -> dict:
     """Check cfg.params against the runner's signature and return its kwargs;
     an int given for a float is converted, a bool is never a number, lists
     must be non-empty, and the model keys (`rho`, `kappa`, `p` and their
-    lists), the sample counts (`n`, `n_eta`) and the horizons (`t`, `T`,
-    `t_grid`, `t_ref`) obey the range rules the models apply."""
+    lists), the sample counts (`n`, `n_eta`), the horizons (`t`, `T`,
+    `t_grid`, `t_ref`) and the dimension `d` of the transient scenarios obey
+    the range rules the models apply."""
     if not isinstance(cfg.params, dict):
         raise ConfigError(f"{cfg.scenario}: params must be a JSON object")
     params = scenario_parameters(cfg.scenario)
@@ -90,15 +92,17 @@ def validate_config(cfg: ScenarioConfig) -> dict:
     for key in cfg.params:
         if key not in params:
             raise ConfigError(f"{cfg.scenario}: unknown key {key!r}")
-    positive = cfg.scenario in _POSITIVE_KAPPA
+    transient = cfg.scenario in _TRANSIENT
     rules = {"rho": check_density, "rhos": check_density,
-             "kappa": lambda k: check_kappa(k, positive), "kappas": check_kappa,
+             "kappa": lambda k: check_kappa(k, transient), "kappas": check_kappa,
              "limit_kappa": lambda k: check_kappa(k, True),
              "p": check_walkers, "p_list": check_walkers,
              "n": lambda n: check_samples(n, 2), "n_eta": check_samples,
              "t": lambda t: check_horizon(t, cfg.scenario in _POSITIVE_HORIZON),
              "T": check_horizon, "t_grid": lambda t: check_horizon(t, True),
              "t_ref": check_horizon}
+    if transient:  # after the density rule
+        rules["d"] = check_transient
     for key, rule in rules.items():
         vals = kwargs.get(key, [])
         for val in vals if isinstance(vals, list) else [vals]:

@@ -1,6 +1,6 @@
 """Lattice geometry, symmetric walk kernels, heat kernels and Green functions,
-and the range rules of the model parameters (rho, kappa, p), sample counts
-and horizons (booleans pass none of them).
+and the range rules of the model parameters (rho, kappa, p), sample counts,
+horizons and transient dimensions (booleans pass none of them).
 
 Everything here is deterministic. Transition probabilities follow the rate-1
 normalization internally: a kernel with rate r at time t is evaluated as the
@@ -58,6 +58,13 @@ def check_horizon(t, positive: bool = False) -> None:
     """Horizons are real, t >= 0, and t > 0 where a value is divided by t."""
     if not (_number(t, numbers.Real) and (t > 0 if positive else t >= 0)):
         raise ValueError("horizon must be > 0" if positive else "horizon must be >= 0")
+
+
+def check_transient(d) -> None:
+    """Green sums, the fields' swap bounds and the large-kappa probe converge
+    only in transient dimensions: an integer d >= 3."""
+    if not (_number(d, numbers.Integral) and d >= 3):
+        raise ValueError("transient dimensions only (d >= 3)")
 
 
 def check_walkers(p) -> None:

@@ -17,8 +17,8 @@ import numpy as np
 
 from .exact import OperatorSpec
 from .exclusion import build_schedule, replay
-from .lattice import (check_horizon, check_kappa, check_samples, gauss_legendre, heat1d,
-                      one_kappa, srw_kernel, green)
+from .lattice import (check_horizon, check_kappa, check_samples, check_transient,
+                      gauss_legendre, heat1d, one_kappa, srw_kernel, green)
 
 TRIAL_CHUNK = 256  # trials per task handed to a worker process
 # merged events per vectorised pass of a probe trial: each temporary stays in
@@ -304,8 +304,7 @@ def asymptotic_probe(d: int, kappa: float, t: float, n: int, seed,
 
     Returns (McEstimate, reference_value).
     """
-    if d < 3:
-        raise ValueError("transient dimensions only (d >= 3)")
+    check_transient(d)
     check_kappa(kappa, positive=True)
     check_horizon(t, positive=True)
     check_samples(n, 2)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import math
 from functools import reduce
 
 import numpy as np
@@ -57,6 +58,19 @@ class TestPsiField:
                   for x in range(L**d)]
         np.testing.assert_allclose(fields.psi_field(bits, spec), direct,
                                    rtol=0, atol=1e-12 * spec.T)
+
+    def test_direct_sum_on_a_7_smooth_side(self):
+        # 21 = 3 * 7: pocketfft's mixed-radix passes, not its prime-length path
+        L = 21
+        spec = fields.PsiSpec(kappa=2.0, T=1.5, torus=Torus(3, L), rho=0.45)
+        rng = np.random.default_rng(21)
+        bits = (rng.random(L**3) < 0.45).astype(float)
+        chi = fields.chi_table(spec).grid()
+        centered = (bits - 0.45).reshape((L,) * 3)
+        got = fields.psi_field(bits, spec)
+        for x in rng.choice(L**3, 5, replace=False):
+            direct = np.sum(np.roll(chi, spec.torus.coords(x), axis=(0, 1, 2)) * centered)
+            assert got[x] == pytest.approx(direct, abs=1e-12 * spec.T)
 
     def test_chi_spectrum_cache_is_clearable_and_read_only(self):
         spec = fields.PsiSpec(kappa=2.0, T=1.0, torus=Torus(2, 6))
@@ -118,9 +132,22 @@ class TestPsiField:
         assert fields.chi_table(spec1d).values.sum() == pytest.approx(
             spec1d.T, abs=1e-12)
 
-    def test_window_sizing_rule(self):
-        side = fields.recommended_side(3, 5.0, 2.0)
-        assert side % 2 == 1 and side >= 71
+    @pytest.mark.parametrize("d, T, kappa", [
+        (1, 0.0, 1.0), (1, 1.0, 0.5), (2, 2.0, 1.0), (3, 1.0, 2.0), (3, 5.0, 2.0),
+        (3, 5.0, 1e3), (4, 3.0, 0.1), (3, 40.0, 2.0)])
+    def test_window_is_smallest_odd_7_smooth_side(self, d, T, kappa):
+        def smooth(n):
+            return all(p <= 7 for p in range(2, n + 1)
+                       if n % p == 0 and all(p % q for q in range(2, p)))
+
+        least = 2 * (math.ceil(6.0 * math.sqrt(2 * d * T * one_kappa(d, kappa))) + 1) + 1
+        side = fields.recommended_side(d, T, kappa)
+        assert side % 2 == 1 and smooth(side) and side >= least
+        assert not any(smooth(n) for n in range(least, side, 2))
+
+    def test_window_of_the_field_checks_grid(self):
+        # radius 36 gives 73, a prime; 75 = 3 * 5^2 is the next odd 7-smooth side
+        assert fields.recommended_side(3, 5.0, 2.0) == 75
 
 
 class TestPsiBounds:
@@ -238,6 +265,29 @@ class TestCauchySolver:
             fields.solve_cauchy(prob, [0.5, 2.0])
         with pytest.raises(ValueError):
             fields.solve_cauchy(prob, [0.8, 0.2])
+
+
+class TestCauchyProblemRules:
+    def test_negative_horizon_rejected(self):
+        with pytest.raises(ValueError, match="horizon must be >= 0"):
+            fields.CauchyProblem(fields.Region(Torus(1, 8)), srw_kernel(1), -1.0,
+                                 np.zeros(8))
+
+    def test_source_length_must_match_live_sites(self):
+        with pytest.raises(ValueError, match="one value per live site: 8 sites, "
+                                             r"source of shape \(5,\)"):
+            fields.CauchyProblem(fields.Region(Torus(1, 8)), srw_kernel(1), 1.0,
+                                 np.zeros(5))
+        half = fields.halfspace_region(Torus(3, 5))  # 100 live sites of 125
+        with pytest.raises(ValueError, match="100 sites"):
+            fields.CauchyProblem(half, srw_kernel(3), 1.0, np.zeros(125))
+
+    def test_mass_residual_needs_positive_horizon(self):
+        prob = fields.CauchyProblem(fields.Region(Torus(1, 8)), srw_kernel(1), 0.0,
+                                    np.full(8, 0.1))
+        assert fields.solve_cauchy(prob, [0.0]).v.tolist() == [[1.0] * 8]
+        with pytest.raises(ValueError, match="horizon must be > 0"):
+            fields.mass_residual(prob)
 
 
 class TestMassIdentities:

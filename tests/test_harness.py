@@ -318,6 +318,25 @@ class TestCli:
             assert captured.err == f"invalid: {scenario}: key '{key}': {message}\n"
 
     @pytest.mark.parametrize("scenario, key, value, message", [
+        ("field_checks", "d", 2, "transient dimensions only (d >= 3)"),
+        ("asymptotic_probe", "d", 1, "transient dimensions only (d >= 3)")])
+    def test_validate_rejects_recurrent_dimension_as_run_does(
+            self, tmp_path, capsys, scenario, key, value, message):
+        # unchecked, validate passed and run failed in the Green integral
+        # (field_checks) or in the probe itself (asymptotic_probe)
+        from pamse.cli import main
+
+        cfg = json.loads((CONFIG_DIR / f"{scenario}.json").read_text())
+        cfg["params"][key] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(cfg))
+        for command in ("validate", "run"):
+            assert main([command, str(bad)]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"invalid: {scenario}: key '{key}': {message}\n"
+
+    @pytest.mark.parametrize("scenario, key, value, message", [
         ("field_checks", "n_eta", 0, "sample count must be an integer >= 1"),
         ("field_checks", "T", -1.0, "horizon must be >= 0"),
         ("exact_vs_mc", "t", -1.0, "horizon must be >= 0"),

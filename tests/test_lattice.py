@@ -231,9 +231,9 @@ class TestGreenMemo:
 class TestRangeRules:
     @pytest.mark.parametrize("rule", [
         lat.check_density, lat.check_kappa, lat.check_samples, lat.check_horizon,
-        lat.check_walkers])
+        lat.check_walkers, lat.check_transient])
     def test_bool_rejected(self, rule):
-        rule(1 if rule in (lat.check_samples, lat.check_walkers) else 0.5)
+        rule({lat.check_samples: 1, lat.check_walkers: 1, lat.check_transient: 3}.get(rule, 0.5))
         with pytest.raises(ValueError):
             rule(True)
 
