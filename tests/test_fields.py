@@ -145,7 +145,7 @@ class TestPsiField:
         assert side % 2 == 1 and smooth(side) and side >= least
         assert not any(smooth(n) for n in range(least, side, 2))
 
-    def test_window_of_the_field_checks_grid(self):
+    def test_window_sizing_rule(self):
         # radius 36 gives 73, a prime; 75 = 3 * 5^2 is the next odd 7-smooth side
         assert fields.recommended_side(3, 5.0, 2.0) == 75
 
