@@ -45,7 +45,9 @@ class TestPsiField:
                          for z in range(10))
             assert got[x] == pytest.approx(direct, abs=1e-12)
 
-    @pytest.mark.parametrize("d, L", [(1, 10), (1, 11), (2, 8), (2, 9), (3, 6), (3, 7)])
+    # 15 = 3 * 5: an odd side of the kind recommended_side returns
+    @pytest.mark.parametrize("d, L", [(1, 10), (1, 11), (2, 8), (2, 9), (3, 6), (3, 7),
+                                      (3, 15)])
     def test_half_spectrum_matches_direct_sum(self, d, L):
         spec = fields.PsiSpec(kappa=1.5, T=1.3, torus=Torus(d, L), rho=0.4)
         rng = np.random.default_rng(L)
@@ -58,19 +60,6 @@ class TestPsiField:
                   for x in range(L**d)]
         np.testing.assert_allclose(fields.psi_field(bits, spec), direct,
                                    rtol=0, atol=1e-12 * spec.T)
-
-    def test_direct_sum_on_a_7_smooth_side(self):
-        # 21 = 3 * 7: pocketfft's mixed-radix passes, not its prime-length path
-        L = 21
-        spec = fields.PsiSpec(kappa=2.0, T=1.5, torus=Torus(3, L), rho=0.45)
-        rng = np.random.default_rng(21)
-        bits = (rng.random(L**3) < 0.45).astype(float)
-        chi = fields.chi_table(spec).grid()
-        centered = (bits - 0.45).reshape((L,) * 3)
-        got = fields.psi_field(bits, spec)
-        for x in rng.choice(L**3, 5, replace=False):
-            direct = np.sum(np.roll(chi, spec.torus.coords(x), axis=(0, 1, 2)) * centered)
-            assert got[x] == pytest.approx(direct, abs=1e-12 * spec.T)
 
     def test_chi_spectrum_cache_is_clearable_and_read_only(self):
         spec = fields.PsiSpec(kappa=2.0, T=1.0, torus=Torus(2, 6))
