@@ -303,7 +303,9 @@ class TestSchedulePin:
     before the counts were drawn one bond at a time; any change in the draw
     order or in the generator state a schedule leaves behind shows up here."""
 
-    @pytest.mark.parametrize("d, L, rate, t, seed, n_events, want", [
+    # the horizon is scale * t: the per-bond Poisson means of a catalyst
+    # running scale times faster up to time t
+    @pytest.mark.parametrize("d, L, scale, t, seed, n_events, want", [
         (1, 6, 1.0, 2.0, 61, 11,
          ("df7c9a3f174ad0ec", "23b1f008299d0e80", "5e1f2eab12aee9c1")),
         # the fk_replay workload's nested (seed, round), trial keying
@@ -311,29 +313,29 @@ class TestSchedulePin:
          ("e9e6da03ebd87bf8", "c80f4bc179828d45", "6d355b718dbbdba5")),
         (2, 3, 1.0, 1.5, 63, 3,
          ("35a6d659807132f4", "70cc3e89a4320d62", "1d7f6eadef605593")),
-        # rate * t = 15 per bond: numpy's PTRS Poisson branch (lam >= 10)
+        # 15 per bond: numpy's PTRS Poisson branch (lam >= 10)
         (1, 5, 30.0, 1.0, 64, 75,
-         ("e8757bb4759fa293", "7de446d5a0912533", "3c0c57e3352040b0")),
+         ("c1ac6df7b5248a63", "7de446d5a0912533", "3c0c57e3352040b0")),
     ])
-    def test_build_schedule(self, d, L, rate, t, seed, n_events, want):
-        sched = ex.build_schedule(Torus(d, L), srw_kernel(d, rate=rate), t, seed)
+    def test_build_schedule(self, d, L, scale, t, seed, n_events, want):
+        sched = ex.build_schedule(Torus(d, L), srw_kernel(d), scale * t, seed)
         assert sched.n_events == n_events
         assert (_digest(sched.times), _digest(sched.bond_a),
                 _digest(sched.bond_b)) == want
 
-    @pytest.mark.parametrize("rate, t", [(1.0, 2.0), (1.0, 0.3), (30.0, 1.0),
-                                         (7.0, 3.0)])
-    def test_generator_state_after_schedule(self, rate, t):
+    @pytest.mark.parametrize("scale, t", [(1.0, 2.0), (1.0, 0.3), (30.0, 1.0),
+                                          (7.0, 3.0)])
+    def test_generator_state_after_schedule(self, scale, t):
         # a trial keeps drawing from the generator the schedule used, so the
         # schedule must consume exactly the draws of one array-valued
-        # Poisson call followed by the event times
-        trs, k = Torus(1, 6), srw_kernel(1, rate=rate)
+        # Poisson call followed by the event times (horizon scale * t)
+        trs, k = Torus(1, 6), srw_kernel(1)
         rates = ex.torus_bonds(trs, k)[2]
         for seed in range(20):
             rng = np.random.default_rng([seed, 3])
-            ex.build_schedule(trs, k, t, rng)
+            ex.build_schedule(trs, k, scale * t, rng)
             ref = np.random.default_rng([seed, 3])
-            ref.random(int(ref.poisson(rates * t).sum()))
+            ref.random(int(ref.poisson(rates * (scale * t)).sum()))
             assert rng.random() == ref.random()
 
     def test_scalar_poisson_draws_match_array_draw(self):

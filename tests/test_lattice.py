@@ -360,7 +360,8 @@ class TestGreenPin:
         (3, 4, 0.4, "be5df9b6cb14adad"),
     ])
     def test_torus_heat_row(self, d, L, t, want):
-        row = lat.torus_heat_row(lat.Torus(d, L), lat.srw_kernel(d, rate=2.0), t)
+        # pinned for a rate-2 walk to time t, the rate-1 walk to time 2t
+        row = lat.torus_heat_row(lat.Torus(d, L), lat.srw_kernel(d), 2 * t)
         assert _digest(row) == want
 
     @pytest.mark.parametrize("d, t, zs, want", [
@@ -374,15 +375,16 @@ class TestGreenPin:
         (4, 1e3, [[0, 0, 0, 0]], ("f80a6263c357416e", "2aa5f89db5a33342")),
     ])
     def test_transition_prob_many(self, d, t, zs, want):
-        got = tuple(_digest(lat.transition_prob_many(lat.srw_kernel(d, rate=rate), t,
-                                                     np.array(zs)))
-                    for rate in (1.0, 2.0))
+        # at times t and 2t: the second digest was pinned for a rate-2 walk to t
+        got = tuple(_digest(lat.transition_prob_many(lat.srw_kernel(d), time, np.array(zs)))
+                    for time in (t, 2 * t))
         assert got == want
 
     def test_halfspace_transition(self):
         assert float(lat.halfspace_transition(lat.srw_kernel(3), 2.5, (2, 1, 0),
                                               (1, 1, 0))).hex() == "0x1.001874ad422f7p-4"
-        assert float(lat.halfspace_transition(lat.srw_kernel(4, rate=2.0), 0.9,
+        # pinned for a rate-2 walk to time 0.9
+        assert float(lat.halfspace_transition(lat.srw_kernel(4), 2 * 0.9,
                                               (3, 1, 1, 0), (1, 2, 2, 0))).hex() == \
             "0x1.0c64e14c39272p-12"
 

@@ -262,6 +262,10 @@ class TestReplayPin:
         (dict(d=2, L=3, rho=0.5, kappa=0.5, p=2), 0.8, 200, 15, {},
          ("0x1.573bdcf903dacp+1", "0x1.776c0c211c9d3p-4",
           "0x1.f90705bce7587p-1", "0x1.1825b3d366c7cp-5")),
+        # two workers merge their trial chunks into the serial result
+        (dict(d=1, L=6, rho=0.5, kappa=1.0, p=1), 1.5, 300, 16, {"n_workers": 2},
+         ("0x1.3039bae952068p+1", "0x1.0d20fd6ef88c4p-4",
+          "0x1.bb4223445a241p-1", "0x1.c521ea805581ep-6")),
     ])
     def test_estimate_moment(self, kw, t, n, seed, extra, want):
         est = mc.estimate_moment(_spec(**kw), t, n, seed, **extra)
