@@ -141,11 +141,11 @@ def criterion_5_spectral(tol: float = 1e-6) -> CriterionResult:
     top = var.top_eigenvalue(spec)
     worst_q = -np.inf
     for s in range(100):
-        q = var.rayleigh_quotient(var.random_test_function(spec, [99, s]), spec)
+        q = var.rayleigh_quotient(var.random_test_function(spec, [99, s]))
         worst_q = max(worst_q, q)
     quotient_ok = worst_q <= top.mu + 1e-9
     bump = var.test_function_bound(0.3, spec.rho, spec.kappa, spec.torus)
-    bump_q = var.rayleigh_quotient(var.bump_as_test_function(bump, spec).normalized(), spec)
+    bump_q = var.rayleigh_quotient(var.bump_as_test_function(bump, spec).normalized())
     bump_gap = abs(bump_q - bump.bound)
     return CriterionResult(5, "spectral consistency and Rayleigh bound",
                            ok and quotient_ok and bump_gap <= 1e-12,
@@ -352,12 +352,11 @@ FAST_OVERRIDES = {
 }
 
 
-def run_acceptance(fast: bool = False, emit=print) -> list:
+def run_acceptance(fast: bool = False) -> list:
     results = []
     for fn in ALL_CRITERIA:
         kwargs = FAST_OVERRIDES.get(fn, {}) if fast else {}
         res = fn(**kwargs)
         results.append(res)
-        if emit:
-            emit(res.line())
+        print(res.line())
     return results

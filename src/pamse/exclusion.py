@@ -36,10 +36,6 @@ class Configuration:
         if self.bits.max(initial=0) > 1:
             raise ValueError("occupations must be 0 or 1")
 
-    @property
-    def particle_count(self) -> int:
-        return int(self.bits.sum())
-
 
 def sample_initial(torus: Torus, rho: float, seed) -> Configuration:
     """Bernoulli(rho) product configuration; rho strictly inside (0,1)."""
@@ -51,7 +47,7 @@ def sample_initial(torus: Torus, rho: float, seed) -> Configuration:
 
 @lru_cache(maxsize=32)
 def torus_bonds(torus: Torus, kernel: Kernel):
-    """Unoriented bonds (a, b) with swap rates kernel.rate * p(a, b).
+    """Unoriented bonds (a, b) with swap rates p(a, b).
 
     Each +- offset pair contributes one bond per site; on an L=2 torus the
     two wrap edges appear as parallel bonds, which matches the wrapped
@@ -65,7 +61,7 @@ def torus_bonds(torus: Torus, kernel: Kernel):
         perm = torus.shift_table(vec)
         a_list.append(np.arange(torus.n_sites))
         b_list.append(perm)
-        r_list.append(np.full(torus.n_sites, kernel.rate * w))
+        r_list.append(np.full(torus.n_sites, w))
     out = (np.concatenate(a_list), np.concatenate(b_list), np.concatenate(r_list))
     for arr in out:
         arr.flags.writeable = False
@@ -80,10 +76,6 @@ class LinkSchedule:
     times: np.ndarray
     bond_a: np.ndarray
     bond_b: np.ndarray
-
-    @property
-    def n_events(self) -> int:
-        return len(self.times)
 
 
 def build_schedule(torus: Torus, kernel: Kernel, horizon: float, seed) -> LinkSchedule:

@@ -29,6 +29,7 @@ GL_NODES_PER_PANEL = 12
 PSI_PANELS = 10  # time panels of the chi and gradient-kernel quadrature
 MASS_PANELS = 24  # time panels of the mass-identity integrals
 CHI_SLAB = 8  # leading-axis planes of the chi grid summed per buffer pass
+PSI_TOL = 1e-9  # slack of the psi bounds; the swap identity's is PSI_TOL * T
 
 
 def _panel_edges(T: float, n_panels: int) -> np.ndarray:
@@ -86,9 +87,6 @@ def _seven_smooth(n: int) -> bool:
 class Field:
     torus: Torus
     values: np.ndarray
-
-    def grid(self) -> np.ndarray:
-        return self.values.reshape((self.torus.L,) * self.torus.d)
 
 
 @lru_cache(maxsize=32)
@@ -178,9 +176,7 @@ class PsiBoundsReport:
                 and self.swap_delta_matches_chi)
 
 
-def psi_bounds_check(spec: PsiSpec, n_samples: int, seed,
-                     green_value: float | None = None,
-                     tol: float = 1e-9) -> PsiBoundsReport:
+def psi_bounds_check(spec: PsiSpec, n_samples: int, seed) -> PsiBoundsReport:
     """Verify the three smoothing-field estimates: nearest-neighbour psi
     differences <= 2T, single-swap differences <= 2 G_d, and the square sum
     of swap differences over all bonds <= G_d / (2d).
@@ -190,13 +186,12 @@ def psi_bounds_check(spec: PsiSpec, n_samples: int, seed,
     evaluated on random Bernoulli configurations for the first bound. On each
     configuration a swap across a random bond (a, b) with unequal occupations
     is checked to move psi at every site x by exactly
-    (eta(b) - eta(a)) (chi(a - x) - chi(b - x)), to tol * T.
+    (eta(b) - eta(a)) (chi(a - x) - chi(b - x)), to PSI_TOL * T.
     """
     check_samples(n_samples)
     trs = spec.torus
     d = trs.d
-    if green_value is None:
-        green_value = green(srw_kernel(d))
+    green_value = green(srw_kernel(d))
     dgrid = _chi_grid_cached(spec)
     rng = np.random.default_rng(seed)
 
@@ -216,23 +211,23 @@ def psi_bounds_check(spec: PsiSpec, n_samples: int, seed,
     swap_ok = True
     for _ in range(n_samples):
         bits = (rng.random(trs.n_sites) < spec.rho).astype(float)
-        site_diff, swap_match = _check_sample(spec, bits, rng, reflected, perm, tol)
+        site_diff, swap_match = _check_sample(spec, bits, rng, reflected, perm)
         max_site = max(max_site, site_diff)
         swap_ok = swap_ok and swap_match
     return PsiBoundsReport(
         max_site_diff=max_site,
-        site_diff_bound=2 * spec.T + tol,
+        site_diff_bound=2 * spec.T + PSI_TOL,
         max_swap_diff=swap_mag,
-        swap_diff_bound=2 * green_value + tol,
+        swap_diff_bound=2 * green_value + PSI_TOL,
         max_swap_square_sum=sq_sum,
-        swap_square_bound=green_value / (2 * d) + tol,
+        swap_square_bound=green_value / (2 * d) + PSI_TOL,
         swap_delta_matches_chi=swap_ok,
         quad_nodes=spec.quad_node_count,
     )
 
 
 def _check_sample(spec: PsiSpec, bits: np.ndarray, rng, reflected: np.ndarray,
-                  perm: np.ndarray, tol: float) -> tuple:
+                  perm: np.ndarray) -> tuple:
     """One configuration of psi_bounds_check: its largest nearest-neighbour
     psi difference, and whether a swap across a random bond with unequal
     occupations moves psi as the chi table says. Swaps bits in place."""
@@ -261,7 +256,7 @@ def _check_sample(spec: PsiSpec, bits: np.ndarray, rng, reflected: np.ndarray,
     want -= np.roll(reflected, trs.coords(b), axis=axes).ravel()
     want *= sign
     delta -= want
-    return max_site, float(np.max(np.abs(delta, out=delta))) <= tol * spec.T
+    return max_site, float(np.max(np.abs(delta, out=delta))) <= PSI_TOL * spec.T
 
 
 # ---------------------------------------------------------------------------
@@ -321,7 +316,7 @@ def k_kernels(spec: PsiSpec) -> KKernels:
 
 
 # ---------------------------------------------------------------------------
-# Cauchy problems: dv/dt = rate * Delta^(p) v + c v, v(., 0) = 1.
+# Cauchy problems: dv/dt = Delta^(p) v + c v, v(., 0) = 1.
 # ---------------------------------------------------------------------------
 
 
@@ -349,7 +344,7 @@ class Region:
         live, pos = self.sites, self.local_index()
         src = np.arange(len(live))
         dst = np.stack([pos[self.torus.shift_table(vec)[live]] for vec, _ in kernel.offsets])
-        rates = kernel.rate * np.array([[w] for _, w in kernel.offsets])
+        rates = np.array([[w] for _, w in kernel.offsets])
         # a jump blocked by the mask is a self-move, which rate_matrix drops
         return rate_matrix(len(live), src, np.where(dst >= 0, dst, src), rates)
 
@@ -482,7 +477,6 @@ def _solve_mc(problem: CauchyProblem, times: np.ndarray, n: int, seed,
     offsets = [np.asarray(v) for v, _ in problem.kernel.offsets]
     weights = np.array([w for _, w in problem.kernel.offsets])
     perms = np.stack([region.torus.shift_table(tuple(v)) for v in offsets])
-    rate = problem.kernel.rate
     starts = live if start_sites is None else np.asarray(start_sites, dtype=int)
     out = np.full((len(times), len(live)), np.nan)
     err = np.full((len(times), len(live)), np.nan)
@@ -495,7 +489,7 @@ def _solve_mc(problem: CauchyProblem, times: np.ndarray, n: int, seed,
             acc, ti = 0.0, 0
             vals = np.empty(len(times))
             while ti < len(times):
-                t_next = t_now + rng.exponential(1.0 / rate)
+                t_next = t_now + rng.exponential(1.0)
                 cx = c[pos[site]]
                 while ti < len(times) and times[ti] <= t_next:
                     vals[ti] = acc + (times[ti] - t_now) * cx
@@ -549,17 +543,16 @@ class ContractionCertificate:
 
 
 def green_window_table(kernel: Kernel, torus: Torus) -> np.ndarray:
-    """G(0, v) over torus displacement indices, rate-1 clock, vectorized
-    time quadrature with a power-law tail fit per displacement."""
+    """G(0, v) over torus displacement indices, vectorized time quadrature
+    with a power-law tail fit per displacement."""
     if kernel.d <= 2:
         raise ValueError("Green table needs a transient kernel (d >= 3)")
-    rate1 = Kernel(d=kernel.d, offsets=kernel.offsets, rate=1.0)
     half = torus.L // 2
     coords = torus.all_coords()
     zs = np.where(coords <= half, coords, coords - torus.L)
 
     def window(s: float) -> np.ndarray:
-        return transition_prob_many(rate1, s, zs)
+        return transition_prob_many(kernel, s, zs)
 
     nodes, weights = time_quadrature(GREEN_SPLIT, 24, 12)
     body = np.zeros(torus.n_sites)

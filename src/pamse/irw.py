@@ -20,6 +20,8 @@ from .exclusion import exp_weight_mc
 from .fields import Region
 from .lattice import Kernel, Torus, check_density
 
+COMPARE_MC_TRIALS = 20000  # exclusion-side trials where the exact route exceeds the cap
+
 
 @dataclass(frozen=True)
 class WeightFunction:
@@ -73,8 +75,8 @@ def _pieces_latest_first(K: WeightFunction, torus: Torus, t: float):
 
 
 def single_walk_values(torus: Torus, kernel: Kernel, K: WeightFunction, t: float) -> np.ndarray:
-    """v(x) = E_x exp[int_0^t K(Y_s, s) ds] for one rate-`kernel.rate` walk,
-    by exact exponential-integrator factors per constant-K interval."""
+    """v(x) = E_x exp[int_0^t K(Y_s, s) ds] for one walk with the kernel's
+    jumps, by exact exponential-integrator factors per constant-K interval."""
     gen = Region(torus).generator(kernel)
     v = np.ones(torus.n_sites)
     # backward in time: v = T_0 T_1 ... 1 with chronological factors
@@ -87,12 +89,14 @@ def single_walk_values(torus: Torus, kernel: Kernel, K: WeightFunction, t: float
 def irw_exp_functional(rho: float, K: WeightFunction, t: float, torus: Torus,
                        kernel: Kernel) -> float:
     """E^IRW_{nu_rho} exp[sum_z int_0^t K(z,s) xi_s(z) ds], exactly, as the
-    product over sites of (1 - rho + rho v(x,t)); log-domain accumulation."""
+    product over sites of (1 - rho + rho v(x,t)); log-domain accumulation.
+    A weight so strong that a single-walk value overflows is a bad input."""
     check_density(rho)
     v = single_walk_values(torus, kernel, K, t)
     factors = 1.0 - rho + rho * v
     if np.any(factors <= 0) or not np.all(np.isfinite(factors)):
-        raise OverflowError("single-walk solution out of range")
+        raise ValueError("single-walk solution out of range: weight too strong "
+                         "for this horizon")
     return float(np.exp(np.sum(np.log(factors))))
 
 
@@ -123,13 +127,13 @@ class ComparisonReport:
 
 
 def compare_se_irw(torus: Torus, kernel: Kernel, rho: float, K: WeightFunction,
-                   t: float, mc_trials: int = 20000, seed=0,
-                   tol: float = 1e-10) -> ComparisonReport:
+                   t: float, seed=0, tol: float = 1e-10) -> ComparisonReport:
     """Exclusion value vs IRW value of the exponential functional, with the
     margin IRW - SE; a negative margin beyond tolerance is flagged.
 
     SE is exact when 2^sites fits `exact.DEFAULT_STATE_CAP`, else Monte Carlo
-    with its own stderr; IRW is always the exact product formula.
+    over COMPARE_MC_TRIALS trials with its own stderr; IRW is always the exact
+    product formula.
     """
     irw_value = irw_exp_functional(rho, K, t, torus, kernel)
     se_stderr = None
@@ -139,8 +143,8 @@ def compare_se_irw(torus: Torus, kernel: Kernel, rho: float, K: WeightFunction,
         violation = irw_value - se_value < -tol
     else:
         se_value, se_stderr = exp_weight_mc(torus, kernel, rho, K.time_slices(torus), t,
-                                            mc_trials, seed)
-        se_method = f"mc(n={mc_trials})"
+                                            COMPARE_MC_TRIALS, seed)
+        se_method = f"mc(n={COMPARE_MC_TRIALS})"
         violation = irw_value - se_value < -4.0 * se_stderr
     return ComparisonReport(
         se_value=se_value, irw_value=irw_value, margin=irw_value - se_value,

@@ -2,11 +2,8 @@
 and the range rules of the model parameters (rho, kappa, p), sample counts,
 horizons and transient dimensions (booleans pass none of them).
 
-Everything here is deterministic. Transition probabilities follow the rate-1
-normalization internally: a kernel with rate r at time t is evaluated as the
-rate-1 kernel at time r*t. This keeps the three step-rate conventions used
-elsewhere (catalyst walks at rate 1, reactant walks at rate 2*d and 2*d*kappa)
-in one place.
+Everything here is deterministic, and a kernel is the jump law of a rate-1
+walk.
 """
 
 from __future__ import annotations
@@ -126,7 +123,7 @@ class Torus:
 
 @dataclass(frozen=True)
 class Kernel:
-    """Symmetric single-step distribution with an explicit jump rate.
+    """Symmetric single-step distribution of a rate-1 walk.
 
     offsets holds (displacement, weight) pairs; weights sum to one, the zero
     displacement is excluded and weights are invariant under negation.
@@ -134,13 +131,10 @@ class Kernel:
 
     d: int
     offsets: tuple[tuple[Vector, float], ...]
-    rate: float = 1.0
 
     def __post_init__(self):
         if self.d < 1:
             raise ValueError("dimension must be >= 1")
-        if self.rate <= 0:
-            raise ValueError("rate must be positive")
         total = 0.0
         table = {}
         for vec, w in self.offsets:
@@ -184,7 +178,7 @@ class Kernel:
         return out
 
 
-def srw_kernel(d: int, rate: float = 1.0) -> Kernel:
+def srw_kernel(d: int) -> Kernel:
     """Nearest-neighbour kernel with weight 1/(2d) per unit vector."""
     if d < 1:
         raise ValueError("dimension must be >= 1")
@@ -193,11 +187,11 @@ def srw_kernel(d: int, rate: float = 1.0) -> Kernel:
         for sign in (1, -1):
             vec = tuple(sign if j == i else 0 for j in range(d))
             offsets.append((vec, 1.0 / (2 * d)))
-    return Kernel(d=d, offsets=tuple(offsets), rate=float(rate))
+    return Kernel(d=d, offsets=tuple(offsets))
 
 
 # ---------------------------------------------------------------------------
-# One-dimensional building blocks (rate-1 normalization).
+# One-dimensional building blocks (rate-1 walks).
 # ---------------------------------------------------------------------------
 
 
@@ -232,7 +226,7 @@ def cycle_heat1d(L: int, tau: float) -> np.ndarray:
 
 
 def transition_prob(kernel: Kernel, t: float, z) -> float:
-    """p_t(0, z) for the continuous-time walk jumping at the kernel's rate."""
+    """p_t(0, z) for the continuous-time walk with the kernel's jumps."""
     return float(transition_prob_many(kernel, t, np.asarray(z)[None, :])[0])
 
 
@@ -245,7 +239,7 @@ def transition_prob_many(kernel: Kernel, t: float, zs: np.ndarray) -> np.ndarray
     zs = np.asarray(zs, dtype=int)
     if zs.ndim == 1:
         zs = zs[None, :]
-    tau = kernel.rate * t / kernel.d
+    tau = t / kernel.d
     out = np.ones(len(zs))
     rows = {}  # one heat row per distinct column, multiplied in per axis
     for j in range(kernel.d):
@@ -264,7 +258,7 @@ def torus_heat_row(torus: Torus, kernel: Kernel, t: float) -> np.ndarray:
         raise ValueError("negative time")
     if not kernel.is_srw:
         raise ValueError("heat kernels need a nearest-neighbour kernel")
-    row = cycle_heat1d(torus.L, kernel.rate * t / kernel.d)
+    row = cycle_heat1d(torus.L, t / kernel.d)
     return reduce(np.multiply.outer, [row] * torus.d).ravel()
 
 
@@ -305,30 +299,29 @@ def _tail_by_power_fit(f, s0: float, d: int):
     )
 
 
-def green(kernel: Kernel, t_min: float = 0.0, z=None, split: float = GREEN_SPLIT) -> float:
-    """Truncated Green value integral_{t_min}^inf p_s(0, z) ds, rate-1 clock.
+def green(kernel: Kernel, t_min: float = 0.0, z=None) -> float:
+    """Truncated Green value integral_{t_min}^inf p_s(0, z) ds.
 
     Finite only for transient kernels (d >= 3): the integrand decays like
     s^(-d/2), so the tail diverges in d <= 2 for every t_min. Memoized per
-    (kernel, t_min, z, split) in `_green_cached`.
+    (kernel, t_min, z) in `_green_cached`.
     """
     if t_min < 0:
         raise ValueError("negative t_min")
     if kernel.d <= 2:
         raise ValueError("Green integral diverges for d <= 2")
     ztuple = None if z is None else tuple(int(v) for v in np.asarray(z, dtype=int))
-    return _green_cached(kernel, float(t_min), ztuple, float(split))
+    return _green_cached(kernel, float(t_min), ztuple)
 
 
 @lru_cache(maxsize=64)
-def _green_cached(kernel: Kernel, t_min: float, z, split: float) -> float:
+def _green_cached(kernel: Kernel, t_min: float, z) -> float:
     zvec = np.zeros(kernel.d, dtype=int) if z is None else np.array(z, dtype=int)
-    rate1 = Kernel(d=kernel.d, offsets=kernel.offsets, rate=1.0)
 
     def f(s: float) -> float:
-        return transition_prob(rate1, s, zvec)
+        return transition_prob(kernel, s, zvec)
 
-    s0 = max(split, 4.0 * t_min, 50.0)
+    s0 = max(GREEN_SPLIT, 4.0 * t_min)
     body, _ = quad(f, t_min, s0, limit=400, epsabs=1e-13, epsrel=1e-11)
     return body + _tail_by_power_fit(f, s0, kernel.d)
 

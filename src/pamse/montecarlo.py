@@ -87,8 +87,7 @@ def _jackknife_log_stderr(w: np.ndarray) -> float:
     return float(np.sqrt((n - 1) * np.var(loo)))
 
 
-def _moment_trials(spec: OperatorSpec, t: float, seed, initial_bits,
-                   trials) -> np.ndarray:
+def _moment_trials(spec: OperatorSpec, t: float, seed, trials) -> np.ndarray:
     """Per-trial exponents int_0^t gamma sum_q xi_s(X_q(s)) ds. Trial state
     is held in Python lists; the walkers' occupation sum is an exact int."""
     torus = spec.torus
@@ -96,14 +95,10 @@ def _moment_trials(spec: OperatorSpec, t: float, seed, initial_bits,
     moves = torus.unit_moves().tolist()
     base = flat_seed(seed)
     jump_rate = 2.0 * d * spec.kappa * t * p
-    start = None if initial_bits is None else np.array(initial_bits, dtype=np.uint8).tolist()
     out = np.empty(len(trials))
     for k, trial in enumerate(trials):
         rng = np.random.default_rng(base + (trial,))
-        if start is None:
-            bits = (rng.random(torus.n_sites) < spec.rho).tolist()
-        else:
-            bits = start.copy()
+        bits = (rng.random(torus.n_sites) < spec.rho).tolist()
         sched = build_schedule(torus, spec.kernel, t, rng)
         # at kappa = 0 these are empty draws, which leave rng untouched
         n_jumps = rng.poisson(jump_rate)
@@ -127,16 +122,14 @@ def _moment_trials(spec: OperatorSpec, t: float, seed, initial_bits,
 
 
 def estimate_moment(spec: OperatorSpec, t: float, n: int, seed,
-                    n_workers: int = 1, initial_bits=None) -> McEstimate:
+                    n_workers: int = 1) -> McEstimate:
     """E_{nu_rho} E_{0..0} exp[int_0^t gamma sum_q xi_s(X_q(s)) ds] for the
     model `spec` by direct Feynman-Kac sampling; the exponent is integrated
     exactly over the merged event times of the link schedule (spec.kernel)
-    and the walker jumps (rate 2 d kappa). No state space is built: no cap.
-
-    initial_bits pins the catalyst start instead of sampling it from nu_rho."""
+    and the walker jumps (rate 2 d kappa). No state space is built: no cap."""
     check_horizon(t)
     check_samples(n, 2)
-    w = _run_trials(partial(_moment_trials, spec, t, seed, initial_bits), n, n_workers)
+    w = _run_trials(partial(_moment_trials, spec, t, seed), n, n_workers)
     vals = np.exp(w)
     ess = effective_sample_size(w)
     if ess < 0.01 * n:

@@ -23,6 +23,8 @@ from .exclusion import torus_bonds  # noqa: F401  unused; perfbench/spans.py pat
 from .lattice import Torus
 
 DENSE_CUTOFF = 1200  # largest walker-frame dimension solved densely
+LANCZOS_TOL = 1e-10  # eigsh tolerance; converged means residual <= max(100 tol, 1e-8)
+NORM_TOL = 1e-9  # how far from 1 the norm of a "normalized" test function may be
 TILT_GRID = 20001  # points of the tilt functional's grid search on [0, 1]
 
 
@@ -47,11 +49,12 @@ def random_test_function(spec: OperatorSpec, seed) -> TestFunction:
     return TestFunction(rng.standard_normal(spec.joint_dim), spec).normalized()
 
 
-def rayleigh_quotient(f: TestFunction, spec: OperatorSpec, tol: float = 1e-9) -> float:
+def rayleigh_quotient(f: TestFunction) -> float:
     """(G f, f) in L^2(nu_rho x counting) for a normalized f, with G the
-    joint generator on the full basis."""
-    if abs(f.norm() - 1.0) > tol:
+    joint generator of f.spec on the full basis."""
+    if abs(f.norm() - 1.0) > NORM_TOL:
         raise ValueError("test function must be normalized")
+    spec = f.spec
     w = np.repeat(nu_weights(spec.n_sites, spec.rho), spec.n_walker)
     return float(np.sum(w * f.values * (build_joint_generator(spec) @ f.values)))
 
@@ -66,7 +69,7 @@ class TopEigen:
     method: str
 
 
-def top_eigenvalue(spec: OperatorSpec, tol: float = 1e-10) -> TopEigen:
+def top_eigenvalue(spec: OperatorSpec) -> TopEigen:
     """Largest spectral point of the joint operator; Lanczos on the
     symmetrized walker-frame matrix, dense solve when the frame dimension is
     at most DENSE_CUTOFF.
@@ -88,7 +91,7 @@ def top_eigenvalue(spec: OperatorSpec, tol: float = 1e-10) -> TopEigen:
         u = evecs[:, -1]
         method = "dense"
     else:
-        evals, evecs = eigsh(0.5 * (sym + sym.T), k=1, which="LA", tol=tol,
+        evals, evecs = eigsh(0.5 * (sym + sym.T), k=1, which="LA", tol=LANCZOS_TOL,
                              maxiter=5000)
         mu = float(evals[0])
         u = evecs[:, 0]
@@ -97,7 +100,7 @@ def top_eigenvalue(spec: OperatorSpec, tol: float = 1e-10) -> TopEigen:
     vec = lift_frame_vector(spec, u / sq)
     vec /= np.sqrt(np.sum(np.repeat(nu, spec.n_walker) * vec**2))
     return TopEigen(mu=mu, lam=mu / max(spec.p, 1), vector=vec,
-                    residual=resid, converged=resid <= max(tol * 100, 1e-8),
+                    residual=resid, converged=resid <= max(LANCZOS_TOL * 100, 1e-8),
                     method=method)
 
 

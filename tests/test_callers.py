@@ -1,6 +1,7 @@
 """Every public top-level object of the package has a caller outside the
 tests and outside `__init__.py`: code that only its own unit tests call is
-deleted, not kept, and an export in `pamse.__all__` needs a reader too."""
+deleted, not kept, and an export in `pamse.__all__` needs a reader too. The
+same holds one level down, for the options and members of those objects."""
 
 import ast
 import importlib
@@ -35,6 +36,62 @@ def test_every_public_object_has_a_caller():
         f"{path.stem}.{name}" for name, paths in defined.items() for path in paths
         if not used.get(name, set()) - {(path, name)})
     assert orphans == []
+
+
+def _defaulted(fn, is_method) -> list:
+    """(position or None, name) of the parameters of fn that have defaults;
+    position counts from the first argument a caller passes (after self or
+    cls: the package has no static methods)."""
+    args = fn.args
+    positional = (args.posonlyargs + args.args)[1 if is_method else 0:]
+    first = len(positional) - len(args.defaults)
+    out = [(i, a.arg) for i, a in enumerate(positional) if i >= first]
+    return out + [(None, a.arg) for a, dflt in zip(args.kwonlyargs, args.kw_defaults)
+                  if dflt is not None]
+
+
+def _bindings(call) -> tuple:
+    """(positional count, keyword names) bound by a call; a * or ** argument
+    may bind anything, so it counts as binding every parameter."""
+    if any(isinstance(a, ast.Starred) for a in call.args) or any(
+            k.arg is None for k in call.keywords):
+        return float("inf"), None
+    return len(call.args), {k.arg for k in call.keywords}
+
+
+def test_every_option_and_member_has_a_caller():
+    trees = {path: ast.parse(path.read_text(), filename=str(path)) for path in CALLERS}
+    defs = []  # (module stem, name, node, is_method)
+    for path, tree in trees.items():
+        # cli.main's argv is argparse's entry point, which TestCli drives
+        if path not in PACKAGE or path.name == "cli.py":
+            continue
+        for stmt in tree.body:
+            if isinstance(stmt, ast.FunctionDef) and not stmt.name.startswith("_"):
+                defs.append((path.stem, stmt.name, stmt, False))
+            if isinstance(stmt, ast.ClassDef) and not stmt.name.startswith("_"):
+                for node in stmt.body:
+                    if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                        defs.append((path.stem, node.name, node, True))
+    calls = {}  # name -> bindings of the calls by that name
+    reads = {}  # attribute name -> ids of the nodes reading it
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                calls.setdefault(name, []).append(_bindings(node))
+            if isinstance(node, ast.Attribute):
+                reads.setdefault(node.attr, set()).add(id(node))
+    unbound = []
+    for stem, name, fn, is_method in defs:
+        if is_method and not reads.get(name, set()) - {id(n) for n in ast.walk(fn)}:
+            unbound.append(f"{stem}.{name}")
+        for pos, param in _defaulted(fn, is_method) if name in calls else ():
+            if not any((pos is not None and pos < n) or kw is None or param in kw
+                       for n, kw in calls[name]):
+                unbound.append(f"{stem}.{name}({param})")
+    assert sorted(unbound) == []
 
 
 def test_benchmark_span_hooks_resolve_and_restore():

@@ -29,7 +29,7 @@ class TestSampleInitial:
         count = 0
         n = 10_000
         for i in range(n):
-            count += ex.sample_initial(trs, 0.5, [5, i]).particle_count
+            count += int(ex.sample_initial(trs, 0.5, [5, i]).bits.sum())
         mean = count / (n * 16)
         sigma = np.sqrt(0.25 / (n * 16))
         assert abs(mean - 0.5) <= 4 * sigma
@@ -45,7 +45,7 @@ class TestSchedule:
     def test_zero_horizon_empty(self, ring6):
         trs, k = ring6
         sched = ex.build_schedule(trs, k, 0.0, 1)
-        assert sched.n_events == 0
+        assert len(sched.times) == 0
 
     def test_bond_rate_convention(self, ring6):
         trs, k = ring6
@@ -70,7 +70,7 @@ class TestSchedule:
         counts = []
         for i in range(400):
             sched = ex.build_schedule(trs, k, horizon, [7, i])
-            counts.append(sched.n_events)
+            counts.append(len(sched.times))
             times.extend(sched.times.tolist())
         mean_per_bond = np.mean(counts) / 8
         sigma = np.sqrt(horizon * 0.5 / (400 * 8))
@@ -136,7 +136,7 @@ class TestEvolve:
         k = srw_kernel(1)
         eta = ex.sample_initial(trs, 0.4, seed)
         sched = ex.build_schedule(trs, k, 6.0, seed + 1)
-        assert _state_at(eta, sched, t).sum() == eta.particle_count
+        assert _state_at(eta, sched, t).sum() == eta.bits.sum()
 
     def test_beyond_horizon_rejected(self, ring6):
         trs, k = ring6
@@ -319,7 +319,7 @@ class TestSchedulePin:
     ])
     def test_build_schedule(self, d, L, scale, t, seed, n_events, want):
         sched = ex.build_schedule(Torus(d, L), srw_kernel(d), scale * t, seed)
-        assert sched.n_events == n_events
+        assert len(sched.times) == n_events
         assert (_digest(sched.times), _digest(sched.bond_a),
                 _digest(sched.bond_b)) == want
 

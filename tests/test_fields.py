@@ -52,7 +52,7 @@ class TestPsiField:
         spec = fields.PsiSpec(kappa=1.5, T=1.3, torus=Torus(d, L), rho=0.4)
         rng = np.random.default_rng(L)
         bits = (rng.random(L**d) < 0.4).astype(float)
-        chi = fields.chi_table(spec).grid()
+        chi = fields.chi_table(spec).values.reshape((L,) * d)
         centered = (bits - 0.4).reshape((L,) * d)
         axes = tuple(range(d))
         # chi(z - x) over z is chi rolled by x along every axis
@@ -141,8 +141,8 @@ class TestPsiField:
 
 class TestPsiBounds:
     def test_horizon_zero_collapses(self):
-        spec = fields.PsiSpec(kappa=1.0, T=0.0, torus=Torus(1, 16))
-        rep = fields.psi_bounds_check(spec, 5, 0, green_value=1.5163860592)
+        spec = fields.PsiSpec(kappa=1.0, T=0.0, torus=Torus(3, 6))
+        rep = fields.psi_bounds_check(spec, 5, 0)
         assert rep.max_site_diff == 0.0
         assert rep.max_swap_diff == 0.0
         assert rep.max_swap_square_sum == 0.0
@@ -157,8 +157,8 @@ class TestPsiBounds:
         assert rep.quad_nodes == spec.quad_node_count
 
     def test_skewed_psi_fails_swap_identity(self, monkeypatch):
-        spec = fields.PsiSpec(kappa=2.0, T=1.0, torus=Torus(2, 9))
-        rep = fields.psi_bounds_check(spec, 4, 5, green_value=1.5163860592)
+        spec = fields.PsiSpec(kappa=2.0, T=1.0, torus=Torus(3, 9))
+        rep = fields.psi_bounds_check(spec, 4, 5)
         assert rep.swap_delta_matches_chi and rep.passed
         real = fields.psi_field
 
@@ -166,7 +166,7 @@ class TestPsiBounds:
             return (1.0 + 1e-6) * real(eta, spec)
 
         monkeypatch.setattr(fields, "psi_field", skewed)
-        rep = fields.psi_bounds_check(spec, 4, 5, green_value=1.5163860592)
+        rep = fields.psi_bounds_check(spec, 4, 5)
         assert not rep.swap_delta_matches_chi and not rep.passed
 
     def test_swap_on_equal_bond_is_exact_zero(self):
@@ -192,7 +192,8 @@ class TestKKernels:
         assert kk3.k_off_norm_bound <= 8 * d * T**2
         # exact sum of |K_off(z1, z2)| = |sum_e grad_e chi(z1) grad_e chi(z2)|
         # over distinct site pairs of a centred sub-window of radius 2
-        chi = fields.chi_table(fields.PsiSpec(kappa=2.0, T=T, torus=Torus(3, 31))).grid()
+        chi = fields.chi_table(fields.PsiSpec(kappa=2.0, T=T, torus=Torus(3, 31)))
+        chi = chi.values.reshape((31,) * d)
         window = np.ix_(*[np.arange(-2, 3) % 31] * d)
         grads = np.stack([(np.roll(chi, -sign, axis=axis) - chi)[window].ravel()
                           for axis in range(d) for sign in (1, -1)])
@@ -446,7 +447,7 @@ class TestQuadraturePin:
         want = np.zeros((L,) * d)
         for tau, w in zip(2.0 * one_kappa(d, spec.kappa) * nodes, weights):
             want += w * reduce(np.multiply.outer, [cycle_heat1d(L, tau)] * d)
-        assert np.array_equal(fields.chi_table(spec).grid(), want)
+        assert np.array_equal(fields.chi_table(spec).values.reshape((L,) * d), want)
 
     @pytest.mark.parametrize("d, L, T, kappa, want", [
         (1, 30, 3.0, 0.8, "4333e0fa37ca8e41"),

@@ -121,7 +121,8 @@ class TestComparison:
         trs = Torus(1, 6)
         k = srw_kernel(1)
         K = irw.WeightFunction((((0,), (0.0, 0.5), 1.0),))
-        rep = irw.compare_se_irw(trs, k, 0.5, K, 0.5, mc_trials=4000, seed=2)
+        monkeypatch.setattr(irw, "COMPARE_MC_TRIALS", 4000)
+        rep = irw.compare_se_irw(trs, k, 0.5, K, 0.5, seed=2)
         assert rep.se_method.startswith("mc")
         assert not rep.violation
 
@@ -175,9 +176,9 @@ class TestOverflowFlag:
     def test_divergent_single_walk_flagged(self, ring6):
         trs, k = ring6
         # strong positive weight over a long horizon overflows the
-        # single-walk solution and must be reported, not silently returned
+        # single-walk solution and must be rejected as input, not returned
         K = irw.WeightFunction((((0,), (0.0, 400.0), 4.0),))
-        with pytest.raises(OverflowError):
+        with pytest.raises(ValueError, match="out of range"):
             irw.irw_exp_functional(0.5, K, 400.0, trs, k)
 
 

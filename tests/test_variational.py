@@ -57,13 +57,13 @@ class TestRayleighQuotient:
         for seed in range(5):
             f = var.random_test_function(spec6, seed)
             a1, a2, a3 = _quadratic_form_parts(f, spec6)
-            assert var.rayleigh_quotient(f, spec6) == pytest.approx(
+            assert var.rayleigh_quotient(f) == pytest.approx(
                 a1 - a2 - spec6.kappa * a3, abs=1e-12)
 
     def test_unnormalized_rejected(self, spec6):
         f = var.TestFunction(np.ones(spec6.joint_dim) * 3.0, spec6)
         with pytest.raises(ValueError):
-            var.rayleigh_quotient(f, spec6)
+            var.rayleigh_quotient(f)
 
     def test_eta_constant_point_mass(self):
         # constant in the configuration, point mass in the walker: the
@@ -76,21 +76,19 @@ class TestRayleighQuotient:
         a1, a2, a3 = _quadratic_form_parts(f, spec)
         assert a2 == pytest.approx(0.0, abs=1e-14)
         assert a1 == pytest.approx(0.5, abs=1e-12)
-        assert var.rayleigh_quotient(f, spec) == pytest.approx(
+        assert var.rayleigh_quotient(f) == pytest.approx(
             0.5 - 0.3 * a3, abs=1e-12)
 
     def test_never_exceeds_top(self, spec6):
         top = var.top_eigenvalue(spec6)
         for seed in range(100):
-            q = var.rayleigh_quotient(var.random_test_function(spec6, seed),
-                                      spec6)
+            q = var.rayleigh_quotient(var.random_test_function(spec6, seed))
             assert q <= top.mu + 1e-9
 
     def test_top_eigenvector_attains(self, spec6):
         top = var.top_eigenvalue(spec6)
         f = var.TestFunction(top.vector, spec6).normalized()
-        assert var.rayleigh_quotient(f, spec6) == pytest.approx(top.mu,
-                                                                abs=1e-9)
+        assert var.rayleigh_quotient(f) == pytest.approx(top.mu, abs=1e-9)
 
 
 class TestTopEigenvalue:
@@ -133,7 +131,7 @@ class TestTopEigenvalue:
         assert resid <= 1e-8
         assert top.residual == pytest.approx(resid, abs=1e-12)
         f = var.TestFunction(top.vector, spec)
-        assert var.rayleigh_quotient(f, spec) == pytest.approx(top.mu, abs=1e-9)
+        assert var.rayleigh_quotient(f) == pytest.approx(top.mu, abs=1e-9)
 
     def test_kappa_grid_monotone_convex(self):
         trs = Torus(1, 6)
@@ -170,8 +168,7 @@ class TestBumpBound:
                                   p=1, rho=0.4)
         bb = var.test_function_bound(0.3, 0.4, 0.8, trs)
         f = var.bump_as_test_function(bb, spec).normalized()
-        assert var.rayleigh_quotient(f, spec) == pytest.approx(bb.bound,
-                                                               abs=1e-12)
+        assert var.rayleigh_quotient(f) == pytest.approx(bb.bound, abs=1e-12)
         assert bb.bound <= var.top_eigenvalue(spec).mu + 1e-9
 
 
