@@ -176,6 +176,22 @@ class PsiBoundsReport:
                 and self.swap_delta_matches_chi)
 
 
+def _chi_gradients(spec: PsiSpec) -> list:
+    """(max |g|, sum g^2, sum |g|) per axis e for the forward gradient
+    g = chi(. + e) - chi of the cached chi grid. The backward gradient along e
+    is -g shifted by one site, so its three sums are these too."""
+    grid = _chi_grid_cached(spec)
+    out = []
+    for axis in range(grid.ndim):
+        g = np.roll(grid, -1, axis=axis)
+        g -= grid
+        np.abs(g, out=g)
+        mag, l1 = float(np.max(g)), float(np.sum(g))
+        g *= g
+        out.append((mag, float(np.sum(g)), l1))
+    return out
+
+
 def psi_bounds_check(spec: PsiSpec, n_samples: int, seed) -> PsiBoundsReport:
     """Verify the three smoothing-field estimates: nearest-neighbour psi
     differences <= 2T, single-swap differences <= 2 G_d, and the square sum
@@ -195,16 +211,9 @@ def psi_bounds_check(spec: PsiSpec, n_samples: int, seed) -> PsiBoundsReport:
     dgrid = _chi_grid_cached(spec)
     rng = np.random.default_rng(seed)
 
-    swap_mag = 0.0
-    sq_sum = 0.0
-    for axis in range(d):
-        diff = np.roll(dgrid, -1, axis=axis)
-        diff -= dgrid
-        swap_mag = max(swap_mag, float(np.max(np.abs(diff))))
-        diff *= diff
-        sq_sum += float(np.sum(diff))
-    del diff
-
+    grads = _chi_gradients(spec)
+    swap_mag = max(mag for mag, _, _ in grads)
+    sq_sum = sum(sq for _, sq, _ in grads)
     reflected = np.roll(np.flip(dgrid), 1, axis=tuple(range(d)))  # chi(-x)
     perm = trs.shift_table(tuple(1 if i == 0 else 0 for i in range(d)))
     max_site = 0.0
@@ -298,18 +307,12 @@ def _kdiag_kappa_limit(spec: PsiSpec) -> float:
 
 def k_kernels(spec: PsiSpec) -> KKernels:
     """Norms of the diagonal and off-diagonal gradient kernels of chi, with the
-    closed-form value of ||K_diag||_1 and its large-kappa limit; the 2d
-    gradients of the cached chi grid are taken one at a time."""
-    grid = _chi_grid_cached(spec)
-    k_diag = np.zeros_like(grid)
-    off_bound = 0.0
-    for axis in range(spec.torus.d):
-        for sign in (1, -1):
-            g = np.roll(grid, -sign, axis=axis) - grid
-            k_diag += g**2
-            off_bound += np.abs(g).sum() ** 2
+    closed-form value of ||K_diag||_1 and its large-kappa limit; each of the
+    2d gradients has the sums of its axis's forward gradient."""
+    grads = _chi_gradients(spec)
     return KKernels(
-        k_diag_norm=float(k_diag.sum()), k_off_norm_bound=float(off_bound),
+        k_diag_norm=2 * sum(sq for _, sq, _ in grads),
+        k_off_norm_bound=2 * sum(l1**2 for _, _, l1 in grads),
         closed_form_norm=_kdiag_closed_form(spec),
         kappa_limit_norm=_kdiag_kappa_limit(spec),
     )
