@@ -403,7 +403,9 @@ def _digest(values):
 class TestQuadraturePin:
     """Exact values of the Gauss-Legendre time grids and of the tables built
     on them, recorded before the grid construction and the Green-tail fit were
-    shared with other modules."""
+    shared with other modules; the d = 3 k_diag_norm re-pinned when k_kernels
+    summed each axis's forward gradient once instead of both directions
+    site by site."""
 
     @pytest.mark.parametrize("T, n_panels, nodes_per_panel, want", [
         (5.0, 10, 12, ("44fa5e5453556f49", "b13a5e4143d40543")),
@@ -428,7 +430,7 @@ class TestQuadraturePin:
          ["0x1.25f064092973cp-1", "0x1.d15d709439e8ap+1",
           "0x1.25f064095ba5cp-1", "0x1.bb195d1aef87dp-1"]),
         (3, 9, 1.0, 2.0, "437a584fbdf7f5a1",
-         ["0x1.4df9a5240ac9dp-2", "0x1.861884d1a39b4p+2",
+         ["0x1.4df9a5240ac9bp-2", "0x1.861884d1a39b4p+2",
           "0x1.4dfbf173d8001p-2", "0x1.817b3bea6d4d5p-2"]),
     ])
     def test_chi_and_kernel_norms(self, d, L, T, kappa, want_chi, want_norms):
