@@ -396,8 +396,8 @@ def solve_cauchy(problem: CauchyProblem, times, mode: str = "stepping",
     Modes: 'stepping' (exact matrix exponentials between query times;
     production route), 'series' (Picard/Duhamel iteration on a uniform grid
     with Richardson refinement), 'mc' (Feynman-Kac sampling). start_sites
-    restricts the mc mode to selected global site indices; other columns are
-    left as nan.
+    restricts the mc mode to selected global site indices, each a live site
+    of the region; other columns are left as nan.
     """
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or len(times) == 0:
@@ -481,6 +481,8 @@ def _solve_mc(problem: CauchyProblem, times: np.ndarray, n: int, seed,
     weights = np.array([w for _, w in problem.kernel.offsets])
     perms = np.stack([region.torus.shift_table(tuple(v)) for v in offsets])
     starts = live if start_sites is None else np.asarray(start_sites, dtype=int)
+    if not np.all(np.isin(starts, live)):
+        raise ValueError("start sites must be live sites of the region")
     out = np.full((len(times), len(live)), np.nan)
     err = np.full((len(times), len(live)), np.nan)
     for start in starts:

@@ -342,15 +342,22 @@ def run_scenario(cfg: ScenarioConfig) -> Report:
 
 def emit_figures_data(report: Report, outdir: str) -> list:
     """One columnar file per curve: (kappa, lambda_p, ci) plus the dashed
-    large-kappa asymptote rho + rho (1 - rho) G_d / (2 d kappa)."""
+    large-kappa asymptote rho + rho (1 - rho) G_d / (2 d kappa). The rows a
+    curve reads are checked before outdir is created."""
+    params = report.config.get("params", {})
+    if not isinstance(params, dict):
+        raise ValueError("report config params must be an object")
+    if report.scenario == "kappa_sweep":
+        rows = [r for r in report.rows if "kappa" in r]
+        _check_numbers(rows, ("kappa", "lambda"))
+    elif report.scenario == "recurrent_trend":
+        _check_numbers([r for r in report.rows if "t" in r], ("t", "Lambda", "stderr"))
     os.makedirs(outdir, exist_ok=True)
     written = []
     if report.scenario == "kappa_sweep":
-        params = report.config.get("params", {})
         d = int(params.get("d", 1))
         rho = float(params.get("rho", 0.5))
         pth = os.path.join(outdir, f"lambda_vs_kappa_p{params.get('p', 1)}.dat")
-        rows = [r for r in report.rows if "kappa" in r]
         asym = _asymptote_column(d, rho, [r["kappa"] for r in rows])
         with open(pth, "w") as fh:
             fh.write("# kappa lambda_p ci asymptote\n")
@@ -377,6 +384,14 @@ def emit_figures_data(report: Report, outdir: str) -> list:
                                   for k in keys) + "\n")
         written.append(pth)
     return written
+
+
+def _check_numbers(rows: list, keys) -> None:
+    for r in rows:
+        for key in keys:
+            val = r.get(key)
+            if isinstance(val, bool) or not isinstance(val, (int, float)):
+                raise ValueError(f"report row {r}: {key!r} must be a number")
 
 
 def _asymptote_column(d: int, rho: float, kappas) -> list:

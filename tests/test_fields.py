@@ -256,6 +256,17 @@ class TestCauchySolver:
         with pytest.raises(ValueError):
             fields.solve_cauchy(prob, [0.8, 0.2])
 
+    def test_mc_start_sites_must_be_live(self):
+        # site 0 lies outside the half-space: its walk would read the source
+        # of another site and land in the last live column
+        half = fields.halfspace_region(Torus(1, 8))
+        prob = fields.CauchyProblem(half, srw_kernel(1), 1.0, np.linspace(0.1, 0.7, 7))
+        for bad in ([0], [1, 0], [8]):
+            with pytest.raises(ValueError, match="live sites"):
+                fields.solve_cauchy(prob, [1.0], "mc", mc_trials=10, start_sites=bad)
+        sol = fields.solve_cauchy(prob, [1.0], "mc", mc_trials=10, start_sites=[1])
+        assert np.isfinite(sol.v[0, 0]) and np.isnan(sol.v[0, 1:]).all()
+
 
 class TestCauchyProblemRules:
     def test_negative_horizon_rejected(self):

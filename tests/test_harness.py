@@ -259,7 +259,10 @@ class TestCli:
                              "t_grid": [0.5, 1.0], "n": 100, "seed": 5}),
         ("comparison_suite", {"d": 1, "L": 4, "rhos": [], "t": 0.5, "seed": 1}),
         ("intermittency_kappa0", {"d": 1, "L": 6, "rho": 0.5, "p_list": [],
-                                  "t": 5.0})])
+                                  "t": 5.0}),
+        # validate passes it; the single-walk solution overflows in run
+        ("comparison_suite", {"d": 1, "L": 6, "rhos": [0.5], "t": 1.0, "seed": 7,
+                              "weight_values": [1000.0]})])
     def test_run_rejects_bad_config(self, tmp_path, capsys, scenario, params):
         from pamse.cli import main
 
@@ -365,7 +368,14 @@ class TestCli:
         None, [1, 2],
         {"scenario": "x", "config": {}, "rows": [1, 2], "flags": {}, "passed": True},
         {"scenario": "x", "config": {}, "rows": [], "flags": [], "passed": True},
-    ], ids=["missing", "list", "rows-not-objects", "flags-not-object"])
+        {"scenario": "x", "config": {"params": [1]}, "rows": [], "flags": {},
+         "passed": True},
+        {"scenario": "kappa_sweep", "config": {}, "rows": [{"kappa": "1", "lambda": 0.5}],
+         "flags": {}, "passed": True},
+        {"scenario": "recurrent_trend", "config": {}, "rows": [{"t": 1.0, "stderr": 0.1}],
+         "flags": {}, "passed": True},
+    ], ids=["missing", "list", "rows-not-objects", "flags-not-object", "params-not-object",
+            "kappa-not-number", "trend-row-without-Lambda"])
     def test_figures_rejects_missing_or_non_report(self, tmp_path, capsys, raw):
         from pamse.cli import main
 
