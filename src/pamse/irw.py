@@ -95,8 +95,7 @@ def irw_exp_functional(rho: float, K: WeightFunction, t: float, torus: Torus,
     v = single_walk_values(torus, kernel, K, t)
     factors = 1.0 - rho + rho * v
     if np.any(factors <= 0) or not np.all(np.isfinite(factors)):
-        raise ValueError("single-walk solution out of range: weight too strong "
-                         "for this horizon")
+        raise ValueError("weight too strong: single-walk solution out of range")
     return float(np.exp(np.sum(np.log(factors))))
 
 
