@@ -481,16 +481,18 @@ class TestQuadraturePin:
 class TestFieldPin:
     """Exact values of psi_field and of every PsiBoundsReport field on two d=3
     tori, recorded while psi_field allocated its product spectrum and
-    psi_bounds_check kept each configuration's arrays in the loop."""
+    psi_bounds_check kept each configuration's arrays in the loop; the two
+    swap bounds, which read G_3, re-pinned when green moved onto the window
+    table's Gauss-Legendre rule."""
 
     @pytest.mark.parametrize("L, kappa, T, rho, seed, n, want_psi, want_report", [
         (25, 2.0, 1.0, 0.5, 3, 4, ("751b36e497128d6f", "fb5b2a44d8e11471"),
          ["0x1.5c513a9f321e2p-2", "0x1.0000000225c18p+1", "0x1.33121836d748bp-3",
-          "0x1.8431e0765163bp+1", "0x1.4dfbf173d7ffap-3", "0x1.02cbeb094b22cp-2",
+          "0x1.8431e0765160bp+1", "0x1.4dfbf173d7ffap-3", "0x1.02cbeb094b20cp-2",
           True, 120]),
         (73, 2.0, 5.0, 0.4, 11, 2, ("0d5a98e55e4e836c", "69ae6f8a8f0e95a2"),
          ["0x1.cb14afba5a938p-2", "0x1.4000000089706p+3", "0x1.3a7ebd3e0820dp-3",
-          "0x1.8431e0765163bp+1", "0x1.8cd5a0e6b7ed3p-3", "0x1.02cbeb094b22cp-2",
+          "0x1.8431e0765160bp+1", "0x1.8cd5a0e6b7ed3p-3", "0x1.02cbeb094b20cp-2",
           True, 120]),
     ])
     def test_psi_field_and_bounds(self, L, kappa, T, rho, seed, n, want_psi, want_report):

@@ -262,7 +262,9 @@ class TestProbePin:
     """Exact values of the probe (its geometric Gauss-Legendre lag grid) and
     of lambda_curve at fixed seeds, recorded before the grid construction was
     shared with the field module; the probe rows re-pinned when the lag grid
-    went from 14 to 7 panels (the t = 0.6 and t = 40 values kept every bit)."""
+    went from 14 to 7 panels (the t = 0.6 and t = 40 values kept every bit),
+    and the probe references, which read G_d, when green moved onto the window
+    table's Gauss-Legendre rule."""
 
     @pytest.mark.parametrize("d, kappa, t, shift, want", [
         (4, 10.0, 0.6, 0.0, "0x1.b107e97e314b7p-4"),
@@ -275,9 +277,9 @@ class TestProbePin:
 
     @pytest.mark.parametrize("d, kappa, t, n, seed, shift, want", [
         (4, 10.0, 20.0, 30, 5, 0.0,
-         ["0x1.34672a78cb157p-3", "0x1.8a2a4d47f6abep-9", "0x1.3962e19ba928ap-3"]),
+         ["0x1.34672a78cb157p-3", "0x1.8a2a4d47f6abep-9", "0x1.3962e19ba9270p-3"]),
         (3, 2.0, 5.0, 30, 6, 0.5,
-         ["0x1.25121f0b3b2eep-3", "0x1.ac46770a1d895p-8", "0x1.610bbb6b302b6p-3"]),
+         ["0x1.25121f0b3b2eep-3", "0x1.ac46770a1d895p-8", "0x1.610bbb6b3029bp-3"]),
     ])
     def test_asymptotic_probe(self, d, kappa, t, n, seed, shift, want):
         est, reference = mc.asymptotic_probe(d, kappa, t, n, seed, shift=shift)
