@@ -9,7 +9,7 @@ from .exact import OperatorSpec
 from .exclusion import Configuration, LinkSchedule, build_schedule, sample_initial
 from .harness import Report, ScenarioConfig, emit_figures_data, run_scenario
 from .irw import WeightFunction, compare_se_irw, irw_exp_functional
-from .lattice import Kernel, Torus, green, srw_kernel, transition_prob
+from .lattice import Kernel, Torus, green, srw_kernel
 from .montecarlo import McEstimate, estimate_moment, lambda_curve
 
 __version__ = "0.1.0"
@@ -20,5 +20,5 @@ __all__ = [
     "WeightFunction", "build_schedule", "compare_se_irw",
     "emit_figures_data", "estimate_moment", "green",
     "irw_exp_functional", "lambda_curve", "run_scenario",
-    "sample_initial", "srw_kernel", "transition_prob",
+    "sample_initial", "srw_kernel",
 ]

@@ -21,9 +21,9 @@ from scipy.linalg import expm as dense_expm
 from scipy.sparse.linalg import expm_multiply
 
 from .exact import occupation_bits, rate_matrix
-from .lattice import (GREEN_SPLIT, Kernel, Torus, _tail_by_power_fit, check_density,
+from .lattice import (Kernel, Torus, check_density,
                       check_horizon, check_kappa, check_samples, cycle_heat1d, gauss_legendre,
-                      green, heat1d, one_kappa, srw_kernel, transition_prob_many)
+                      green, green_many, heat1d, one_kappa, srw_kernel)
 
 GL_NODES_PER_PANEL = 12
 PSI_PANELS = 10  # time panels of the chi and gradient-kernel quadrature
@@ -548,22 +548,14 @@ class ContractionCertificate:
 
 
 def green_window_table(kernel: Kernel, torus: Torus) -> np.ndarray:
-    """G(0, v) over torus displacement indices, vectorized time quadrature
-    with a power-law tail fit per displacement."""
+    """G(0, v) over torus displacement indices: `green_many` at the wrapped
+    displacements v (each coordinate in (-L/2, L/2])."""
     if kernel.d <= 2:
         raise ValueError("Green table needs a transient kernel (d >= 3)")
     half = torus.L // 2
     coords = torus.all_coords()
     zs = np.where(coords <= half, coords, coords - torus.L)
-
-    def window(s: float) -> np.ndarray:
-        return transition_prob_many(kernel, s, zs)
-
-    nodes, weights = time_quadrature(GREEN_SPLIT, 24, 12)
-    body = np.zeros(torus.n_sites)
-    for s, w in zip(nodes, weights):
-        body += w * window(s)
-    return body + _tail_by_power_fit(window, GREEN_SPLIT, kernel.d)
+    return green_many(kernel, zs)
 
 
 def green_contraction(problem: CauchyProblem) -> ContractionCertificate:

@@ -350,8 +350,15 @@ def emit_figures_data(report: Report, outdir: str) -> list:
     if report.scenario == "kappa_sweep":
         rows = [r for r in report.rows if "kappa" in r]
         _check_numbers(rows, ("kappa", "lambda"))
+        _check_numbers([r for r in rows if "residual" in r], ("residual",))
     elif report.scenario == "recurrent_trend":
         _check_numbers([r for r in report.rows if "t" in r], ("t", "Lambda", "stderr"))
+    else:
+        keys = sorted({k for r in report.rows for k in r
+                       if isinstance(r.get(k), (int, float))})
+        for key in keys:  # a flag (bool) column is written as 0/1
+            _check_numbers([r for r in report.rows
+                            if key in r and not isinstance(r[key], bool)], (key,))
     os.makedirs(outdir, exist_ok=True)
     written = []
     if report.scenario == "kappa_sweep":
@@ -375,8 +382,6 @@ def emit_figures_data(report: Report, outdir: str) -> list:
         written.append(pth)
     else:
         pth = os.path.join(outdir, f"{report.scenario}.dat")
-        keys = sorted({k for r in report.rows for k in r
-                       if isinstance(r.get(k), (int, float))})
         with open(pth, "w") as fh:
             fh.write("# " + " ".join(keys) + "\n")
             for r in report.rows:

@@ -11,10 +11,9 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import lru_cache, partial, reduce
 
 import numpy as np
-from scipy.integrate import quad
 
 Vector = tuple[int, ...]
 GREEN_SPLIT = 2000.0  # Green quadrature on [0, split], power-law tail fit beyond
@@ -225,11 +224,6 @@ def cycle_heat1d(L: int, tau: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def transition_prob(kernel: Kernel, t: float, z) -> float:
-    """p_t(0, z) for the continuous-time walk with the kernel's jumps."""
-    return float(transition_prob_many(kernel, t, np.asarray(z)[None, :])[0])
-
-
 def transition_prob_many(kernel: Kernel, t: float, zs: np.ndarray) -> np.ndarray:
     """p_t(0, z) for each row z of zs; nearest-neighbour kernels only."""
     if t < 0:
@@ -299,6 +293,20 @@ def _tail_by_power_fit(f, s0: float, d: int):
     )
 
 
+def green_many(kernel: Kernel, zs: np.ndarray, t_min: float = 0.0) -> np.ndarray:
+    """integral_{t_min}^inf p_s(0, z) ds for each row z of zs: 24 Gauss-Legendre
+    panels of 12 nodes on [t_min, s0], s0 = max(GREEN_SPLIT, 4 t_min), refined
+    toward t_min, plus the power-law tail fit beyond s0."""
+    s0 = max(GREEN_SPLIT, 4.0 * t_min)
+    edges = t_min + (s0 - t_min) * np.linspace(0.0, 1.0, 25) ** 2
+    nodes, weights = gauss_legendre(edges, 12)
+    window = partial(transition_prob_many, kernel, zs=zs)
+    body = np.zeros(len(zs))
+    for s, w in zip(nodes, weights):
+        body += w * window(s)
+    return body + _tail_by_power_fit(window, s0, kernel.d)
+
+
 def green(kernel: Kernel, t_min: float = 0.0, z=None) -> float:
     """Truncated Green value integral_{t_min}^inf p_s(0, z) ds.
 
@@ -310,20 +318,13 @@ def green(kernel: Kernel, t_min: float = 0.0, z=None) -> float:
         raise ValueError("negative t_min")
     if kernel.d <= 2:
         raise ValueError("Green integral diverges for d <= 2")
-    ztuple = None if z is None else tuple(int(v) for v in np.asarray(z, dtype=int))
-    return _green_cached(kernel, float(t_min), ztuple)
+    zvec = np.zeros(kernel.d, dtype=int) if z is None else np.asarray(z, dtype=int)
+    return _green_cached(kernel, float(t_min), tuple(int(v) for v in zvec))
 
 
 @lru_cache(maxsize=64)
-def _green_cached(kernel: Kernel, t_min: float, z) -> float:
-    zvec = np.zeros(kernel.d, dtype=int) if z is None else np.array(z, dtype=int)
-
-    def f(s: float) -> float:
-        return transition_prob(kernel, s, zvec)
-
-    s0 = max(GREEN_SPLIT, 4.0 * t_min)
-    body, _ = quad(f, t_min, s0, limit=400, epsabs=1e-13, epsrel=1e-11)
-    return body + _tail_by_power_fit(f, s0, kernel.d)
+def _green_cached(kernel: Kernel, t_min: float, z: Vector) -> float:
+    return float(green_many(kernel, np.array([z]), t_min)[0])
 
 
 def green_discrete_sum(d: int, n_terms: int = 20000) -> float:

@@ -374,8 +374,13 @@ class TestCli:
          "flags": {}, "passed": True},
         {"scenario": "recurrent_trend", "config": {}, "rows": [{"t": 1.0, "stderr": 0.1}],
          "flags": {}, "passed": True},
+        {"scenario": "kappa_sweep", "config": {},
+         "rows": [{"kappa": 1.0, "lambda": 0.5, "residual": "x"}], "flags": {}, "passed": True},
+        {"scenario": "x", "config": {}, "rows": [{"a": 1.0}, {"a": [1]}], "flags": {},
+         "passed": True},
     ], ids=["missing", "list", "rows-not-objects", "flags-not-object", "params-not-object",
-            "kappa-not-number", "trend-row-without-Lambda"])
+            "kappa-not-number", "trend-row-without-Lambda", "residual-not-number",
+            "column-not-number"])
     def test_figures_rejects_missing_or_non_report(self, tmp_path, capsys, raw):
         from pamse.cli import main
 

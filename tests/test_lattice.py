@@ -2,14 +2,20 @@
 
 import hashlib
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import quad
 from scipy.linalg import expm
 from scipy.special import gammaln, ive
 
+from pamse import fields
 from pamse import lattice as lat
 
 # frozen from the uniformization oracle below (and the scaled Bessel form)
@@ -34,6 +40,19 @@ def uniformization_p1d(m: int, t: float, tol: float = 1e-14) -> float:
         if n > 10000:
             break
     return total
+
+
+def adaptive_green(d: int, t_min: float) -> float:
+    """Oracle: G_d truncated at t_min by scipy's adaptive quad on [t_min, s0]
+    plus green's power-law tail beyond s0 = max(GREEN_SPLIT, 4 t_min)."""
+    k = lat.srw_kernel(d)
+
+    def f(s: float) -> float:
+        return lat.transition_prob_many(k, s, np.zeros(d, dtype=int))[0]
+
+    s0 = max(lat.GREEN_SPLIT, 4.0 * t_min)
+    body, _ = quad(f, t_min, s0, limit=400, epsabs=1e-13, epsrel=1e-11)
+    return body + lat._tail_by_power_fit(f, s0, d)
 
 
 def _cube(d: int, r: int) -> np.ndarray:
@@ -83,24 +102,24 @@ class TestKernels:
 class TestTransitionProb:
     def test_time_zero_identity(self):
         k = lat.srw_kernel(2)
-        assert lat.transition_prob(k, 0.0, (0, 0)) == pytest.approx(1.0, abs=1e-15)
-        assert lat.transition_prob(k, 0.0, (1, 0)) == pytest.approx(0.0, abs=1e-15)
+        assert lat.transition_prob_many(k, 0.0, (0, 0))[0] == pytest.approx(1.0, abs=1e-15)
+        assert lat.transition_prob_many(k, 0.0, (1, 0))[0] == pytest.approx(0.0, abs=1e-15)
 
     def test_uniformization_oracle_origin(self):
         k = lat.srw_kernel(1)
-        got = lat.transition_prob(k, 1.0, (0,))
+        got = lat.transition_prob_many(k, 1.0, (0,))[0]
         assert got == pytest.approx(uniformization_p1d(0, 1.0), abs=1e-12)
         assert got == pytest.approx(P1D_T1_ORIGIN, abs=1e-12)
 
     @pytest.mark.parametrize("m,t", [(0, 0.5), (1, 1.0), (3, 2.5), (-2, 4.0)])
     def test_uniformization_oracle_displacements(self, m, t):
-        got = lat.transition_prob(lat.srw_kernel(1), t, (m,))
+        got = lat.transition_prob_many(lat.srw_kernel(1), t, (m,))[0]
         assert got == pytest.approx(uniformization_p1d(m, t), abs=1e-12)
 
     def test_scaled_bessel_oracle(self):
         # independent closed form for the 1-d walk
         for m, t in [(0, 1.0), (2, 3.0), (5, 10.0)]:
-            got = lat.transition_prob(lat.srw_kernel(1), t, (m,))
+            got = lat.transition_prob_many(lat.srw_kernel(1), t, (m,))[0]
             assert got == pytest.approx(float(ive(m, t)), abs=1e-13)
 
     def test_origin_maximizes_d3(self):
@@ -110,14 +129,14 @@ class TestTransitionProb:
 
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError):
-            lat.transition_prob(lat.srw_kernel(1), -0.1, (0,))
+            lat.transition_prob_many(lat.srw_kernel(1), -0.1, (0,))
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(-6, 6), st.floats(0.1, 5.0))
     def test_symmetry_under_negation(self, m, t):
         k = lat.srw_kernel(1)
-        assert lat.transition_prob(k, t, (m,)) == pytest.approx(
-            lat.transition_prob(k, t, (-m,)), abs=1e-14)
+        assert lat.transition_prob_many(k, t, (m,))[0] == pytest.approx(
+            lat.transition_prob_many(k, t, (-m,))[0], abs=1e-14)
 
     def test_chapman_kolmogorov_window(self):
         k = lat.srw_kernel(2)
@@ -127,7 +146,7 @@ class TestTransitionProb:
         for target in [(0, 0), (1, 2), (-3, 1)]:
             comp = float(ws @ lat.transition_prob_many(
                 k, t, np.asarray(target) - coords))
-            direct = lat.transition_prob(k, s + t, target)
+            direct = lat.transition_prob_many(k, s + t, target)[0]
             assert comp == pytest.approx(direct, abs=1e-8)
 
     def test_one_heat_row_per_distinct_column(self, monkeypatch):
@@ -142,7 +161,7 @@ class TestTransitionProb:
         wide = lat.Kernel(d=1, offsets=(((1,), 0.25), ((-1,), 0.25),
                                         ((2,), 0.25), ((-2,), 0.25)))
         diagonal = lat.Kernel(d=3, offsets=(((1, 1, 0), 0.5), ((-1, -1, 0), 0.5)))
-        for call in (lambda: lat.transition_prob(wide, 1.0, (0,)),
+        for call in (lambda: lat.transition_prob_many(wide, 1.0, (0,)),
                      lambda: lat.transition_prob_many(wide, 1.0, np.array([[0], [2]])),
                      lambda: lat.torus_heat_row(lat.Torus(1, 6), wide, 1.0),
                      lambda: lat.torus_heat_matrix(lat.Torus(1, 6), wide, 1.0),
@@ -161,6 +180,29 @@ class TestGreen:
             a = lat.green(lat.srw_kernel(d))
             b = lat.green_discrete_sum(d, 12000)
             assert abs(a - b) / a < 1e-6
+
+    @pytest.mark.parametrize("d", [3, 4])
+    @pytest.mark.parametrize("t_min", [0.0, 1.5, 100.0, 600.0])
+    def test_matches_adaptive_quadrature(self, d, t_min):
+        got = lat.green(lat.srw_kernel(d), t_min=t_min)
+        assert got == pytest.approx(adaptive_green(d, t_min), rel=1e-12)
+
+    @pytest.mark.parametrize("d, L", [(3, 9), (4, 5)])
+    def test_window_table_entries_are_green_values(self, d, L):
+        # not bitwise: heat1d sizes its Fourier grid by the largest
+        # displacement it is given, which differs between the table and one z
+        k, trs = lat.srw_kernel(d), lat.Torus(d, L)
+        table = fields.green_window_table(k, trs)
+        for z in [(0,) * d, (1,) + (0,) * (d - 1), (1, -2) + (0,) * (d - 2)]:
+            assert table[trs.index(z)] == pytest.approx(lat.green(k, z=z), rel=1e-13)
+
+    def test_import_leaves_adaptive_quadrature_out(self):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(Path(lat.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
+        code = "import sys, pamse; print('scipy.integrate' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True, timeout=120)
+        assert out.stdout == "False\n"
 
     def test_richardson_refinement_d4(self, monkeypatch):
         # the power-law tail fit does not care where the quadrature hands over
@@ -186,8 +228,6 @@ class TestGreen:
             lat.green(lat.srw_kernel(1), t_min=3.0)
 
     def test_truncated_matches_direct_quadrature(self):
-        from scipy.integrate import quad
-
         k = lat.srw_kernel(3)
         t0 = 2.0
         oracle, _ = quad(lambda s: float(ive(0, s / 3.0)) ** 3, t0, 600.0,
@@ -295,7 +335,7 @@ class TestHalfspace:
         for t in (0.5, 2.0, 10.0):
             for x, y in [((1, 0, 0), (2, 1, 0)), ((3, 2, 1), (1, 0, 0))]:
                 plus = lat.halfspace_transition(k, t, x, y)
-                free = lat.transition_prob(k, t, np.array(y) - np.array(x))
+                free = lat.transition_prob_many(k, t, np.array(y) - np.array(x))[0]
                 assert plus <= 2.0 * free + 1e-14
 
 
@@ -321,7 +361,7 @@ class TestTorusWrap:
         t = 1.2
         row = lat.torus_heat_row(trs, k, t)
         for m in range(5):
-            images = sum(lat.transition_prob(k, t, (m + 5 * j,))
+            images = sum(lat.transition_prob_many(k, t, (m + 5 * j,))[0]
                          for j in range(-8, 9))
             assert row[m] == pytest.approx(images, abs=1e-12)
 
