@@ -189,8 +189,8 @@ class TestGreen:
 
     @pytest.mark.parametrize("d, L", [(3, 9), (4, 5)])
     def test_window_table_entries_are_green_values(self, d, L):
-        # not bitwise: heat1d sizes its Fourier grid by the largest
-        # displacement it is given, which differs between the table and one z
+        # not bitwise: heat1d's Fourier sums for one z use another grid size
+        # (set by the largest displacement) and row count than the table's
         k, trs = lat.srw_kernel(d), lat.Torus(d, L)
         table = fields.green_window_table(k, trs)
         for z in [(0,) * d, (1,) + (0,) * (d - 1), (1, -2) + (0,) * (d - 2)]:
