@@ -270,7 +270,7 @@ class TestProbePin:
         (4, 10.0, 0.6, 0.0, "0x1.b107e97e314b7p-4"),
         (4, 10.0, 3.0, 0.0, "0x1.1e3da0999c8c7p-3"),
         (4, 10.0, 40.0, 0.0, "0x1.3684bb618beabp-3"),
-        (3, 2.0, 200.0, 1.5, "0x1.a68eb129a87cfp-4"),
+        (3, 2.0, 200.0, 0.0, "0x1.d224a369bceb3p-3"),
     ])
     def test_probe_expectation(self, d, kappa, t, shift, want):
         assert mc.probe_expectation(d, kappa, t, shift).hex() == want
@@ -278,8 +278,8 @@ class TestProbePin:
     @pytest.mark.parametrize("d, kappa, t, n, seed, shift, want", [
         (4, 10.0, 20.0, 30, 5, 0.0,
          ["0x1.34672a78cb157p-3", "0x1.8a2a4d47f6abep-9", "0x1.3962e19ba9270p-3"]),
-        (3, 2.0, 5.0, 30, 6, 0.5,
-         ["0x1.25121f0b3b2eep-3", "0x1.ac46770a1d895p-8", "0x1.610bbb6b3029bp-3"]),
+        (3, 2.0, 5.0, 30, 6, 0.0,
+         ["0x1.a28e2d68c970ap-3", "0x1.35f98d03c3ff3p-7", "0x1.ddc73ba2abd7ap-3"]),
     ])
     def test_asymptotic_probe(self, d, kappa, t, n, seed, shift, want):
         est, reference = mc.asymptotic_probe(d, kappa, t, n, seed, shift=shift)
