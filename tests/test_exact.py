@@ -388,7 +388,7 @@ class TestGeneratorPin:
         ((1, 6, "cat4", 1, 0.5), 1.0,
          ["0x1.b158cdb23bf4cp-2", "0x1.e2ff1a3a30c14p-2", "0x1.0000000000000p+0"]),
         ((1, 6, "cat4", 2, 0.0), 0.7,
-         ["0x1.5dc449fe3452cp-1", "0x1.33b7d0c2f5546p+0", "0x1.0000000000000p+1"]),
+         ["0x1.5dc449fe3452dp-1", "0x1.33b7d0c2f5546p+0", "0x1.0000000000000p+1"]),
     ])
     def test_moments_and_top_eigenvalue(self, case, t, want):
         spec = _pin_spec(*case)
