@@ -193,13 +193,6 @@ class TestWalkerFrame:
         np.testing.assert_allclose(np.asarray(op.sum(axis=1)).ravel(), 0.0,
                                    atol=1e-12)
 
-    def test_kappa_zero_frame_is_fast_path(self):
-        spec = _frame_spec(1, 6, 1, 0.0, 0.5)
-        frame = exact.build_joint_generator(spec, walker_frame=True)
-        fast = exact._frozen_walker_generator(spec)
-        assert frame.shape == fast.shape
-        assert (frame != fast).nnz == 0
-
     def test_lift_is_translation_covariant(self):
         spec = _frame_spec(1, 5, 2, 0.3, 1.0)
         m = spec.n_sites ** (spec.p - 1)
@@ -232,8 +225,9 @@ class TestMoments:
         trs = Torus(1, 4)
         spec = exact.OperatorSpec(torus=trs, kernel=srw_kernel(1), kappa=0.0,
                                   p=2, rho=0.4)
+        # log_moment's walker frame at kappa = 0 (once a configuration-only
+        # fast path) against the full basis with the frozen walker block kept
         fast = exact.log_moment(spec, 3.0)
-        # generic route: same operator with the kappa-zero walker block kept
         op = exact.build_joint_generator(spec)
         from scipy.sparse.linalg import expm_multiply
         shift = spec.gamma * spec.p
