@@ -82,11 +82,11 @@ def criterion_2_exact_vs_mc(n: int = 200_000) -> CriterionResult:
 
 
 @_timed
-def criterion_3_comparison(tol: float = 1e-10) -> CriterionResult:
+def criterion_3_comparison() -> CriterionResult:
     """Exclusion <= IRW for 12 sign-uniform weights, both sides exact."""
     cfg = ScenarioConfig("comparison_suite", {
         "d": 1, "L": 6, "rhos": [0.3, 0.5, 0.7], "t": 1.0, "seed": 7,
-        "tolerance": tol,
+        "tolerance": 1e-10,
     })
     rep = run_scenario(cfg)
     worst = min(r["margin"] for r in rep.rows)
@@ -96,7 +96,7 @@ def criterion_3_comparison(tol: float = 1e-10) -> CriterionResult:
 
 
 @_timed
-def criterion_4_martingale(tol: float = 1e-10) -> CriterionResult:
+def criterion_4_martingale() -> CriterionResult:
     """Drift of the exponential martingale's field psi on d=1 tori: linear in
     eta, the time-scaled generator G acts as 2d 1[kappa] times the rate-1 walk,
     so G psi(eta, x) = sum_z [p_{2dT 1[kappa]}(z - x) - delta(z, x)] (eta(z) - rho)."""
@@ -111,12 +111,12 @@ def criterion_4_martingale(tol: float = 1e-10) -> CriterionResult:
         dev = float(np.max(np.abs(build_scaled_generator(spec) @ psi - drift)))
         cases.append({"L": L, "T": T, "kappa": kappa, "deviation": dev})
     worst = max(c["deviation"] for c in cases)
-    return CriterionResult(4, "exponential martingale drift", worst <= tol,
+    return CriterionResult(4, "exponential martingale drift", worst <= 1e-10,
                            {"worst_deviation": worst, "cases": cases})
 
 
 @_timed
-def criterion_5_spectral(tol: float = 1e-6) -> CriterionResult:
+def criterion_5_spectral() -> CriterionResult:
     """Top eigenvalue vs large-t moment slope on three specs, the
     variational upper-boundedness of 100 random quotients, and the bump
     bound's closed-form quotient vs its enumerated Rayleigh quotient."""
@@ -136,7 +136,7 @@ def criterion_5_spectral(tol: float = 1e-6) -> CriterionResult:
         gap = abs(slope - top.mu)
         rows.append({"L": spec.torus.L, "kappa": spec.kappa, "p": spec.p,
                      "mu": top.mu, "slope": slope, "gap": gap})
-        ok = ok and gap <= tol
+        ok = ok and gap <= 1e-6
     spec = specs[1]
     top = var.top_eigenvalue(spec)
     worst_q = -np.inf
@@ -155,13 +155,13 @@ def criterion_5_spectral(tol: float = 1e-6) -> CriterionResult:
 
 
 @_timed
-def criterion_6_kappa_sweep(tol: float = 1e-9) -> CriterionResult:
+def criterion_6_kappa_sweep() -> CriterionResult:
     """lambda_1(kappa) on a grid: non-increasing with convex second
     differences down to -1e-9."""
     cfg = ScenarioConfig("kappa_sweep", {
         "d": 1, "L": 6, "rho": 0.5, "p": 1,
         "kappas": [0.25 * k for k in range(17)],
-        "convexity_tol": tol,
+        "convexity_tol": 1e-9,
     })
     rep = run_scenario(cfg)
     lams = [r["lambda"] for r in rep.rows]
@@ -170,11 +170,11 @@ def criterion_6_kappa_sweep(tol: float = 1e-9) -> CriterionResult:
 
 
 @_timed
-def criterion_7_intermittency(min_gap: float = 1e-6) -> CriterionResult:
+def criterion_7_intermittency() -> CriterionResult:
     """Zero-diffusion moment hierarchy strictly increasing at t=8, L=8."""
     cfg = ScenarioConfig("intermittency_kappa0", {
         "d": 1, "L": 8, "rho": 0.5, "p_list": [1, 2, 3], "t": 8.0,
-        "min_gap": min_gap,
+        "min_gap": 1e-6,
     })
     rep = run_scenario(cfg)
     lams = [r["Lambda"] for r in rep.rows]
@@ -211,7 +211,7 @@ def criterion_8_asymptotic_probe(n: int = 2000) -> CriterionResult:
 
 
 @_timed
-def criterion_9_green(rel_tol: float = 1e-5) -> CriterionResult:
+def criterion_9_green() -> CriterionResult:
     """Two independent Green evaluations agree at d=3,4; half-space Green
     diagonal stays below twice the full-space value."""
     rows = []
@@ -222,7 +222,7 @@ def criterion_9_green(rel_tol: float = 1e-5) -> CriterionResult:
         b = green_discrete_sum(d, 20000)
         rel = abs(a - b) / a
         rows.append({"d": d, "quadrature": a, "discrete_sum": b, "rel_gap": rel})
-        ok = ok and rel <= rel_tol
+        ok = ok and rel <= 1e-5
     kernel = srw_kernel(3)
     g3 = green(kernel)
     half_ok = True
@@ -254,7 +254,7 @@ def criterion_10_field_suite() -> CriterionResult:
 
 
 @_timed
-def criterion_11_cauchy(tol: float = 1e-8) -> CriterionResult:
+def criterion_11_cauchy() -> CriterionResult:
     """Mass identities of the box-source and half-space problems, the Green
     contraction certificate of the box problem (theta < 1 and sup w below
     theta / (1 - theta)), and three-mode solver agreement."""
@@ -294,7 +294,7 @@ def criterion_11_cauchy(tol: float = 1e-8) -> CriterionResult:
                           start_sites=[8])
     mc_dev = float(np.max(np.abs(sol_mc.v[:, 8] - v_step[:, 8])
                           / np.maximum(sol_mc.stderr[:, 8], 1e-12)))
-    ok = (res_box <= tol and res_half <= tol and series_gap <= 1e-6
+    ok = (res_box <= 1e-8 and res_half <= 1e-8 and series_gap <= 1e-6
           and mc_dev <= 4.0 and cert_ok)
     return CriterionResult(11, "Cauchy mass identities and three-mode solver",
                            ok, {"box_residual": res_box,
@@ -306,7 +306,7 @@ def criterion_11_cauchy(tol: float = 1e-8) -> CriterionResult:
 
 
 @_timed
-def criterion_12_tilt_maximization(tol: float = 1e-8) -> CriterionResult:
+def criterion_12_tilt_maximization() -> CriterionResult:
     """Closed-form tilt maximum vs independent grid maximization on a 27-point
     grid, and the density/ceiling bounds on reported exponent estimates."""
     worst = 0.0
@@ -316,7 +316,7 @@ def criterion_12_tilt_maximization(tol: float = 1e-8) -> CriterionResult:
                 a = var.varadhan_closed_form(gamma, rho, G).value
                 b = var.occupation_tilt_max(gamma, rho, G).value
                 worst = max(worst, abs(a - b))
-    grid_ok = worst <= tol
+    grid_ok = worst <= 1e-8
 
     spec = OperatorSpec(torus=Torus(1, 6), kernel=srw_kernel(1), kappa=0.5,
                         p=1, rho=0.5)

@@ -21,28 +21,14 @@ from scipy.linalg import expm as dense_expm
 from scipy.sparse.linalg import expm_multiply
 
 from .exact import occupation_bits, rate_matrix
-from .lattice import (Kernel, Torus, check_density,
-                      check_horizon, check_kappa, check_samples, cycle_heat1d, gauss_legendre,
-                      green, green_many, heat1d, one_kappa, srw_kernel)
+from .lattice import (GL_NODES_PER_PANEL, Kernel, Torus, _panel_edges, check_density,
+                      check_horizon, check_kappa, check_samples, cycle_heat1d,
+                      green, green_many, heat1d, one_kappa, srw_kernel, time_quadrature)
 
-GL_NODES_PER_PANEL = 12
 PSI_PANELS = 10  # time panels of the chi and gradient-kernel quadrature
 MASS_PANELS = 24  # time panels of the mass-identity integrals
 CHI_SLAB = 8  # leading-axis planes of the chi grid summed per buffer pass
 PSI_TOL = 1e-9  # slack of the psi bounds; the swap identity's is PSI_TOL * T
-
-
-def _panel_edges(T: float, n_panels: int) -> np.ndarray:
-    """Panel edges of time_quadrature on [0, T], refined toward 0."""
-    return T * (np.linspace(0.0, 1.0, n_panels + 1) ** 2)
-
-
-def time_quadrature(T: float, n_panels: int = 8, nodes_per_panel: int = GL_NODES_PER_PANEL):
-    """Composite Gauss-Legendre rule on [0, T], panels refined toward 0 where
-    heat kernels vary fastest. Returns (nodes, weights)."""
-    if T <= 0:
-        return np.empty(0), np.empty(0)
-    return gauss_legendre(_panel_edges(T, n_panels), nodes_per_panel)
 
 
 @dataclass(frozen=True)

@@ -166,16 +166,15 @@ def _jsonable(obj):
 
 
 def _run_comparison_suite(*, d: int, L: int, rhos: list, t: float, seed: int,
-                          weight_values: list = (1.0, -1.0), box: list = None,
                           tolerance: float = 1e-10) -> Report:
     torus = Torus(d, L)
     kernel = srw_kernel(d)
-    box = box or [[0] * d, [1] + [0] * (d - 1), [2] + [0] * (d - 1)]
+    box = [(0,) * d, (1,) + (0,) * (d - 1), (2,) + (0,) * (d - 1)]
     weights = []
-    for v in weight_values:
-        weights.append(("point", WeightFunction((((0,) * d, (0.0, t), float(v)),))))
+    for v in (1.0, -1.0):
+        weights.append(("point", WeightFunction((((0,) * d, (0.0, t), v),))))
         weights.append(("box", WeightFunction(tuple(
-            (tuple(s), (0.0, t), float(v) / len(box)) for s in box))))
+            (s, (0.0, t), v / len(box)) for s in box))))
     rows = []
     ok = True
     for rho in rhos:
@@ -191,10 +190,10 @@ def _run_comparison_suite(*, d: int, L: int, rhos: list, t: float, seed: int,
 
 
 def _run_exact_vs_mc(*, d: int, L: int, rho: float, kappa: float, p: int, t: float,
-                     n: int, seed: int, gamma: float = 1.0, n_sigma: float = 3.0,
-                     rel_tol: float = 0.02, n_workers: int = 1) -> Report:
+                     n: int, seed: int, n_sigma: float = 3.0, rel_tol: float = 0.02,
+                     n_workers: int = 1) -> Report:
     spec = OperatorSpec(torus=Torus(d, L), kernel=srw_kernel(d), kappa=kappa, p=p,
-                        rho=rho, gamma=gamma)
+                        rho=rho)
     exact_val = exact_moment(spec, t)
     est = mc.estimate_moment(spec, t, n, seed, n_workers=n_workers)
     within = est.within(exact_val, n_sigma)
@@ -207,15 +206,14 @@ def _run_exact_vs_mc(*, d: int, L: int, rho: float, kappa: float, p: int, t: flo
 
 
 def _run_kappa_sweep(*, d: int, L: int, rho: float, p: int, kappas: list,
-                     gamma: float = 1.0, convexity_tol: float = 1e-9,
-                     t_ref: float = None) -> Report:
+                     convexity_tol: float = 1e-9, t_ref: float = None) -> Report:
     torus = Torus(d, L)
     kernel = srw_kernel(d)
     rows = []
     lams = []
     for kap in kappas:
         spec = OperatorSpec(torus=torus, kernel=kernel, kappa=float(kap),
-                            p=p, rho=rho, gamma=gamma)
+                            p=p, rho=rho)
         top = var.top_eigenvalue(spec)
         row = {"kappa": kap, "mu": top.mu, "lambda": top.lam,
                "residual": top.residual, "converged": top.converged}
@@ -233,7 +231,7 @@ def _run_kappa_sweep(*, d: int, L: int, rho: float, p: int, kappas: list,
 
 
 def _run_intermittency_kappa0(*, d: int, L: int, rho: float, p_list: list, t: float,
-                              gamma: float = 1.0, min_gap: float = 1e-6) -> Report:
+                              min_gap: float = 1e-6) -> Report:
     torus = Torus(d, L)
     kernel = srw_kernel(d)
     rows = []
@@ -242,7 +240,7 @@ def _run_intermittency_kappa0(*, d: int, L: int, rho: float, p_list: list, t: fl
     holder = True
     for order in p_list:
         spec = OperatorSpec(torus=torus, kernel=kernel, kappa=0.0, p=order,
-                            rho=rho, gamma=gamma)
+                            rho=rho)
         lam = float(exact_lambda_profile(spec, [t])[0])
         rows.append({"p": order, "Lambda": lam, "t": t})
         if lam_prev is not None:
@@ -255,10 +253,9 @@ def _run_intermittency_kappa0(*, d: int, L: int, rho: float, p_list: list, t: fl
 
 
 def _run_recurrent_trend(*, d: int, L: int, rho: float, kappa: float, t_grid: list,
-                         n: int, seed: int, gamma: float = 1.0,
-                         n_workers: int = 1) -> Report:
+                         n: int, seed: int, n_workers: int = 1) -> Report:
     spec = OperatorSpec(torus=Torus(d, L), kernel=srw_kernel(d), kappa=kappa, p=1,
-                        rho=rho, gamma=gamma)
+                        rho=rho)
     run = mc.lambda_curve(spec, t_grid, n, seed, n_workers=n_workers)
     rows = [{"t": float(t), "Lambda": float(l), "stderr": float(e)}
             for t, l, e in zip(run.t_grid, run.lambdas, run.lambda_err)]
@@ -274,11 +271,9 @@ def _run_recurrent_trend(*, d: int, L: int, rho: float, kappa: float, t_grid: li
 
 
 def _run_asymptotic_probe(*, d: int, kappa: float, t: float, n: int, seed: int,
-                          shift: float = 0.0, rel_tol: float = 0.05,
-                          n_workers: int = 1) -> Report:
-    est, ref = mc.asymptotic_probe(d, kappa, t, n, seed, shift=shift,
-                                   n_workers=n_workers)
-    exact = mc.probe_expectation(d, kappa, t, shift)
+                          rel_tol: float = 0.05, n_workers: int = 1) -> Report:
+    est, ref = mc.asymptotic_probe(d, kappa, t, n, seed, n_workers=n_workers)
+    exact = mc.probe_expectation(d, kappa, t)
     rel = abs(exact - ref) / ref
     flags = {"within_sigma": est.within(exact, 4.0), "within_rel_tol": bool(rel <= rel_tol)}
     rows = [{"mc_mean": est.mean, "stderr": est.stderr, "exact": exact,
@@ -287,11 +282,11 @@ def _run_asymptotic_probe(*, d: int, kappa: float, t: float, n: int, seed: int,
 
 
 def _run_field_checks(*, d: int, T: float, kappa: float, n_eta: int, seed: int,
-                      L: int = None, rho: float = 0.5, norm_tol: float = 1e-6,
+                      rho: float = 0.5, norm_tol: float = 1e-6,
                       limit_kappa: float = 1e3, limit_tol: float = 1e-3) -> Report:
     from .fields import PsiSpec, k_kernels, psi_bounds_check, recommended_side
 
-    L = L or recommended_side(d, T, kappa)
+    L = recommended_side(d, T, kappa)
     trs = Torus(d, L)
     spec = PsiSpec(kappa=kappa, T=T, torus=trs, rho=rho)
     rep = psi_bounds_check(spec, n_eta, seed)

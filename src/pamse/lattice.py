@@ -17,6 +17,7 @@ import numpy as np
 
 Vector = tuple[int, ...]
 GREEN_SPLIT = 2000.0  # Green quadrature on [0, split], power-law tail fit beyond
+GL_NODES_PER_PANEL = 12  # Gauss-Legendre nodes per time_quadrature panel
 
 
 def _number(x, kind) -> bool:
@@ -278,6 +279,19 @@ def gauss_legendre(edges: np.ndarray, nodes_per_panel: int):
     return np.concatenate(nodes), np.concatenate(weights)
 
 
+def _panel_edges(T: float, n_panels: int) -> np.ndarray:
+    """Panel edges of time_quadrature on [0, T], refined toward 0."""
+    return T * (np.linspace(0.0, 1.0, n_panels + 1) ** 2)
+
+
+def time_quadrature(T: float, n_panels: int, nodes_per_panel: int = GL_NODES_PER_PANEL):
+    """Composite Gauss-Legendre rule on [0, T], panels refined toward 0 where
+    heat kernels vary fastest. Returns (nodes, weights)."""
+    if T <= 0:
+        return np.empty(0), np.empty(0)
+    return gauss_legendre(_panel_edges(T, n_panels), nodes_per_panel)
+
+
 def _tail_by_power_fit(f, s0: float, d: int):
     """integral_{s0}^inf f, fitting f(s) ~ s^{-d/2} (1 + c1/s + c2/s^2); f may
     be array-valued, each entry then gets its own fit."""
@@ -293,38 +307,33 @@ def _tail_by_power_fit(f, s0: float, d: int):
     )
 
 
-def green_many(kernel: Kernel, zs: np.ndarray, t_min: float = 0.0) -> np.ndarray:
-    """integral_{t_min}^inf p_s(0, z) ds for each row z of zs: 24 Gauss-Legendre
-    panels of 12 nodes on [t_min, s0], s0 = max(GREEN_SPLIT, 4 t_min), refined
-    toward t_min, plus the power-law tail fit beyond s0."""
-    s0 = max(GREEN_SPLIT, 4.0 * t_min)
-    edges = t_min + (s0 - t_min) * np.linspace(0.0, 1.0, 25) ** 2
-    nodes, weights = gauss_legendre(edges, 12)
+def green_many(kernel: Kernel, zs: np.ndarray) -> np.ndarray:
+    """integral_0^inf p_s(0, z) ds for each row z of zs: 24 `time_quadrature`
+    panels on [0, GREEN_SPLIT], plus the power-law tail fit beyond it."""
+    nodes, weights = time_quadrature(GREEN_SPLIT, 24)
     window = partial(transition_prob_many, kernel, zs=zs)
     body = np.zeros(len(zs))
     for s, w in zip(nodes, weights):
         body += w * window(s)
-    return body + _tail_by_power_fit(window, s0, kernel.d)
+    return body + _tail_by_power_fit(window, GREEN_SPLIT, kernel.d)
 
 
-def green(kernel: Kernel, t_min: float = 0.0, z=None) -> float:
-    """Truncated Green value integral_{t_min}^inf p_s(0, z) ds.
+def green(kernel: Kernel, z=None) -> float:
+    """Green value integral_0^inf p_s(0, z) ds.
 
     Finite only for transient kernels (d >= 3): the integrand decays like
-    s^(-d/2), so the tail diverges in d <= 2 for every t_min. Memoized per
-    (kernel, t_min, z) in `_green_cached`.
+    s^(-d/2), so the integral diverges in d <= 2. Memoized per (kernel, z)
+    in `_green_cached`.
     """
-    if t_min < 0:
-        raise ValueError("negative t_min")
     if kernel.d <= 2:
         raise ValueError("Green integral diverges for d <= 2")
     zvec = np.zeros(kernel.d, dtype=int) if z is None else np.asarray(z, dtype=int)
-    return _green_cached(kernel, float(t_min), tuple(int(v) for v in zvec))
+    return _green_cached(kernel, tuple(int(v) for v in zvec))
 
 
 @lru_cache(maxsize=64)
-def _green_cached(kernel: Kernel, t_min: float, z: Vector) -> float:
-    return float(green_many(kernel, np.array([z]), t_min)[0])
+def _green_cached(kernel: Kernel, z: Vector) -> float:
+    return float(green_many(kernel, np.array([z]))[0])
 
 
 def green_discrete_sum(d: int, n_terms: int = 20000) -> float:

@@ -214,11 +214,11 @@ def _probe_nodes(t: float):
     return gauss_legendre(edges, PROBE_NODES_PER_PANEL)
 
 
-def _probe_trials(d: int, kappa: float, t: float, shift: float, seed,
-                  v_nodes: np.ndarray, v_weights: np.ndarray, trials) -> np.ndarray:
+def _probe_trials(d: int, kappa: float, t: float, seed, v_nodes: np.ndarray,
+                  v_weights: np.ndarray, trials) -> np.ndarray:
     rate = 2.0 * d
     # per-coordinate heat tables at each lag node, rate-1 d-dim clock
-    taus = (v_nodes / kappa + shift) / d
+    taus = v_nodes / kappa / d
     m_max = np.ceil(taus + 10.0 * np.sqrt(taus + 1.0) + 8).astype(np.int64)
     heat = [heat1d(np.arange(-m, m + 1), tau) for m, tau in zip(m_max, taus)]
     tables, width = None, int(m_max.max())
@@ -290,10 +290,10 @@ def _probe_chunk(tau_jump: np.ndarray, path: np.ndarray, t: float, v: np.ndarray
 
 
 def asymptotic_probe(d: int, kappa: float, t: float, n: int, seed,
-                     shift: float = 0.0, n_workers: int = 1):
-    """MC mean of (1/t) int_0^t ds int_s^t du p_{(u-s)/kappa + shift}(X_s, X_u)
-    for the rate-2d walk on Z^d, against the first-order reference
-    G_{shift} / (2 d 1[kappa]).
+                     n_workers: int = 1):
+    """MC mean of (1/t) int_0^t ds int_s^t du p_{(u-s)/kappa}(X_s, X_u) for
+    the rate-2d walk on Z^d, against the first-order reference
+    G_d / (2 d 1[kappa]).
 
     Returns (McEstimate, reference_value).
     """
@@ -302,23 +302,23 @@ def asymptotic_probe(d: int, kappa: float, t: float, n: int, seed,
     check_horizon(t, positive=True)
     check_samples(n, 2)
     v_nodes, v_weights = _probe_nodes(t)
-    worker = partial(_probe_trials, d, kappa, t, shift, seed, v_nodes, v_weights)
+    worker = partial(_probe_trials, d, kappa, t, seed, v_nodes, v_weights)
     vals = _run_trials(worker, n, n_workers)
     est = McEstimate(mean=float(vals.mean()),
                      stderr=float(vals.std(ddof=1) / np.sqrt(n)), n=n)
-    reference = green(srw_kernel(d), t_min=shift) / (2 * d * one_kappa(d, kappa))
+    reference = green(srw_kernel(d)) / (2 * d * one_kappa(d, kappa))
     return est, reference
 
 
-def probe_expectation(d: int, kappa: float, t: float, shift: float = 0.0) -> float:
+def probe_expectation(d: int, kappa: float, t: float) -> float:
     """Exact mean of `asymptotic_probe` on its lag nodes, (1/t) int_0^t (t - v)
-    p_{2d 1[kappa] v + shift}(0, 0) dv: X_{s+v} - X_s is the rate-2d walk, which
-    adds 2d v to the clock v/kappa + shift of a walk frozen at X_s."""
+    p_{2d 1[kappa] v}(0, 0) dv: X_{s+v} - X_s is the rate-2d walk, which adds
+    2d v to the clock v/kappa of a walk frozen at X_s."""
     v_nodes, v_weights = _probe_nodes(t)
     zero = np.zeros(1, dtype=int)
     clock = 2 * d * one_kappa(d, kappa)
     total = 0.0
     for v, w in zip(v_nodes, v_weights):
-        tau = (clock * v + shift) / d
+        tau = clock * v / d
         total += w * (t - v) * float(heat1d(zero, tau)[0] ** d)
     return float(total / t)

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from pamse import harness
-from pamse.lattice import green, srw_kernel
+from pamse.lattice import Torus, green, srw_kernel
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -30,8 +30,7 @@ class TestConfigValidation:
             harness.validate_config(cfg)
 
     @pytest.mark.parametrize("scenario, key", [
-        ("comparison_suite", "rhos"), ("comparison_suite", "weight_values"),
-        ("comparison_suite", "box"), ("kappa_sweep", "kappas"),
+        ("comparison_suite", "rhos"), ("kappa_sweep", "kappas"),
         ("intermittency_kappa0", "p_list"), ("recurrent_trend", "t_grid")])
     def test_empty_list_rejected(self, scenario, key):
         cfg = harness.ScenarioConfig.from_file(str(CONFIG_DIR / f"{scenario}.json"))
@@ -98,18 +97,15 @@ class TestScenarios:
 
     def test_comparison_suite_mc_branch_allows_for_noise(self, monkeypatch):
         # above the state cap the exclusion side is Monte Carlo; a weak weight
-        # leaves margins far below its noise, so a row fails only beyond
-        # 4 stderr, as compare_se_irw flags it
-        from pamse import exact
+        # leaves its margin far below its noise, so a case fails only beyond
+        # 4 stderr
+        from pamse import exact, irw
 
         monkeypatch.setattr(exact, "DEFAULT_STATE_CAP", 4)
-        cfg = harness.ScenarioConfig("comparison_suite", {
-            "d": 1, "L": 6, "rhos": [0.3], "t": 1.0, "seed": 3,
-            "weight_values": [0.01]})
-        rep = harness.run_scenario(cfg)
-        assert min(r["margin"] for r in rep.rows) < -1e-10
-        assert rep.passed
-        assert all(r["se_stderr"] > 0 and not r["violation"] for r in rep.rows)
+        weak = irw.WeightFunction((((0,), (0.0, 1.0), 0.01),))
+        rep = irw.compare_se_irw(Torus(1, 6), srw_kernel(1), 0.3, weak, 1.0, seed=3)
+        assert rep.margin < -1e-10
+        assert rep.se_stderr > 0 and not rep.violation
 
     def test_kappa_sweep_flags(self):
         cfg = harness.ScenarioConfig("kappa_sweep", {
@@ -260,9 +256,8 @@ class TestCli:
         ("comparison_suite", {"d": 1, "L": 4, "rhos": [], "t": 0.5, "seed": 1}),
         ("intermittency_kappa0", {"d": 1, "L": 6, "rho": 0.5, "p_list": [],
                                   "t": 5.0}),
-        # validate passes it; the single-walk solution overflows in run
-        ("comparison_suite", {"d": 1, "L": 6, "rhos": [0.5], "t": 1.0, "seed": 7,
-                              "weight_values": [1000.0]})])
+        # validate passes it; run finds the state space over the cap
+        ("kappa_sweep", {"d": 1, "L": 20, "rho": 0.5, "p": 1, "kappas": [1.0]})])
     def test_run_rejects_bad_config(self, tmp_path, capsys, scenario, params):
         from pamse.cli import main
 

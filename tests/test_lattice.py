@@ -42,17 +42,16 @@ def uniformization_p1d(m: int, t: float, tol: float = 1e-14) -> float:
     return total
 
 
-def adaptive_green(d: int, t_min: float) -> float:
-    """Oracle: G_d truncated at t_min by scipy's adaptive quad on [t_min, s0]
-    plus green's power-law tail beyond s0 = max(GREEN_SPLIT, 4 t_min)."""
+def adaptive_green(d: int) -> float:
+    """Oracle: G_d by scipy's adaptive quad on [0, GREEN_SPLIT] plus green's
+    power-law tail beyond GREEN_SPLIT."""
     k = lat.srw_kernel(d)
 
     def f(s: float) -> float:
         return lat.transition_prob_many(k, s, np.zeros(d, dtype=int))[0]
 
-    s0 = max(lat.GREEN_SPLIT, 4.0 * t_min)
-    body, _ = quad(f, t_min, s0, limit=400, epsabs=1e-13, epsrel=1e-11)
-    return body + lat._tail_by_power_fit(f, s0, d)
+    body, _ = quad(f, 0.0, lat.GREEN_SPLIT, limit=400, epsabs=1e-13, epsrel=1e-11)
+    return body + lat._tail_by_power_fit(f, lat.GREEN_SPLIT, d)
 
 
 def _cube(d: int, r: int) -> np.ndarray:
@@ -182,10 +181,9 @@ class TestGreen:
             assert abs(a - b) / a < 1e-6
 
     @pytest.mark.parametrize("d", [3, 4])
-    @pytest.mark.parametrize("t_min", [0.0, 1.5, 100.0, 600.0])
-    def test_matches_adaptive_quadrature(self, d, t_min):
-        got = lat.green(lat.srw_kernel(d), t_min=t_min)
-        assert got == pytest.approx(adaptive_green(d, t_min), rel=1e-12)
+    def test_matches_adaptive_quadrature(self, d):
+        got = lat.green(lat.srw_kernel(d))
+        assert got == pytest.approx(adaptive_green(d), rel=1e-12)
 
     @pytest.mark.parametrize("d, L", [(3, 9), (4, 5)])
     def test_window_table_entries_are_green_values(self, d, L):
@@ -216,28 +214,15 @@ class TestGreen:
         a, b = vals
         assert abs(a - b) / a < 1e-6
 
-    def test_decreasing_in_cutoff(self):
-        k = lat.srw_kernel(3)
-        vals = [lat.green(k, t_min=t) for t in (0.0, 1.0, 5.0, 20.0)]
-        assert all(x > y > 0 for x, y in zip(vals[:-1], vals[1:]))
-
     def test_divergence_low_dimension(self):
         with pytest.raises(ValueError):
             lat.green(lat.srw_kernel(2))
         with pytest.raises(ValueError):
-            lat.green(lat.srw_kernel(1), t_min=3.0)
-
-    def test_truncated_matches_direct_quadrature(self):
-        k = lat.srw_kernel(3)
-        t0 = 2.0
-        oracle, _ = quad(lambda s: float(ive(0, s / 3.0)) ** 3, t0, 600.0,
-                         limit=300)
-        tail = lat.green(k, t_min=600.0)
-        assert lat.green(k, t_min=t0) == pytest.approx(oracle + tail, rel=1e-8)
+            lat.green(lat.srw_kernel(1))
 
 
 class TestGreenMemo:
-    """green's value is memoized by lat._green_cached on (kernel, t_min, z)."""
+    """green's value is memoized by lat._green_cached on (kernel, z)."""
 
     def test_z_forms_agree(self):
         k = lat.srw_kernel(3)
@@ -254,9 +239,10 @@ class TestGreenMemo:
 
     def test_cold_equals_cached(self):
         k = lat.srw_kernel(4)
-        warm = lat.green(k, t_min=1.5)
+        z = (1, 1, 0, 0)
+        warm = lat.green(k, z=z)
         lat._green_cached.cache_clear()
-        assert lat.green(k, t_min=1.5).hex() == warm.hex() == lat.green(k, t_min=1.5).hex()
+        assert lat.green(k, z=z).hex() == warm.hex() == lat.green(k, z=z).hex()
 
     def test_cache_is_clearable_module_attribute(self):
         # the benchmark empties every module-level functools cache each round
@@ -384,15 +370,13 @@ class TestGreenPin:
     loop were shared across modules; the green rows re-pinned when green left
     adaptive quadrature for the window table's Gauss-Legendre rule."""
 
-    @pytest.mark.parametrize("d, t_min, z, want", [
-        (3, 0.0, None, "0x1.8431e0742b9f3p+0"),
-        (3, 1.5, None, "0x1.69a40bc882698p-1"),
-        (4, 0.0, None, "0x1.3d4db7a0ce778p+0"),
-        (4, 1.5, None, "0x1.c06ed78153f4ap-2"),
-        (3, 0.0, (1, 2, 0), "0x1.b9870d16f72d5p-3"),
+    @pytest.mark.parametrize("d, z, want", [
+        (3, None, "0x1.8431e0742b9f3p+0"),
+        (4, None, "0x1.3d4db7a0ce778p+0"),
+        (3, (1, 2, 0), "0x1.b9870d16f72d5p-3"),
     ])
-    def test_green(self, d, t_min, z, want):
-        assert float(lat.green(lat.srw_kernel(d), t_min=t_min, z=z)).hex() == want
+    def test_green(self, d, z, want):
+        assert float(lat.green(lat.srw_kernel(d), z=z)).hex() == want
 
     @pytest.mark.parametrize("d, L, t, want", [
         (1, 7, 0.9, "d0dff8a2cc1630e1"),

@@ -120,14 +120,6 @@ class TestAsymptoticProbe:
                          0, t, lambda s: s, lambda s: t, epsabs=1e-13)[0] / t
         assert mine == pytest.approx(oracle, abs=1e-10)
 
-    def test_frozen_walk_with_shift(self):
-        d, kappa, t, shift = 4, 5.0, 0.5, 0.3
-        mine = mc.probe_expectation(d, kappa, t, shift)
-        oracle = dblquad(
-            lambda u, s: float(ive(0, ((u - s) * (2 * d + 1 / kappa) + shift) / d)) ** d,
-            0, t, lambda s: s, lambda s: t, epsabs=1e-13)[0] / t
-        assert mine == pytest.approx(oracle, abs=1e-10)
-
     def test_expectation_matches_adaptive_quad(self):
         # criterion 8's parameters: the lag nodes against the 1-d integral
         d, kappa, t = 4, 10.0, 200.0
@@ -137,7 +129,7 @@ class TestAsymptoticProbe:
         assert mine == pytest.approx(oracle, rel=1e-12)
 
     def test_kappa_infinity_reference(self):
-        # with no shift the reference tends to G_d/(2d) as kappa grows
+        # the reference tends to G_d/(2d) as kappa grows
         from pamse.lattice import green
 
         _, ref = mc.asymptotic_probe(3, 1e9, 1.0, 2, 0)
@@ -148,14 +140,14 @@ class TestAsymptoticProbe:
         assert abs(est.mean - ref) / ref < 0.08
 
 
-def _probe_trials_oracle(d, kappa, t, shift, seed, trials):
+def _probe_trials_oracle(d, kappa, t, seed, trials):
     """The probe trial one lag node at a time: breakpoints by np.unique, walk
     positions by searchsorted on segment midpoints. Same draws and the same
     per-node dot product as `montecarlo._probe_trials`."""
     v_nodes, v_weights = mc._probe_nodes(t)
     tables = []
     for v in v_nodes:
-        tau = (v / kappa + shift) / d
+        tau = v / kappa / d
         m_max = int(np.ceil(tau + 10.0 * np.sqrt(tau + 1.0) + 8))
         tables.append((m_max, heat1d(np.arange(-m_max, m_max + 1), tau)))
     out = []
@@ -193,24 +185,23 @@ class TestProbeMergedPass:
     """The merged per-chunk pass of `_probe_trials` gives bit for bit the
     values of the per-node oracle above."""
 
-    @pytest.mark.parametrize("d, kappa, t, shift, seed, n", [
-        (4, 10.0, 200.0, 0.0, 5, 3),
-        (4, 10.0, 20.0, 0.0, [5, 1], 8),
-        (4, 10.0, 0.01, 0.0, 3, 12),  # most trials make no jump
-        (4, 3.0, 1.0, 1.5, 9, 8),
-        (3, 2.0, 5.0, 0.5, 6, 8),
-        (3, 1.0, 50.0, 0.0, [1, 2], 4),
-        (3, 0.5, 0.01, 1.5, 2, 12),
+    @pytest.mark.parametrize("d, kappa, t, seed, n", [
+        (4, 10.0, 200.0, 5, 3),
+        (4, 10.0, 20.0, [5, 1], 8),
+        (4, 10.0, 0.01, 3, 12),  # most trials make no jump
+        (4, 3.0, 1.0, 9, 8),
+        (3, 2.0, 5.0, 6, 8),
+        (3, 1.0, 50.0, [1, 2], 4),
+        (3, 0.5, 0.01, 2, 12),
     ])
-    def test_matches_per_node_oracle(self, d, kappa, t, shift, seed, n):
+    def test_matches_per_node_oracle(self, d, kappa, t, seed, n):
         v_nodes, v_weights = mc._probe_nodes(t)
-        got = mc._probe_trials(d, kappa, t, shift, seed, v_nodes, v_weights, range(n))
-        assert _hexes(got) == _hexes(_probe_trials_oracle(d, kappa, t, shift, seed,
-                                                          range(n)))
+        got = mc._probe_trials(d, kappa, t, seed, v_nodes, v_weights, range(n))
+        assert _hexes(got) == _hexes(_probe_trials_oracle(d, kappa, t, seed, range(n)))
 
     def test_two_workers_match_oracle(self):
         d, kappa, t, seed, n = 3, 2.0, 0.3, 11, mc.TRIAL_CHUNK + 4
-        want = _probe_trials_oracle(d, kappa, t, 0.0, seed, range(n))
+        want = _probe_trials_oracle(d, kappa, t, seed, range(n))
         est, _ = mc.asymptotic_probe(d, kappa, t, n, seed, n_workers=2)
         assert _hexes((est.mean, est.stderr)) == _hexes(
             (want.mean(), want.std(ddof=1) / np.sqrt(n)))
@@ -266,23 +257,23 @@ class TestProbePin:
     and the probe references, which read G_d, when green moved onto the window
     table's Gauss-Legendre rule."""
 
-    @pytest.mark.parametrize("d, kappa, t, shift, want", [
-        (4, 10.0, 0.6, 0.0, "0x1.b107e97e314b7p-4"),
-        (4, 10.0, 3.0, 0.0, "0x1.1e3da0999c8c7p-3"),
-        (4, 10.0, 40.0, 0.0, "0x1.3684bb618beabp-3"),
-        (3, 2.0, 200.0, 0.0, "0x1.d224a369bceb3p-3"),
+    @pytest.mark.parametrize("d, kappa, t, want", [
+        (4, 10.0, 0.6, "0x1.b107e97e314b7p-4"),
+        (4, 10.0, 3.0, "0x1.1e3da0999c8c7p-3"),
+        (4, 10.0, 40.0, "0x1.3684bb618beabp-3"),
+        (3, 2.0, 200.0, "0x1.d224a369bceb3p-3"),
     ])
-    def test_probe_expectation(self, d, kappa, t, shift, want):
-        assert mc.probe_expectation(d, kappa, t, shift).hex() == want
+    def test_probe_expectation(self, d, kappa, t, want):
+        assert mc.probe_expectation(d, kappa, t).hex() == want
 
-    @pytest.mark.parametrize("d, kappa, t, n, seed, shift, want", [
-        (4, 10.0, 20.0, 30, 5, 0.0,
+    @pytest.mark.parametrize("d, kappa, t, n, seed, want", [
+        (4, 10.0, 20.0, 30, 5,
          ["0x1.34672a78cb157p-3", "0x1.8a2a4d47f6abep-9", "0x1.3962e19ba9270p-3"]),
-        (3, 2.0, 5.0, 30, 6, 0.0,
+        (3, 2.0, 5.0, 30, 6,
          ["0x1.a28e2d68c970ap-3", "0x1.35f98d03c3ff3p-7", "0x1.ddc73ba2abd7ap-3"]),
     ])
-    def test_asymptotic_probe(self, d, kappa, t, n, seed, shift, want):
-        est, reference = mc.asymptotic_probe(d, kappa, t, n, seed, shift=shift)
+    def test_asymptotic_probe(self, d, kappa, t, n, seed, want):
+        est, reference = mc.asymptotic_probe(d, kappa, t, n, seed)
         assert _hexes((est.mean, est.stderr, reference)) == want
 
     @pytest.mark.parametrize("kw, grid, n, seed, want", [
