@@ -1,11 +1,13 @@
 """Every public top-level object of the package has a caller outside the
 tests and outside `__init__.py`: code that only its own unit tests call is
 deleted, not kept, and an export in `pamse.__all__` needs a reader too. The
-same holds one level down, for the options and members of those objects."""
+same holds one level down, for the options and members of those objects,
+and for the optional keys of the scenario configs."""
 
 import ast
 import importlib
 import importlib.util
+import json
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -81,17 +83,41 @@ def test_every_option_and_member_has_a_caller():
                 func = node.func
                 name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
                 calls.setdefault(name, []).append(_bindings(node))
+            if isinstance(node, ast.Dict):
+                # {fn: {"key": value}} binds fn's keywords, as the acceptance
+                # battery's FAST_OVERRIDES does for criteria run from a list
+                for key, value in zip(node.keys, node.values):
+                    if isinstance(key, ast.Name) and isinstance(value, ast.Dict):
+                        calls.setdefault(key.id, []).append(
+                            (0, {k.value for k in value.keys if isinstance(k, ast.Constant)}))
             if isinstance(node, ast.Attribute):
                 reads.setdefault(node.attr, set()).add(id(node))
     unbound = []
     for stem, name, fn, is_method in defs:
         if is_method and not reads.get(name, set()) - {id(n) for n in ast.walk(fn)}:
             unbound.append(f"{stem}.{name}")
-        for pos, param in _defaulted(fn, is_method) if name in calls else ():
+        # a function reached only through a list (never called by name) has
+        # no call to bind its options: each is unbound
+        for pos, param in _defaulted(fn, is_method):
             if not any((pos is not None and pos < n) or kw is None or param in kw
-                       for n, kw in calls[name]):
+                       for n, kw in calls.get(name, [])):
                 unbound.append(f"{stem}.{name}({param})")
     assert sorted(unbound) == []
+
+
+def test_every_scenario_option_is_set_by_its_shipped_config():
+    # a runner parameter forwards a config key, so it binds the options it
+    # passes on; a default that no shipped config overrides is one value in
+    # use. n_workers is set by `pamse run --workers`
+    harness = importlib.import_module("pamse.harness")
+    unset = []
+    for scenario in harness._RUNNERS:
+        path = ROOT / "configs" / f"{scenario}.json"
+        shipped = json.loads(path.read_text())["params"]
+        for key, param in harness.scenario_parameters(scenario).items():
+            if param.default is not param.empty and key != "n_workers" and key not in shipped:
+                unset.append(f"{scenario}.{key}")
+    assert sorted(unset) == []
 
 
 def test_benchmark_span_hooks_resolve_and_restore():
