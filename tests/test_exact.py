@@ -225,8 +225,8 @@ class TestMoments:
         trs = Torus(1, 4)
         spec = exact.OperatorSpec(torus=trs, kernel=srw_kernel(1), kappa=0.0,
                                   p=2, rho=0.4)
-        # log_moment's walker frame at kappa = 0 (once a configuration-only
-        # fast path) against the full basis with the frozen walker block kept
+        # log_moment's walker frame at kappa = 0 against the full basis with
+        # the frozen walker block kept
         fast = exact.log_moment(spec, 3.0)
         op = exact.build_joint_generator(spec)
         from scipy.sparse.linalg import expm_multiply
