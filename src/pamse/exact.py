@@ -212,6 +212,14 @@ def build_scaled_generator(spec: OperatorSpec) -> sp.csr_matrix:
     return _joint_free_generator(spec, 1.0 / spec.kappa, 1.0)
 
 
+def _frozen_walker_generator(spec: OperatorSpec) -> sp.csr_matrix:
+    """kappa = 0: the walkers stay at the origin, so the generator seen from
+    the start is L + gamma * p * eta(0) on configurations alone."""
+    gen = build_se_generator(spec.torus, spec.kernel)
+    bits = occupation_bits(spec.n_sites)
+    return (gen + sp.diags(spec.gamma * spec.p * bits[:, 0].astype(float))).tocsr()
+
+
 def _frame_semigroup(spec: OperatorSpec, t: float):
     """(shifted frame generator G - gamma p, e^{t (G - gamma p)} 1, stride of
     the start states nu_rho x {y = 0} in the frame basis)."""
@@ -227,9 +235,15 @@ def log_moment(spec: OperatorSpec, t: float) -> float:
         raise ValueError("negative time")
     if t == 0:
         return 0.0
-    _, v, stride = _frame_semigroup(spec, t)
-    val = float(nu_weights(spec.n_sites, spec.rho) @ v[::stride])
-    return np.log(val) + spec.gamma * spec.p * t
+    shift = spec.gamma * spec.p
+    nu = nu_weights(spec.n_sites, spec.rho)
+    if spec.kappa == 0.0 and spec.p >= 1:
+        mat = _frozen_walker_generator(spec) - sp.identity(spec.n_eta) * shift
+        val = float(nu @ expm_multiply(mat * t, np.ones(spec.n_eta)))
+    else:
+        _, v, stride = _frame_semigroup(spec, t)
+        val = float(nu @ v[::stride])
+    return np.log(val) + shift * t
 
 
 def exact_moment(spec: OperatorSpec, t: float) -> float:

@@ -193,6 +193,13 @@ class TestWalkerFrame:
         np.testing.assert_allclose(np.asarray(op.sum(axis=1)).ravel(), 0.0,
                                    atol=1e-12)
 
+    def test_kappa_zero_frame_is_fast_path(self):
+        spec = _frame_spec(1, 6, 1, 0.0, 0.5)
+        frame = exact.build_joint_generator(spec, walker_frame=True)
+        fast = exact._frozen_walker_generator(spec)
+        assert frame.shape == fast.shape
+        assert (frame != fast).nnz == 0
+
     def test_lift_is_translation_covariant(self):
         spec = _frame_spec(1, 5, 2, 0.3, 1.0)
         m = spec.n_sites ** (spec.p - 1)
@@ -225,9 +232,8 @@ class TestMoments:
         trs = Torus(1, 4)
         spec = exact.OperatorSpec(torus=trs, kernel=srw_kernel(1), kappa=0.0,
                                   p=2, rho=0.4)
-        # log_moment's walker frame at kappa = 0 against the full basis with
-        # the frozen walker block kept
         fast = exact.log_moment(spec, 3.0)
+        # generic route: same operator with the kappa-zero walker block kept
         op = exact.build_joint_generator(spec)
         from scipy.sparse.linalg import expm_multiply
         shift = spec.gamma * spec.p
@@ -382,7 +388,7 @@ class TestGeneratorPin:
         ((1, 6, "cat4", 1, 0.5), 1.0,
          ["0x1.b158cdb23bf4cp-2", "0x1.e2ff1a3a30c14p-2", "0x1.0000000000000p+0"]),
         ((1, 6, "cat4", 2, 0.0), 0.7,
-         ["0x1.5dc449fe3452dp-1", "0x1.33b7d0c2f5546p+0", "0x1.0000000000000p+1"]),
+         ["0x1.5dc449fe3452cp-1", "0x1.33b7d0c2f5546p+0", "0x1.0000000000000p+1"]),
     ])
     def test_moments_and_top_eigenvalue(self, case, t, want):
         spec = _pin_spec(*case)

@@ -121,6 +121,14 @@ class TestScenarios:
         rep = harness.run_scenario(cfg)
         assert rep.passed
 
+    def test_intermittency_past_the_walker_frame_cap(self):
+        # kappa = 0 moments run on the 4,096 configurations alone; the walker
+        # frame at p = 3 would need 4,096 * 12^2 states, over the state cap
+        cfg = harness.ScenarioConfig("intermittency_kappa0", {
+            "d": 1, "L": 12, "rho": 0.5, "p_list": [1, 2, 3], "t": 8.0})
+        rep = harness.run_scenario(cfg)
+        assert [row["p"] for row in rep.rows] == [1, 2, 3] and rep.passed
+
     def test_report_embeds_config_and_env(self, tmp_path):
         out = tmp_path / "report.json"
         cfg = harness.ScenarioConfig("kappa_sweep", {
