@@ -264,7 +264,10 @@ class TestCli:
         ("comparison_suite", {"d": 1, "L": 4, "rhos": [], "t": 0.5, "seed": 1}),
         ("intermittency_kappa0", {"d": 1, "L": 6, "rho": 0.5, "p_list": [],
                                   "t": 5.0}),
-        # validate passes it; run finds the state space over the cap
+        # validate passes these two; run finds a single-walk value of the
+        # weight-1 point past exp(709), and the state space over the cap
+        ("comparison_suite", {"d": 1, "L": 4, "rhos": [0.5], "t": 2000.0,
+                              "seed": 1}),
         ("kappa_sweep", {"d": 1, "L": 20, "rho": 0.5, "p": 1, "kappas": [1.0]})])
     def test_run_rejects_bad_config(self, tmp_path, capsys, scenario, params):
         from pamse.cli import main
