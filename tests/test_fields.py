@@ -416,7 +416,8 @@ class TestQuadraturePin:
     on them, recorded before the grid construction and the Green-tail fit were
     shared with other modules; the d = 3 k_diag_norm re-pinned when k_kernels
     summed each axis's forward gradient once instead of both directions
-    site by site."""
+    site by site, and every chi digest and chi-read norm re-pinned when the
+    chi grid became one matrix product per slab instead of a node-order sum."""
 
     @pytest.mark.parametrize("T, n_panels, nodes_per_panel, want", [
         (5.0, 10, 12, ("44fa5e5453556f49", "b13a5e4143d40543")),
@@ -437,11 +438,11 @@ class TestQuadraturePin:
         assert _digest(fields.green_window_table(srw_kernel(d), Torus(d, L))) == want
 
     @pytest.mark.parametrize("d, L, T, kappa, want_chi, want_norms", [
-        (1, 24, 2.0, 1.5, "cc9034684160e147",
-         ["0x1.25f064092973cp-1", "0x1.d15d709439e8ap+1",
+        (1, 24, 2.0, 1.5, "6d69bf775dae92ab",
+         ["0x1.25f0640929734p-1", "0x1.d15d709439e82p+1",
           "0x1.25f064095ba5cp-1", "0x1.bb195d1aef87dp-1"]),
-        (3, 9, 1.0, 2.0, "437a584fbdf7f5a1",
-         ["0x1.4df9a5240ac9bp-2", "0x1.861884d1a39b4p+2",
+        (3, 9, 1.0, 2.0, "42d481c2b0fccaee",
+         ["0x1.4df9a5240ac9bp-2", "0x1.861884d1a39b3p+2",
           "0x1.4dfbf173d8001p-2", "0x1.817b3bea6d4d5p-2"]),
     ])
     def test_chi_and_kernel_norms(self, d, L, T, kappa, want_chi, want_norms):
@@ -463,15 +464,15 @@ class TestQuadraturePin:
         assert np.array_equal(fields.chi_table(spec).values.reshape((L,) * d), want)
 
     @pytest.mark.parametrize("d, L, T, kappa, want", [
-        (1, 30, 3.0, 0.8, "4333e0fa37ca8e41"),
-        (2, 15, 2.0, 1.0, "e4491a8d16dc9042"),
-        (3, 13, 1.5, 0.7, "265756b3b09ac921"),
-        (4, 7, 0.5, 3.0, "ee77c4b713227709"),
-        (3, 73, 5.0, 2.0, "640f56dc5d6ee2f5"),
-        (3, 73, 5.0, 1e3, "06e3a1466da27fe5"),
+        (1, 30, 3.0, 0.8, "591836433c4bd178"),
+        (2, 15, 2.0, 1.0, "dd01c1ab0294991e"),
+        (3, 13, 1.5, 0.7, "770fdc8eb60dd1cb"),
+        (4, 7, 0.5, 3.0, "4d077150c2d0f46a"),
+        (3, 73, 5.0, 2.0, "5f0b24af7091a5c3"),
+        (3, 73, 5.0, 1e3, "476d892209a2210a"),
         # the field_checks grid of the probe_fields benchmark and criterion 10
-        (3, 75, 5.0, 2.0, "7f62930ce3565862"),
-        (3, 75, 5.0, 1e3, "47b4bf7af460c05e"),
+        (3, 75, 5.0, 2.0, "ed6cdc0b05906cb9"),
+        (3, 75, 5.0, 1e3, "98cbfa694cdfb893"),
     ])
     def test_chi_table(self, d, L, T, kappa, want):
         spec = fields.PsiSpec(kappa=kappa, T=T, torus=Torus(d, L))
@@ -483,16 +484,18 @@ class TestFieldPin:
     tori, recorded while psi_field allocated its product spectrum and
     psi_bounds_check kept each configuration's arrays in the loop; the two
     swap bounds, which read G_3, re-pinned when green moved onto the window
-    table's Gauss-Legendre rule."""
+    table's Gauss-Legendre rule; the psi digest of the random configuration
+    and the chi-read report fields re-pinned when the chi grid became one
+    matrix product per slab."""
 
     @pytest.mark.parametrize("L, kappa, T, rho, seed, n, want_psi, want_report", [
-        (25, 2.0, 1.0, 0.5, 3, 4, ("751b36e497128d6f", "fb5b2a44d8e11471"),
-         ["0x1.5c513a9f321e2p-2", "0x1.0000000225c18p+1", "0x1.33121836d748bp-3",
-          "0x1.8431e0765160bp+1", "0x1.4dfbf173d7ffap-3", "0x1.02cbeb094b20cp-2",
+        (25, 2.0, 1.0, 0.5, 3, 4, ("cd15accf3bff323e", "fb5b2a44d8e11471"),
+         ["0x1.5c513a9f321e2p-2", "0x1.0000000225c18p+1", "0x1.33121836d748ap-3",
+          "0x1.8431e0765160bp+1", "0x1.4dfbf173d7ff8p-3", "0x1.02cbeb094b20cp-2",
           True, 120]),
-        (73, 2.0, 5.0, 0.4, 11, 2, ("0d5a98e55e4e836c", "69ae6f8a8f0e95a2"),
-         ["0x1.cb14afba5a938p-2", "0x1.4000000089706p+3", "0x1.3a7ebd3e0820dp-3",
-          "0x1.8431e0765160bp+1", "0x1.8cd5a0e6b7ed3p-3", "0x1.02cbeb094b20cp-2",
+        (73, 2.0, 5.0, 0.4, 11, 2, ("4b1dda480181e5d7", "69ae6f8a8f0e95a2"),
+         ["0x1.cb14afba5a93ap-2", "0x1.4000000089706p+3", "0x1.3a7ebd3e0820ep-3",
+          "0x1.8431e0765160bp+1", "0x1.8cd5a0e6b7ed6p-3", "0x1.02cbeb094b20cp-2",
           True, 120]),
     ])
     def test_psi_field_and_bounds(self, L, kappa, T, rho, seed, n, want_psi, want_report):
