@@ -27,7 +27,7 @@ from .lattice import (GL_NODES_PER_PANEL, Kernel, Torus, _panel_edges, check_den
 
 PSI_PANELS = 10  # time panels of the chi and gradient-kernel quadrature
 MASS_PANELS = 24  # time panels of the mass-identity integrals
-CHI_SLAB = 8  # leading-axis planes of the chi grid summed per buffer pass
+CHI_SLAB = 8  # leading-axis planes of the chi grid per matrix product
 PSI_TOL = 1e-9  # slack of the psi bounds; the swap identity's is PSI_TOL * T
 
 
@@ -77,27 +77,26 @@ class Field:
 
 @lru_cache(maxsize=32)
 def _chi_grid_cached(spec: PsiSpec) -> np.ndarray:
-    """The chi grid of a spec, read-only: sum over nodes of w * row x ... x row,
-    added in node order into slabs of CHI_SLAB leading-axis planes."""
+    """The chi grid of a spec, read-only: sum_i w_i r_i x ... x r_i over the
+    time nodes, a rank-n CP tensor of the heat rows r_i. A slab of CHI_SLAB
+    leading-axis planes, as an (s L^(d-2), L) matrix, is one product A^T R of
+    the row matrix R and the Khatri-Rao product A of the weighted slab rows
+    w_i r_i[lo:hi] with d - 2 copies of r_i (Kolda and Bader, SIAM Review 51,
+    2009, sections 2.6 and 3)."""
     L, d = spec.torus.L, spec.torus.d
     nodes, weights = time_quadrature(spec.T, PSI_PANELS)
     # rate-1 d-dim walk at time 2 d s 1k => per-coordinate clock 2 s 1k
-    rows = [cycle_heat1d(L, tau) for tau in 2.0 * one_kappa(d, spec.kappa) * nodes]
-    out = np.zeros((L,) * d)
-    buf = np.empty((min(CHI_SLAB, L),) + (L,) * (d - 1))
-    for lo in range(0, L, CHI_SLAB):
-        slab = out[lo:lo + CHI_SLAB]
-        part = buf[:len(slab)]
-        for row, w in zip(rows, weights):
-            head = row[lo:lo + CHI_SLAB]
-            if d == 1:
-                np.multiply(w, head, out=part)
-            else:
-                for _ in range(d - 2):
-                    head = np.multiply.outer(head, row)
-                np.multiply.outer(head, row, out=part)
-                np.multiply(w, part, out=part)
-            slab += part
+    taus = 2.0 * one_kappa(d, spec.kappa) * nodes
+    rows = np.array([cycle_heat1d(L, tau) for tau in taus]).reshape(len(taus), L)
+    if d == 1:
+        out = weights @ rows
+    else:
+        out = np.empty((L,) * d)
+        for lo in range(0, L, CHI_SLAB):
+            left = weights[:, None] * rows[:, lo:lo + CHI_SLAB]
+            for _ in range(d - 2):
+                left = (left[:, :, None] * rows[:, None]).reshape(len(taus), left.shape[1] * L)
+            np.matmul(left.T, rows, out=out[lo:lo + CHI_SLAB].reshape(-1, L))
     out.flags.writeable = False
     return out
 

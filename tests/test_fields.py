@@ -453,15 +453,21 @@ class TestQuadraturePin:
                                          kk.closed_form_norm,
                                          kk.kappa_limit_norm)] == want_norms
 
-    @pytest.mark.parametrize("d, L", [(1, 5), (2, 8), (2, 17), (3, 9), (4, 6)])
+    # sides below CHI_SLAB (5, 6) and not a multiple of it (9, 13, 17, 75)
+    @pytest.mark.parametrize("d, L", [(1, 5), (2, 8), (2, 17), (3, 9), (4, 6), (1, 13),
+                                      (2, 13), (3, 13), (3, 75), (3, 5), (4, 5)])
     def test_chi_matches_full_grid_sum(self, d, L):
-        # the whole-grid sum of w * (row x ... x row) in node order
-        spec = fields.PsiSpec(kappa=0.9, T=1.5, torus=Torus(d, L))
-        nodes, weights = fields.time_quadrature(spec.T, fields.PSI_PANELS)
-        want = np.zeros((L,) * d)
-        for tau, w in zip(2.0 * one_kappa(d, spec.kappa) * nodes, weights):
-            want += w * reduce(np.multiply.outer, [cycle_heat1d(L, tau)] * d)
-        assert np.array_equal(fields.chi_table(spec).values.reshape((L,) * d), want)
+        # the whole-grid sum of w * (row x ... x row) in node order; the slab
+        # products add in another order, so the two agree to rounding only
+        for T in (1.5, 0.0):
+            spec = fields.PsiSpec(kappa=0.9, T=T, torus=Torus(d, L))
+            nodes, weights = fields.time_quadrature(spec.T, fields.PSI_PANELS)
+            want = np.zeros((L,) * d)
+            for tau, w in zip(2.0 * one_kappa(d, spec.kappa) * nodes, weights):
+                want += w * reduce(np.multiply.outer, [cycle_heat1d(L, tau)] * d)
+            got = fields.chi_table(spec).values.reshape((L,) * d)
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-14 * np.max(np.abs(want)))
+            assert got.sum() == pytest.approx(T, abs=1e-12)
 
     @pytest.mark.parametrize("d, L, T, kappa, want", [
         (1, 30, 3.0, 0.8, "591836433c4bd178"),
