@@ -161,7 +161,8 @@ class PsiBoundsReport:
                 and self.swap_delta_matches_chi)
 
 
-def _chi_gradients(spec: PsiSpec) -> list:
+@lru_cache(maxsize=32)
+def _chi_gradients(spec: PsiSpec) -> tuple:
     """(max |g|, sum g^2, sum |g|) per axis e for the forward gradient
     g = chi(. + e) - chi of the cached chi grid. The backward gradient along e
     is -g shifted by one site, so its three sums are these too."""
@@ -174,7 +175,7 @@ def _chi_gradients(spec: PsiSpec) -> list:
         mag, l1 = float(np.max(g)), float(np.sum(g))
         g *= g
         out.append((mag, float(np.sum(g)), l1))
-    return out
+    return tuple(out)
 
 
 def psi_bounds_check(spec: PsiSpec, n_samples: int, seed) -> PsiBoundsReport:

@@ -28,8 +28,9 @@ def test_criterion(criterion):
 
 @pytest.fixture
 def fresh_chi_cache():
-    # the chi grid is memoized per PsiSpec: a mutant neither reads nor leaves one
-    caches = (fields._chi_grid_cached, fields._chi_spectrum)
+    # the chi grid and its gradients are memoized per PsiSpec: a mutant neither
+    # reads nor leaves one
+    caches = (fields._chi_grid_cached, fields._chi_spectrum, fields._chi_gradients)
     for cache in caches:
         cache.cache_clear()
     yield
