@@ -90,13 +90,14 @@ def irw_exp_functional(rho: float, K: WeightFunction, t: float, torus: Torus,
                        kernel: Kernel) -> float:
     """E^IRW_{nu_rho} exp[sum_z int_0^t K(z,s) xi_s(z) ds], exactly, as the
     product over sites of (1 - rho + rho v(x,t)); log-domain accumulation.
-    A weight so strong that a single-walk value overflows is a bad input."""
+    A weight so strong that a single-walk value or the product overflows is a bad input."""
     check_density(rho)
     v = single_walk_values(torus, kernel, K, t)
     factors = 1.0 - rho + rho * v
-    if np.any(factors <= 0) or not np.all(np.isfinite(factors)):
-        raise ValueError("weight too strong: single-walk solution out of range")
-    return float(np.exp(np.sum(np.log(factors))))
+    log_value = np.sum(np.log(factors)) if np.all(factors > 0) else np.nan
+    if not log_value <= np.log(np.finfo(float).max):  # nan fails too
+        raise ValueError("weight too strong: IRW functional out of range")
+    return float(np.exp(log_value))
 
 
 def se_exp_functional(rho: float, K: WeightFunction, t: float, torus: Torus,

@@ -181,6 +181,15 @@ class TestOverflowFlag:
         with pytest.raises(ValueError, match="out of range"):
             irw.irw_exp_functional(0.5, K, 400.0, trs, k)
 
+    def test_overflowing_product_of_finite_factors_flagged(self):
+        # each single-walk value stays below 1e99, but the four-site product
+        # is exp(899): returned as inf, it made compare_se_irw's margin nan
+        trs, k = Torus(1, 4), srw_kernel(1)
+        K = irw.WeightFunction((((0,), (0.0, 500.0), 1.0),))
+        assert np.all(np.isfinite(irw.single_walk_values(trs, k, K, 500.0)))
+        with pytest.raises(ValueError, match="weight too strong"):
+            irw.irw_exp_functional(0.5, K, 500.0, trs, k)
+
 
 class TestWeightHorizonEdges:
     def test_weight_ending_before_horizon(self, ring6):
