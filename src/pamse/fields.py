@@ -78,11 +78,10 @@ class Field:
 @lru_cache(maxsize=32)
 def _chi_grid_cached(spec: PsiSpec) -> np.ndarray:
     """The chi grid of a spec, read-only: sum_i w_i r_i x ... x r_i over the
-    time nodes, a rank-n CP tensor of the heat rows r_i. A slab of CHI_SLAB
-    leading-axis planes, as an (s L^(d-2), L) matrix, is one product A^T R of
-    the row matrix R and the Khatri-Rao product A of the weighted slab rows
-    w_i r_i[lo:hi] with d - 2 copies of r_i (Kolda and Bader, SIAM Review 51,
-    2009, sections 2.6 and 3)."""
+    time nodes, a CP tensor of the heat rows r_i. A slab of CHI_SLAB leading
+    planes, as an (s L^(d-2), L) matrix, is one product A^T R of the row matrix
+    R and the Khatri-Rao product A of the weighted slab rows w_i r_i[lo:hi]
+    with d - 2 copies of r_i (Kolda and Bader, SIAM Review 51 (2009), sec. 3)."""
     L, d = spec.torus.L, spec.torus.d
     nodes, weights = time_quadrature(spec.T, PSI_PANELS)
     # rate-1 d-dim walk at time 2 d s 1k => per-coordinate clock 2 s 1k
