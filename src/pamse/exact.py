@@ -71,10 +71,14 @@ class OperatorSpec:
         return self.n_eta * self.n_walker
 
 
+@lru_cache(maxsize=4)
 def occupation_bits(n_sites: int) -> np.ndarray:
-    """(2^n, n) matrix of site occupations per configuration index."""
+    """(2^n, n) matrix of site occupations per configuration index; memoized
+    for the four most recent sizes, and read-only."""
     eta = np.arange(2**n_sites, dtype=np.int64)
-    return ((eta[:, None] >> np.arange(n_sites)) & 1).astype(np.int8)
+    bits = ((eta[:, None] >> np.arange(n_sites)) & 1).astype(np.int8)
+    bits.flags.writeable = False
+    return bits
 
 
 def nu_weights(n_sites: int, rho: float) -> np.ndarray:

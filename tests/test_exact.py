@@ -88,6 +88,15 @@ class TestSeGenerator:
             with pytest.raises(ValueError):
                 exact.build_se_generator(Torus(1, 19), srw_kernel(1))
 
+    def test_occupation_bits_memoized_read_only(self):
+        bits = exact.occupation_bits(5)
+        assert exact.occupation_bits(5) is bits
+        eta = np.arange(32)
+        want = np.stack([(eta >> s) & 1 for s in range(5)], axis=1).astype(np.int8)
+        assert bits.dtype == np.int8 and bits.tobytes() == want.tobytes()
+        with pytest.raises(ValueError):
+            bits[3, 1] = 0
+
     def test_conserves_particle_sectors(self):
         trs = Torus(1, 4)
         gen = exact.build_se_generator(trs, srw_kernel(1)).tocoo()

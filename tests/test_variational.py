@@ -2,18 +2,33 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pamse import exact, variational as var
 from pamse.exclusion import torus_bonds
-from pamse.lattice import Torus, srw_kernel
+from pamse.lattice import Kernel, Torus, srw_kernel
+
+_CAT4 = Kernel(d=1, offsets=(((1,), 0.25), ((-1,), 0.25), ((2,), 0.25), ((-2,), 0.25)))
 
 
 @pytest.fixture
 def spec6():
     return exact.OperatorSpec(torus=Torus(1, 6), kernel=srw_kernel(1),
                               kappa=0.7, p=1, rho=0.5)
+
+
+def _symmetrized_frame(spec):
+    """0.5 (S + S^T) for S = D^{1/2} G D^{-1/2}, G the walker-frame joint
+    generator and D its nu_rho weights, with the particle count of every
+    frame state."""
+    gen = exact.build_joint_generator(spec, walker_frame=True)
+    stride = gen.shape[0] // spec.n_eta
+    sq = np.sqrt(np.repeat(exact.nu_weights(spec.n_sites, spec.rho), stride))
+    sym = sp.diags(sq) @ gen @ sp.diags(1.0 / sq)
+    count = np.repeat(exact.occupation_bits(spec.n_sites).sum(axis=1), stride)
+    return 0.5 * (sym + sym.T), count
 
 
 def _quadratic_form_parts(f, spec):
@@ -132,6 +147,53 @@ class TestTopEigenvalue:
         assert top.residual == pytest.approx(resid, abs=1e-12)
         f = var.TestFunction(top.vector, spec)
         assert var.rayleigh_quotient(f) == pytest.approx(top.mu, abs=1e-9)
+
+    def test_repeated_calls_agree_bit_for_bit(self):
+        # 2,048 frame states; the blocks of 330 and 462 states take the Lanczos path
+        spec = exact.OperatorSpec(torus=Torus(1, 11), kernel=srw_kernel(1),
+                                  kappa=0.5, p=1, rho=0.45)
+        first, second = var.top_eigenvalue(spec), var.top_eigenvalue(spec)
+        assert first.method == "lanczos"
+        assert first.mu.hex() == second.mu.hex()
+        assert first.vector.tobytes() == second.vector.tobytes()
+        assert first.residual.hex() == second.residual.hex()
+
+    def test_zero_potential_lanczos_blocks(self, monkeypatch):
+        # with gamma = 0 the symmetrized constant is an exact eigenvector of
+        # every block, so it must not be the Lanczos start
+        monkeypatch.setattr(var, "DENSE_CUTOFF", 0)
+        spec = exact.OperatorSpec(torus=Torus(1, 8), kernel=srw_kernel(1),
+                                  kappa=0.5, p=2, rho=0.4, gamma=0.0)
+        top = var.top_eigenvalue(spec)
+        assert top.method == "lanczos"
+        assert top.mu == pytest.approx(0.0, abs=1e-10)
+        assert top.converged
+
+    @pytest.mark.parametrize("d, L, kernel", [
+        (1, 6, "srw"), (1, 6, "cat4"), (2, 2, "srw"), (2, 3, "srw")])
+    @pytest.mark.parametrize("p", [0, 1, 2, 3])
+    def test_frame_operator_keeps_particle_number(self, d, L, kernel, p):
+        spec = exact.OperatorSpec(torus=Torus(d, L), kappa=0.6, p=p, rho=0.35,
+                                  kernel=_CAT4 if kernel == "cat4" else srw_kernel(d))
+        both, count = _symmetrized_frame(spec)
+        both = both.tocoo()
+        assert both.nnz > 0
+        assert np.array_equal(count[both.row], count[both.col])
+
+    @pytest.mark.parametrize("d, L, kernel, p, kappa, gamma", [
+        (1, 6, "srw", 1, 0.7, 1.0), (1, 6, "cat4", 2, 0.4, 1.0),
+        (1, 8, "srw", 1, 0.0, 1.0), (1, 7, "srw", 1, 1.1, 0.0),
+        (1, 5, "srw", 2, 0.3, 0.5), (1, 4, "srw", 3, 1.3, 0.8),
+        (2, 2, "srw", 3, 0.5, 1.0), (2, 3, "srw", 1, 0.9, 0.6),
+        (1, 10, "srw", 1, 0.5, 0.7), (1, 6, "srw", 0, 0.5, 1.0)])
+    def test_block_maximum_matches_whole_frame(self, d, L, kernel, p, kappa, gamma):
+        spec = exact.OperatorSpec(torus=Torus(d, L), kappa=kappa, p=p, rho=0.35,
+                                  gamma=gamma,
+                                  kernel=_CAT4 if kernel == "cat4" else srw_kernel(d))
+        both, _ = _symmetrized_frame(spec)
+        assert both.shape[0] <= 1200
+        want = np.linalg.eigvalsh(both.toarray())[-1]
+        assert var.top_eigenvalue(spec).mu == pytest.approx(want, abs=1e-12)
 
     def test_kappa_grid_monotone_convex(self):
         trs = Torus(1, 6)
