@@ -11,6 +11,8 @@ from scipy.stats import chisquare
 from pamse import exclusion as ex
 from pamse.lattice import Torus, srw_kernel, torus_heat_matrix
 
+CHUNK = ex.TRIAL_CHUNK
+
 
 @pytest.fixture
 def ring6():
@@ -299,35 +301,40 @@ def _digest(values):
 
 
 class TestSchedulePin:
-    """Exact link schedules and per-bond count draws at fixed seeds, recorded
-    before the counts were drawn one bond at a time; any change in the draw
-    order or in the generator state a schedule leaves behind shows up here."""
+    """Exact link schedules of one chunk and the generator state they leave
+    behind, at fixed seeds: any change in the draw layout of a chunk (one
+    array-valued poisson call for the (trial, bond) counts, then the event
+    times) or in the per-trial sort shows up here."""
 
     # the horizon is scale * t: the per-bond Poisson means of a catalyst
     # running scale times faster up to time t
     @pytest.mark.parametrize("d, L, scale, t, seed, n_events, want", [
-        (1, 6, 1.0, 2.0, 61, 11,
-         ("df7c9a3f174ad0ec", "23b1f008299d0e80", "5e1f2eab12aee9c1")),
-        # the fk_replay workload's nested (seed, round), trial keying
-        (1, 16, 1.0, 3.0, [[5, 2], 7], 28,
-         ("e9e6da03ebd87bf8", "c80f4bc179828d45", "6d355b718dbbdba5")),
-        (2, 3, 1.0, 1.5, 63, 3,
-         ("35a6d659807132f4", "70cc3e89a4320d62", "1d7f6eadef605593")),
+        pytest.param(1, 6, 1.0, 2.0, 61, 1515,
+                     ("3af952f0744ad70a", "ddd30bb312515fdc", "aedc93769e63ffba",
+                      "dcb01fe9c0406713"), id="ring6-t2"),
+        # the fk_replay workload's nested (seed, round), chunk keying
+        pytest.param(1, 16, 1.0, 3.0, [[5, 2], 7], 6276,
+                     ("fd93d0dadfc2501b", "5d7a2b659543162a", "02b5e8e451cadf51",
+                      "c8adb291cfa96c16"), id="ring16-t3-nested-seed"),
+        pytest.param(2, 3, 1.0, 1.5, 63, 1737,
+                     ("1ceff3159bba530a", "435c245a1b7ced37", "f50749a35bb2ff4d",
+                      "1b02acd50d60eeba"), id="torus3x3-t1.5"),
         # 15 per bond: numpy's PTRS Poisson branch (lam >= 10)
-        (1, 5, 30.0, 1.0, 64, 75,
-         ("c1ac6df7b5248a63", "7de446d5a0912533", "3c0c57e3352040b0")),
+        pytest.param(1, 5, 30.0, 1.0, 64, 19261,
+                     ("9c9b344c1cd3a2b0", "b1e132155470c870", "65ab7b6b511f33cc",
+                      "405ee7c4850021ef"), id="ring5-lam15"),
     ])
     def test_build_schedule(self, d, L, scale, t, seed, n_events, want):
         sched = ex.build_schedule(Torus(d, L), srw_kernel(d), scale * t, seed)
         assert len(sched.times) == n_events
-        assert (_digest(sched.times), _digest(sched.bond_a),
-                _digest(sched.bond_b)) == want
+        assert (_digest(sched.times), _digest(sched.bond_a), _digest(sched.bond_b),
+                _digest(sched.trial)) == want
 
     @pytest.mark.parametrize("scale, t", [(1.0, 2.0), (1.0, 0.3), (30.0, 1.0),
                                           (7.0, 3.0)])
     def test_generator_state_after_schedule(self, scale, t):
-        # a trial keeps drawing from the generator the schedule used, so the
-        # schedule must consume exactly the draws of one array-valued
+        # a chunk keeps drawing from the generator the schedule used, so the
+        # schedule must consume exactly the draws of one (TRIAL_CHUNK, n_bonds)
         # Poisson call followed by the event times (horizon scale * t)
         trs, k = Torus(1, 6), srw_kernel(1)
         rates = ex.torus_bonds(trs, k)[2]
@@ -335,7 +342,7 @@ class TestSchedulePin:
             rng = np.random.default_rng([seed, 3])
             ex.build_schedule(trs, k, scale * t, rng)
             ref = np.random.default_rng([seed, 3])
-            ref.random(int(ref.poisson(rates * (scale * t)).sum()))
+            ref.random(int(ref.poisson(rates * (scale * t), (CHUNK, len(rates))).sum()))
             assert rng.random() == ref.random()
 
     def test_scalar_poisson_draws_match_array_draw(self):
@@ -351,18 +358,18 @@ class TestSchedulePin:
         means, stderrs = ex.marginal_mc(
             init, srw_kernel(1), ((0, 0.5), (3, 1.0), (8, 2.0), (5, 1.5), (12, 3.0)),
             400, [5, 1])
-        assert _hexes(means) == ["0x1.651eb851eb852p-1", "0x1.6666666666666p-1",
-                                 "0x1.27ae147ae147bp-1", "0x1.7ae147ae147aep-3",
-                                 "0x1.e147ae147ae14p-2"]
-        assert _hexes(stderrs) == ["0x1.784ab28873304p-6", "0x1.776793ed35a45p-6",
-                                   "0x1.94a6571fb58fap-6", "0x1.3e17e6dae59ddp-6",
-                                   "0x1.98dcafa726035p-6"]
+        assert _hexes(means) == ["0x1.70a3d70a3d70ap-1", "0x1.4e147ae147ae1p-1",
+                                 "0x1.35c28f5c28f5cp-1", "0x1.b333333333333p-3",
+                                 "0x1.d47ae147ae148p-2"]
+        assert _hexes(stderrs) == ["0x1.6fd1e429de2c8p-6", "0x1.861561c14270fp-6",
+                                   "0x1.90776bbc57e91p-6", "0x1.4f1d9a54dc58ap-6",
+                                   "0x1.981e1d7fe9fcdp-6"]
 
 
 class TestReplayPin:
     """Exact float.hex values of every replay entry point at fixed seeds,
-    recorded before the link-event loops were merged into one engine; any
-    change in draw order or accumulation order shows up here."""
+    recorded when trials came to be drawn and replayed a chunk at a time;
+    any change in draw order or accumulation order shows up here."""
 
     def test_marginal_mc_with_query_at_t_max(self):
         trs = Torus(1, 8)
@@ -370,11 +377,11 @@ class TestReplayPin:
         means, stderrs = ex.marginal_mc(
             init, srw_kernel(1), [(0, 0.5), (3, 2.0), (5, 1.2), (1, 2.0), (7, 0.0)],
             300, 21)
-        assert _hexes(means) == ["0x1.5555555555555p-1", "0x1.1eb851eb851ecp-1",
-                                 "0x1.0369d0369d037p-1", "0x1.962fc962fc963p-2",
+        assert _hexes(means) == ["0x1.5dddddddddddep-1", "0x1.2aaaaaaaaaaabp-1",
+                                 "0x1.e81b4e81b4e82p-2", "0x1.962fc962fc963p-2",
                                  "0x0.0p+0"]
-        assert _hexes(stderrs) == ["0x1.bdea7eefbeaedp-6", "0x1.d58c323fb8e10p-6",
-                                   "0x1.d8ec5d3607e17p-6", "0x1.cec1331bc435ap-6",
+        assert _hexes(stderrs) == ["0x1.b80641227722ep-6", "0x1.d259a120a022fp-6",
+                                   "0x1.d87336ae5e30dp-6", "0x1.cec1331bc435ap-6",
                                    "0x1.830cd1c5d9e0ep-503"]
 
     def test_exp_weight_mc(self, ring6):
@@ -384,28 +391,29 @@ class TestReplayPin:
         K = irw.WeightFunction((((0,), (0.0, 1.0), 0.8), ((2,), (0.4, 1.5), 0.5)))
         slices = K.time_slices(trs)
         assert _hexes(ex.exp_weight_mc(trs, k, 0.4, slices, 1.5, 300, 31)) == [
-            "0x1.ef9b7075df393p+0", "0x1.9a10038cbd5bfp-5"]
+            "0x1.d3c2543f6ab94p+0", "0x1.8aec3497fcd1dp-5"]
         # a weight that ends before t
         short = irw.WeightFunction((((1,), (0.0, 0.8), -0.6), ((3,), (0.2, 0.5), -1.1)))
         assert _hexes(ex.exp_weight_mc(trs, k, 0.5, short.time_slices(trs), 2.0,
                                        300, 33)) == [
-            "0x1.55ffd122670f9p-1", "0x1.4091b40765383p-7"]
+            "0x1.5d02ddcfd070ap-1", "0x1.588aea85478f9p-7"]
         # slices with gaps, the first starting after 0
         gapped = [(0.3, 0.6, np.array([0.5, 0, 0, 0.2, 0, 0])),
                   (0.9, 1.4, np.array([0, 0.7, 0.7, 0, 0, 0]))]
         assert _hexes(ex.exp_weight_mc(trs, k, 0.5, gapped, 1.2, 300, 34)) == [
-            "0x1.65d2830675d49p+0", "0x1.d07c684feb337p-7"]
+            "0x1.62d67a3d2cb71p+0", "0x1.d2d104192ddd9p-7"]
 
     def test_occupation_time_and_evolve_sequence(self):
+        # the first trial of the chunk, and a digest of all its trials
         trs = Torus(1, 8)
-        eta = ex.Configuration(trs, [1, 0, 1, 1, 0, 1, 0, 0])
+        eta = np.tile([1, 0, 1, 1, 0, 1, 0, 0], (CHUNK, 1))
         sched = ex.build_schedule(trs, srw_kernel(1), 3.0, 42)
         occ = [_occupation(eta, sched, site, t)
                for site, t in ((0, 3.0), (2, 1.7), (5, 0.0), (7, 2.4), (3, 3.0))]
-        assert _hexes(occ) == ["0x1.bb3d5813cc861p-1", "0x1.c47b49b6c6a54p-1",
-                               "0x0.0p+0", "0x1.88c7ba5c80236p+0",
-                               "0x1.47741abf73a48p+0"]
-        states = ["".join(map(str, _state_at(eta, sched, t)))
+        assert _hexes([o[0] for o in occ]) == ["0x1.c48b29766fe01p-1", "0x1.b333333333333p+0",
+                                               "0x0.0p+0", "0x0.0p+0", "0x1.8000000000000p+1"]
+        assert _digest(occ) == "6f92d11777e3ffc9"
+        states = ["".join(map(str, _state_at(eta, sched, t)[0]))
                   for t in (0.7, 2.1, 1.0, 3.0, 0.0, 3.0)]
-        assert states == ["00011101", "00100111", "00011011", "00100111",
-                          "10110100", "00100111"]
+        assert states == ["10110100", "01111000", "01111000", "01111000",
+                          "10110100", "01111000"]

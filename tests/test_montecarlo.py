@@ -221,28 +221,29 @@ def _hexes(values):
 
 class TestReplayPin:
     """Exact float.hex values of the Monte Carlo replay entry points at fixed
-    seeds, recorded before the link-event loops were merged into one engine."""
+    seeds, recorded when trials came to be drawn and replayed a chunk at a
+    time."""
 
     @pytest.mark.parametrize("kw, t, n, seed, extra, want", [
         (dict(d=1, L=6, rho=0.4, kappa=0.5, p=1), 1.5, 300, 11, {},
-         ("0x1.fe603a30c8f55p+0", "0x1.0536544db20b2p-4",
-          "0x1.6143c0f414d5cp-1", "0x1.064d37a23a82dp-5")),
+         ("0x1.132c150d4fdc1p+1", "0x1.256d04b95b748p-4",
+          "0x1.87de287175fa3p-1", "0x1.11338487427aep-5")),
         (dict(d=1, L=6, rho=0.5, kappa=2.0, p=2, gamma=0.7), 1.0, 300, 12, {},
-         ("0x1.1b698bac97ba4p+1", "0x1.a9cd05222d207p-5",
-          "0x1.96f9848fb41fbp-1", "0x1.80c33cfa8ef2dp-6")),
+         ("0x1.1668c25335aaep+1", "0x1.a3c77344fb9a3p-5",
+          "0x1.8ddb0a227df5cp-1", "0x1.822616180ab1ep-6")),
         (dict(d=1, L=4, rho=0.3, kappa=1.0, p=3), 1.0, 300, [13, 2], {},
-         ("0x1.f562e302622a4p+1", "0x1.f8fcaa113d399p-3",
-          "0x1.5d8759ff92a3fp+0", "0x1.02ba0e543b4b7p-4")),
+         ("0x1.fc3e8bc8d7d9ap+1", "0x1.0fb652db61e7cp-2",
+          "0x1.6101b03ea864cp+0", "0x1.12da7a06c6734p-4")),
         (dict(d=1, L=5, rho=0.6, kappa=0.0, p=2), 1.2, 300, 14, {},
-         ("0x1.7c4cdb40d862cp+2", "0x1.07c5d6bca7cedp-2",
-          "0x1.c836420cc0283p+0", "0x1.63275cb6b8754p-5")),
+         ("0x1.9ff3330bb5255p+2", "0x1.061a93c7e0d61p-2",
+          "0x1.df268cb90304cp+0", "0x1.429534edb753cp-5")),
         # two workers merge their trial chunks into the serial result
         (dict(d=1, L=6, rho=0.5, kappa=1.0, p=1), 1.5, 300, 16, {"n_workers": 2},
-         ("0x1.3039bae952068p+1", "0x1.0d20fd6ef88c4p-4",
-          "0x1.bb4223445a241p-1", "0x1.c521ea805581ep-6")),
+         ("0x1.327231e093db7p+1", "0x1.26a83e41aca47p-4",
+          "0x1.befb5e210653bp-1", "0x1.ec87c6f112cfdp-6")),
         (dict(d=2, L=3, rho=0.5, kappa=0.5, p=2), 0.8, 200, 15, {},
-         ("0x1.573bdcf903dacp+1", "0x1.776c0c211c9d3p-4",
-          "0x1.f90705bce7587p-1", "0x1.1825b3d366c7cp-5")),
+         ("0x1.38ad8fc2ee98ep+1", "0x1.75f86f271bf6cp-4",
+          "0x1.c94a1cf13d4bfp-1", "0x1.327f4e97d7eeap-5")),
     ])
     def test_estimate_moment(self, kw, t, n, seed, extra, want):
         est = mc.estimate_moment(_spec(**kw), t, n, seed, **extra)
@@ -254,8 +255,9 @@ class TestProbePin:
     of lambda_curve at fixed seeds, recorded before the grid construction was
     shared with the field module; the probe rows re-pinned when the lag grid
     went from 14 to 7 panels (the t = 0.6 and t = 40 values kept every bit),
-    and the probe references, which read G_d, when green moved onto the window
-    table's Gauss-Legendre rule."""
+    the probe references, which read G_d, when green moved onto the window
+    table's Gauss-Legendre rule, and the lambda_curve rows when Feynman-Kac
+    trials came to be drawn a chunk at a time."""
 
     @pytest.mark.parametrize("d, kappa, t, want", [
         (4, 10.0, 0.6, "0x1.b107e97e314b7p-4"),
@@ -278,16 +280,16 @@ class TestProbePin:
 
     @pytest.mark.parametrize("kw, grid, n, seed, want", [
         (dict(d=1, L=6, rho=0.5, kappa=0.5, p=1), [0.5, 1.0, 2.0], 300, 21,
-         (["0x1.156ba192754d4p-1", "0x1.235002946b3e8p-1", "0x1.46f1f23854724p-1"],
-          ["0x1.9c18f03815a58p-6", "0x1.63f51aaf17d29p-6", "0x1.2bd10bef58022p-6"],
-          ["0x1.6a93e1dc3da5ep-1", "0x1.042a66468ce09p-4"])),
+         (["0x1.13950a716f77ep-1", "0x1.1be4401f06256p-1", "0x1.3ea3a2d4e7fa6p-1"],
+          ["0x1.9553c535e87bep-6", "0x1.6d28704422ac4p-6", "0x1.3ad5ac1ea747dp-6"],
+          ["0x1.6163058ac9cf4p-1", "0x1.0d8696f07514fp-4"])),
         (dict(d=1, L=4, rho=0.3, kappa=1.5, p=2, gamma=0.8), [0.4, 0.8, 1.2, 1.6],
          200, [4, 1],
-         (["0x1.df16f637fad6ep-3", "0x1.2913382d9c2d5p-2",
-           "0x1.12cc4471e7b03p-2", "0x1.64037fe21c5a3p-2"],
-          ["0x1.4d82577a6102ep-6", "0x1.12d6ff2e7ebc2p-6",
-           "0x1.261d469f39cddp-6", "0x1.1c0e6fbcaf672p-6"],
-          ["0x1.2bd499195d2c1p-1", "0x1.ff1ce6a75c164p-4"])),
+         (["0x1.1d1b0f9e9a5e5p-2", "0x1.125e8577a5841p-2",
+           "0x1.2f1e826146660p-2", "0x1.375962f2745ddp-2"],
+          ["0x1.481013626a57dp-6", "0x1.3f7bcb2864088p-6",
+           "0x1.2f0912fa4dbbap-6", "0x1.46b40e1ccff7ap-6"],
+          ["0x1.500a04a5fe455p-2", "0x1.16811cad8d1b9p-3"])),
     ])
     def test_lambda_curve(self, kw, grid, n, seed, want):
         run = mc.lambda_curve(_spec(**kw), grid, n, seed)
