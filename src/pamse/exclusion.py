@@ -5,8 +5,10 @@ list of Poisson link events on unoriented torus bonds; evolving to time t
 replays the swaps in order. No time discretization anywhere, so occupation
 time integrals are exact per trajectory.
 
-Every replay goes through one engine, `replay`: it swaps the bits in place
-and yields the constant pieces (t0, t1, marks passed) of [0, t], cut at the
+Trials are drawn and replayed TRIAL_CHUNK at a time, one generator per chunk
+(`chunk_trials`). Every replay goes through one engine, `replay`: it swaps
+the rows of an (m, n_sites) bits array in place and yields, step by step, the
+constant pieces (t0, t1, marks passed) of [0, t] of all m trials, cut at the
 link events and at sorted extra breakpoints ("marks": walker jumps, weight
 slice edges, query times) that the caller acts on. A link event and a mark
 at the same time are applied link first. Callers integrate a functional of
@@ -15,13 +17,34 @@ xi exactly as acc += (t1 - t0) * value, piece by piece.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
 from .lattice import Kernel, Torus, check_density, check_horizon
+
+TRIAL_CHUNK = 256  # trials drawn from one generator, and per worker task
+
+
+def flat_seed(seed) -> tuple:
+    """Flatten arbitrarily nested seed material into a tuple of ints."""
+    if isinstance(seed, (list, tuple)):
+        return tuple(x for s in seed for x in flat_seed(s))
+    return (int(seed),)
+
+
+def chunk_trials(chunk, seed, trials) -> np.ndarray:
+    """The rows of `trials` (a range) among chunk(rng), which draws and
+    evaluates the TRIAL_CHUNK trials of one chunk. Chunk c draws from
+    default_rng(flat_seed(seed) + (c,)) and is always drawn whole, so a
+    trial's row depends on (seed, trial) alone."""
+    base, lo, hi = flat_seed(seed), trials.start, trials.stop
+    parts = []
+    for first in range(lo - lo % TRIAL_CHUNK, hi, TRIAL_CHUNK):
+        rows = chunk(np.random.default_rng(base + (first // TRIAL_CHUNK,)))
+        parts.append(rows[max(lo - first, 0):hi - first])
+    return np.concatenate(parts)
 
 
 @dataclass
@@ -70,88 +93,124 @@ def torus_bonds(torus: Torus, kernel: Kernel):
 
 @dataclass
 class LinkSchedule:
-    """Time-ordered Poisson link events on torus bonds."""
+    """Poisson link events on torus bonds for a chunk of trials, sorted by
+    trial (the bits row an event acts on) and by time within a trial."""
 
     horizon: float
     times: np.ndarray
     bond_a: np.ndarray
     bond_b: np.ndarray
+    trial: np.ndarray
 
 
 def build_schedule(torus: Torus, kernel: Kernel, horizon: float, seed) -> LinkSchedule:
-    """Independent Poisson processes per unoriented bond up to the horizon.
-    Counts are scalar draws in bond order, as one array-valued poisson call."""
+    """TRIAL_CHUNK independent schedules up to the horizon, one Poisson process
+    per unoriented bond and trial: one array-valued poisson call draws the
+    (TRIAL_CHUNK, n_bonds) counts, then come the event times, sorted within
+    each trial with equal draws in draw order (bond order)."""
     check_horizon(horizon)
     a, b, rates = torus_bonds(torus, kernel)
     rng = np.random.default_rng(seed)
-    if horizon == 0:
-        return LinkSchedule(0.0, np.empty(0), np.empty(0, int), np.empty(0, int))
-    counts = [rng.poisson(r * horizon) for r in rates.tolist()]
-    ev_a = np.repeat(a, counts)
-    ev_b = np.repeat(b, counts)
-    times = rng.random(sum(counts)) * horizon
-    order = np.argsort(times, kind="stable")  # ties broken by insertion order
-    return LinkSchedule(horizon, times[order], ev_a[order], ev_b[order])
+    counts = rng.poisson(rates * horizon, (TRIAL_CHUNK, len(rates)))
+    trial = np.repeat(np.arange(TRIAL_CHUNK, dtype=np.int64), counts.sum(axis=1))
+    u = rng.random(len(trial))  # multiples of 2**-53, so (trial, u) packs into an int64
+    order = np.argsort((trial << 53) + (u * 2.0**53).astype(np.int64), kind="stable")
+    a, b = (np.repeat(np.tile(x, TRIAL_CHUNK), counts.ravel())[order] for x in (a, b))
+    return LinkSchedule(float(horizon), u[order] * horizon, a, b, trial)
 
 
-def replay(bits, schedule: LinkSchedule, t: float, marks=()):
-    """Carry `bits` (a list or an array) through the link events of
-    `schedule` up to time t, in place, yielding the constant pieces
-    (t0, t1, m) of [0, t] in order.
+def replay(bits: np.ndarray, schedule: LinkSchedule, t: float, marks=()):
+    """Carry each row of `bits`, a C-contiguous (m, n_sites) array, through
+    its trial's link events in `schedule` up to time t, in place. Each step
+    yields the pieces (t0, t1, passed) of all m trials as arrays.
 
-    m counts the sorted `marks` passed so far; the caller applies its own
-    marks up to m before reading the piece. During a piece of positive
-    length, bits hold xi on (t0, t1) and every link event and mark at time
+    `marks` is one sorted array for all trials, or (m, k) sorted rows padded
+    with inf. passed counts the marks a trial has passed; a step passes at
+    most one link event or mark per trial, and the caller applies its mark
+    when passed grows, before reading the piece. During a piece of positive
+    length, a row holds xi on (t0, t1) and every link event and mark at time
     <= t0 has been passed. A link event tied with a mark is applied first.
     Ties and events at t give zero-length pieces; the last piece ends at t,
-    after every link event and mark at time <= t has been passed.
+    after every event and mark at time <= t, and a finished trial pads with
+    pieces (t, t).
     """
     if t > schedule.horizon:
         raise ValueError("t beyond schedule horizon")
-    times = schedule.times.tolist() + [math.inf]  # sentinels end both streams
-    marks = np.asarray(marks, dtype=float).tolist() + [math.inf]
-    a, b = schedule.bond_a.tolist(), schedule.bond_b.tolist()
-    ei, mi, prev = 0, 0, 0.0
-    t_ev, t_mk = times[0], marks[0]
-    while True:
-        if t_ev <= t_mk:
-            if t_ev > t:
-                break
-            yield prev, t_ev, mi
-            ai, bi = a[ei], b[ei]
-            bits[ai], bits[bi] = bits[bi], bits[ai]
-            ei += 1
-            prev, t_ev = t_ev, times[ei]
-        else:
-            if t_mk > t:
-                break
-            yield prev, t_mk, mi
-            mi += 1
-            prev, t_mk = t_mk, marks[mi]
-    yield prev, t, mi
+    if not bits.flags.c_contiguous or schedule.trial.max(initial=-1) >= len(bits):
+        raise ValueError("bits must be a C-contiguous array with a row per trial")
+    m, n_sites = bits.shape
+    marks = np.broadcast_to(np.asarray(marks, dtype=float), (m, np.shape(marks)[-1]))
+    ev, mk = schedule.times <= t, marks <= t
+    row = np.concatenate([schedule.trial[ev], np.nonzero(mk)[0]])
+    no_swap = np.zeros(mk.sum(), dtype=int)  # a mark swaps site 0 with itself
+    # one item per event and mark, the bits it swaps as flat positions in bits
+    items = (np.concatenate([schedule.times[ev], marks[mk]]),
+             np.concatenate([schedule.bond_a[ev], no_swap]) + row * n_sites,
+             np.concatenate([schedule.bond_b[ev], no_swap]) + row * n_sites,
+             np.arange(len(row)) >= ev.sum())
+    # links and marks are each sorted per trial: merge them on one exact key,
+    # (trial, rank of the time, link ahead of a tied mark)
+    rank = np.unique(items[0], return_inverse=True)[1]
+    order = np.argsort((row * len(row) + rank) * 2 + items[3], kind="stable")
+    row = row[order]
+    count = np.bincount(row, minlength=m)
+    # the item of each step (row) and trial (column); a finished trial idles at t
+    slot = np.tile(len(row) + np.arange(m), (count.max(initial=0), 1))
+    slot[np.arange(len(row)) - (np.cumsum(count) - count)[row], row] = order
+    idle = (np.full(m, float(t)), np.arange(m) * n_sites, np.arange(m) * n_sites,
+            np.zeros(m, dtype=bool))
+    at, a, b, is_mark = (np.concatenate([x, pad])[slot] for x, pad in zip(items, idle))
+    flat, prev, passed = bits.reshape(-1), np.zeros(m), np.zeros(m, dtype=np.int64)
+    for k in range(len(at)):
+        yield prev, at[k], passed
+        flat[a[k]], flat[b[k]] = flat[b[k]], flat[a[k]]
+        prev, passed = at[k], passed + is_mark[k]
+    yield prev, np.full(m, float(t)), passed
+
+
+def _marginal_trials(initial: Configuration, kernel: Kernel, queries, rng) -> np.ndarray:
+    """xi_t(site) of one chunk of trials, one column per (site, t) of the
+    time-sorted queries."""
+    sites, times = (np.array(column) for column in zip(*queries))
+    bits = np.tile(initial.bits, (TRIAL_CHUNK, 1))
+    sched = build_schedule(initial.torus, kernel, times[-1], rng)
+    seen = np.zeros((TRIAL_CHUNK, len(queries)), dtype=np.uint8)
+    done = np.zeros(TRIAL_CHUNK, dtype=np.int64)
+    for _, _, passed in replay(bits, sched, times[-1], times):
+        r = np.flatnonzero(passed > done)
+        seen[r, done[r]] = bits[r, sites[done[r]]]
+        done = passed
+    return seen
 
 
 def marginal_mc(initial: Configuration, kernel: Kernel, queries, n: int, seed):
     """Monte-Carlo means of xi_t(y) over link schedules, for fixed initial
     state and a list of (site, t) queries. Returns (means, stderrs)."""
     queries = list(queries)
-    t_max = max(t for _, t in queries)
     order = sorted(range(len(queries)), key=lambda i: queries[i][1])
-    query_times = [queries[qi][1] for qi in order]
-    torus = initial.torus
-    start = initial.bits.tolist()
-    hits = [0] * len(queries)
-    for trial in range(n):
-        sched = build_schedule(torus, kernel, t_max, [seed, trial])
-        bits = start.copy()
-        done = 0
-        for _, _, m in replay(bits, sched, t_max, query_times):
-            for qi in order[done:m]:
-                hits[qi] += bits[queries[qi][0]]
-            done = m
-    means = np.array(hits) / n
+    hits = np.empty(len(queries), dtype=np.int64)
+    hits[order] = chunk_trials(partial(_marginal_trials, initial, kernel, [
+        queries[i] for i in order]), seed, range(n)).sum(axis=0)
+    means = hits / n
     stderrs = np.sqrt(np.maximum(means * (1 - means), 1e-300) / n)
     return means, stderrs
+
+
+def _weight_trials(torus: Torus, kernel: Kernel, rho: float, slices, t: float,
+                   rng) -> np.ndarray:
+    """exp of the weight integral of one chunk of trials (see exp_weight_mc)."""
+    # slice k spans marks 2k and 2k+1: after m marks a trial reads row m of
+    # the table, slice m // 2 when m is odd and zero weight between slices
+    slices = [(t0, min(t1, t), vals) for t0, t1, vals in slices if min(t1, t) > t0]
+    edges = [e for t0, t1, _ in slices for e in (t0, t1)]
+    table = np.zeros((len(edges) + 1, torus.n_sites))
+    table[1::2] = np.reshape([vals for _, _, vals in slices], (-1, torus.n_sites))
+    bits = (rng.random((TRIAL_CHUNK, torus.n_sites)) < rho).astype(np.uint8)
+    sched = build_schedule(torus, kernel, t, rng)
+    acc = np.zeros(TRIAL_CHUNK)
+    for t0, t1, m in replay(bits, sched, edges[-1] if edges else 0.0, edges):
+        acc += (t1 - t0) * (table[m] * bits).sum(axis=1)
+    return np.exp(acc)
 
 
 def exp_weight_mc(torus: Torus, kernel: Kernel, rho: float, slices, t: float,
@@ -162,20 +221,8 @@ def exp_weight_mc(torus: Torus, kernel: Kernel, rho: float, slices, t: float,
 
     Returns (mean, stderr) of the exponential weight.
     """
-    # slice k spans marks 2k and 2k+1: an odd count m lies inside slice m // 2
-    slices = [(t0, min(t1, t), vals) for t0, t1, vals in slices if min(t1, t) > t0]
-    edges = [e for t0, t1, _ in slices for e in (t0, t1)]
-    end = edges[-1] if edges else 0.0
-    weights = np.empty(n)
-    for trial in range(n):
-        rng = np.random.default_rng([seed, trial])
-        bits = (rng.random(torus.n_sites) < rho).astype(np.uint8)
-        sched = build_schedule(torus, kernel, t, rng)
-        acc = 0.0
-        for t0, t1, m in replay(bits, sched, end, edges):
-            if m % 2:
-                acc += (t1 - t0) * float(slices[m // 2][2] @ bits)
-        weights[trial] = np.exp(acc)
+    weights = chunk_trials(partial(_weight_trials, torus, kernel, rho, slices, t), seed,
+                           range(n))
     mean = float(weights.mean())
     stderr = float(weights.std(ddof=1) / np.sqrt(n)) if n > 1 else float("nan")
     return mean, stderr

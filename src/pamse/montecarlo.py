@@ -1,9 +1,10 @@
 """Feynman-Kac Monte Carlo for moments and Lyapunov exponents, plus the
 large-diffusion Gaussian-regime probe.
 
-Every trial draws its own generator from (base_seed, trial_index), so results
-are bitwise reproducible and independent of worker count or execution order;
-parallel runs merge trial arrays by index.
+Feynman-Kac trials draw their generator per chunk (`exclusion.chunk_trials`),
+probe trials from (base_seed, trial_index), so results are bitwise
+reproducible and independent of trial count, worker count or execution
+order; parallel runs merge trial arrays by index.
 """
 
 from __future__ import annotations
@@ -16,11 +17,10 @@ from functools import partial
 import numpy as np
 
 from .exact import OperatorSpec
-from .exclusion import build_schedule, replay
+from .exclusion import TRIAL_CHUNK, build_schedule, chunk_trials, flat_seed, replay
 from .lattice import (check_horizon, check_kappa, check_samples, check_transient,
                       gauss_legendre, heat1d, one_kappa, srw_kernel, green)
 
-TRIAL_CHUNK = 256  # trials per task handed to a worker process
 # merged events per vectorised pass of a probe trial: each temporary stays in
 # L2 and under glibc's 128 KiB mmap threshold, so no pass faults fresh pages
 PROBE_CHUNK_EVENTS = 2**14
@@ -38,16 +38,6 @@ class McEstimate:
 
     def within(self, value: float, n_sigma: float) -> bool:
         return abs(self.mean - value) <= n_sigma * self.stderr
-
-
-def flat_seed(seed) -> tuple:
-    """Flatten arbitrarily nested seed material into a tuple of ints."""
-    if isinstance(seed, (list, tuple)):
-        out = []
-        for s in seed:
-            out.extend(flat_seed(s))
-        return tuple(out)
-    return (int(seed),)
 
 
 def _run_trials(worker, n: int, n_workers: int) -> np.ndarray:
@@ -87,38 +77,30 @@ def _jackknife_log_stderr(w: np.ndarray) -> float:
     return float(np.sqrt((n - 1) * np.var(loo)))
 
 
-def _moment_trials(spec: OperatorSpec, t: float, seed, trials) -> np.ndarray:
-    """Per-trial exponents int_0^t gamma sum_q xi_s(X_q(s)) ds. Trial state
-    is held in Python lists; the walkers' occupation sum is an exact int."""
-    torus = spec.torus
-    d, p = torus.d, spec.p
-    moves = torus.unit_moves().tolist()
-    base = flat_seed(seed)
-    jump_rate = 2.0 * d * spec.kappa * t * p
-    out = np.empty(len(trials))
-    for k, trial in enumerate(trials):
-        rng = np.random.default_rng(base + (trial,))
-        bits = (rng.random(torus.n_sites) < spec.rho).tolist()
-        sched = build_schedule(torus, spec.kernel, t, rng)
-        # at kappa = 0 these are empty draws, which leave rng untouched
-        n_jumps = rng.poisson(jump_rate)
-        jump_times = np.sort(rng.random(n_jumps) * t)
-        jump_who = rng.integers(0, p, n_jumps).tolist()
-        jump_dir = rng.integers(0, 2 * d, n_jumps).tolist()
-        walkers = [0] * p  # all start at the origin site
-        acc = 0.0
-        wi = 0
-        for t0, t1, jumped in replay(bits, sched, t, jump_times):
-            while wi < jumped:
-                q = jump_who[wi]
-                walkers[q] = moves[jump_dir[wi]][walkers[q]]
-                wi += 1
-            occupied = 0
-            for x in walkers:
-                occupied += bits[x]
-            acc += (t1 - t0) * occupied
-        out[k] = spec.gamma * acc
-    return out
+def _moment_trials(spec: OperatorSpec, t: float, rng) -> np.ndarray:
+    """Exponents int_0^t gamma sum_q xi_s(X_q(s)) ds of one chunk of trials;
+    the walkers' occupation sum is an exact integer."""
+    torus, m, p = spec.torus, TRIAL_CHUNK, spec.p
+    bits = (rng.random((m, torus.n_sites)) < spec.rho).astype(np.uint8)
+    sched = build_schedule(torus, spec.kernel, t, rng)
+    n_jumps = rng.poisson(2.0 * torus.d * spec.kappa * t * p, m)
+    row, first = np.repeat(np.arange(m), n_jumps), np.cumsum(n_jumps) - n_jumps
+    marks = np.full((m, n_jumps.max(initial=0)), np.inf)  # one row of jump times per trial
+    marks[row, np.arange(len(row)) - first[row]] = rng.random(len(row)) * t
+    marks.sort(axis=1)  # a trial's i-th jump in time moves the walker of its i-th draw
+    jump_who, jump_dir = rng.integers(0, p, len(row)), rng.integers(0, 2 * torus.d, len(row))
+    # walkers as flat positions in bits, all at the origin site of their row
+    offset = np.arange(m)[:, None] * torus.n_sites
+    moves = (torus.unit_moves()[:, None, :] + offset).reshape(2 * torus.d, -1)
+    walkers, flat = np.repeat(offset, p, axis=1), bits.reshape(-1)
+    acc, done = np.zeros(m), np.zeros(m, dtype=np.int64)
+    for t0, t1, passed in replay(bits, sched, t, marks):
+        r = np.flatnonzero(passed > done)
+        j = first[r] + done[r]
+        walkers[r, jump_who[j]] = moves[jump_dir[j], walkers[r, jump_who[j]]]
+        done = passed
+        acc += (t1 - t0) * flat[walkers].sum(axis=1)
+    return spec.gamma * acc
 
 
 def estimate_moment(spec: OperatorSpec, t: float, n: int, seed,
@@ -129,7 +111,8 @@ def estimate_moment(spec: OperatorSpec, t: float, n: int, seed,
     and the walker jumps (rate 2 d kappa). No state space is built: no cap."""
     check_horizon(t)
     check_samples(n, 2)
-    w = _run_trials(partial(_moment_trials, spec, t, seed), n, n_workers)
+    w = _run_trials(partial(chunk_trials, partial(_moment_trials, spec, t), seed), n,
+                    n_workers)
     vals = np.exp(w)
     ess = effective_sample_size(w)
     if ess < 0.01 * n:

@@ -38,6 +38,16 @@ def fresh_chi_cache():
         cache.cache_clear()
 
 
+def test_criterion_1_fails_on_heat_time_times_1_1(monkeypatch):
+    # the exact means then read the heat kernel at 1.1 t: at the full
+    # n = 100,000 the five pairs land 16.7, 12.3, 9.9, 2.8 and 4.2 sigma off
+    # against a 4-sigma gate
+    heat = acceptance.torus_heat_matrix
+    monkeypatch.setattr(acceptance, "torus_heat_matrix",
+                        lambda torus, kernel, t: heat(torus, kernel, 1.1 * t))
+    assert acceptance.criterion_1_graphical_mean().passed is False
+
+
 def _scaled_kappa(monkeypatch):
     build = acceptance.build_scaled_generator
     monkeypatch.setattr(acceptance, "build_scaled_generator",

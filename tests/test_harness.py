@@ -97,15 +97,17 @@ class TestScenarios:
 
     def test_comparison_suite_mc_branch_allows_for_noise(self, monkeypatch):
         # above the state cap the exclusion side is Monte Carlo; a weak weight
-        # leaves its margin far below its noise, so a case fails only beyond
-        # 4 stderr
+        # leaves its margin far below its noise, so its sign follows the seed
+        # and a case fails only beyond 4 stderr: over ten seeds some margins
+        # are negative and none is flagged
         from pamse import exact, irw
 
         monkeypatch.setattr(exact, "DEFAULT_STATE_CAP", 4)
         weak = irw.WeightFunction((((0,), (0.0, 1.0), 0.01),))
-        rep = irw.compare_se_irw(Torus(1, 6), srw_kernel(1), 0.3, weak, 1.0, seed=3)
-        assert rep.margin < -1e-10
-        assert rep.se_stderr > 0 and not rep.violation
+        reps = [irw.compare_se_irw(Torus(1, 6), srw_kernel(1), 0.3, weak, 1.0, seed=seed)
+                for seed in range(3, 13)]
+        assert any(rep.margin < -1e-10 for rep in reps)
+        assert all(rep.se_stderr > 0 and not rep.violation for rep in reps)
 
     def test_kappa_sweep_flags(self):
         cfg = harness.ScenarioConfig("kappa_sweep", {

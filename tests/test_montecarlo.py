@@ -1,11 +1,14 @@
 """Moment estimation, Lyapunov curves, walk statistics, asymptotic probe."""
 
+from functools import partial
+
 import numpy as np
 import pytest
 from scipy.integrate import dblquad, quad
 from scipy.special import ive
 
 from pamse import exact
+from pamse import exclusion as ex
 from pamse import montecarlo as mc
 from pamse.lattice import Kernel, Torus, heat1d, srw_kernel
 
@@ -205,6 +208,25 @@ class TestProbeMergedPass:
         est, _ = mc.asymptotic_probe(d, kappa, t, n, seed, n_workers=2)
         assert _hexes((est.mean, est.stderr)) == _hexes(
             (want.mean(), want.std(ddof=1) / np.sqrt(n)))
+
+
+class TestChunkKeying:
+    """A Feynman-Kac trial's exponent depends on (seed, trial) alone."""
+
+    def test_prefix_of_a_longer_run(self, small_params):
+        # 300 trials end inside the second chunk of a 700-trial run
+        chunk = partial(mc._moment_trials, small_params, 1.0)
+        short = ex.chunk_trials(chunk, 17, range(300))
+        assert _hexes(ex.chunk_trials(chunk, 17, range(700))[:300]) == _hexes(short)
+        est = mc.estimate_moment(small_params, 1.0, 300, 17)
+        assert est.mean == float(np.exp(short).mean())
+        assert est.log_mean == mc._logmeanexp(short)
+
+    def test_two_workers_match_serial(self, small_params):
+        seq = mc.estimate_moment(small_params, 1.0, 700, 17, n_workers=1)
+        par = mc.estimate_moment(small_params, 1.0, 700, 17, n_workers=2)
+        assert _hexes((seq.mean, seq.stderr, seq.log_mean, seq.log_stderr)) == _hexes(
+            (par.mean, par.stderr, par.log_mean, par.log_stderr))
 
 
 def test_flat_seed_layouts():
