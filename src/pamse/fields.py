@@ -5,9 +5,11 @@ gradient kernels all reduce to one displacement table
 D(v) = integral_0^T p_{2 d s 1k}(0, v) ds on a wrapped window, evaluated with
 a shared composite Gauss-Legendre rule whose node count is recorded so that
 two-method comparisons stay meaningful. Field evaluation is circular
-correlation against that table: one real FFT of the centred configuration
-times the cached half-spectrum of chi (`_chi_spectrum`, one `rfftn` per
-spec), then one inverse real FFT.
+correlation against that table: the real FFT of the centred configuration
+times the cached half-spectrum of chi (`_chi_spectrum`, one transform per
+spec), then the inverse real FFT. Each transform runs as 1-d `np.fft` passes
+over one half-spectrum array, rewritten in place axis by axis (`_rfft_grid`,
+`_irfft_grid`), in the order of numpy's `rfftn`/`irfftn` and with their bits.
 """
 
 from __future__ import annotations
@@ -100,10 +102,28 @@ def _chi_grid_cached(spec: PsiSpec) -> np.ndarray:
     return out
 
 
+def _rfft_grid(grid: np.ndarray) -> np.ndarray:
+    """rfftn of a real grid: a real FFT along the last axis, then complex FFTs
+    along the others, last to first, each written over the half-spectrum."""
+    spectrum = np.fft.rfft(grid, axis=-1)
+    for axis in range(grid.ndim - 2, -1, -1):
+        np.fft.fft(spectrum, axis=axis, out=spectrum)
+    return spectrum
+
+
+def _irfft_grid(spectrum: np.ndarray, L: int) -> np.ndarray:
+    """irfftn of the half-spectrum of a real grid of side L: inverse complex
+    FFTs along all axes but the last, first to last, over `spectrum` itself,
+    then an inverse real FFT along the last axis."""
+    for axis in range(spectrum.ndim - 1):
+        np.fft.ifft(spectrum, axis=axis, out=spectrum)
+    return np.fft.irfft(spectrum, n=L, axis=-1)
+
+
 @lru_cache(maxsize=32)
 def _chi_spectrum(spec: PsiSpec) -> np.ndarray:
     """Half-spectrum rfftn of the chi grid, read-only."""
-    out = np.fft.rfftn(_chi_grid_cached(spec))
+    out = _rfft_grid(_chi_grid_cached(spec))
     out.flags.writeable = False
     return out
 
@@ -124,10 +144,9 @@ def psi_field(eta_bits: np.ndarray, spec: PsiSpec) -> np.ndarray:
     eta_bits = np.asarray(eta_bits, dtype=float).ravel()
     if eta_bits.shape != (trs.n_sites,):
         raise ValueError("eta must live on the spec torus")
-    shape = (trs.L,) * trs.d
-    spectrum = np.fft.rfftn((eta_bits - spec.rho).reshape(shape))
+    spectrum = _rfft_grid((eta_bits - spec.rho).reshape((trs.L,) * trs.d))
     spectrum *= _chi_spectrum(spec)
-    return np.fft.irfftn(spectrum, s=shape, axes=tuple(range(trs.d))).ravel()
+    return _irfft_grid(spectrum, trs.L).ravel()
 
 
 def psi_joint_matrix(spec: PsiSpec) -> np.ndarray:

@@ -110,10 +110,10 @@ class Torus:
         return (np.asarray(coords) % self.L) @ (self.L ** np.arange(self.d - 1, -1, -1))
 
     def shift_table(self, offset) -> np.ndarray:
-        """Site-index permutation x -> x + offset (wrapped)."""
-        coords = self.all_coords()
-        coords += np.asarray(offset)  # in place: no second (n_sites, d) array on large tori
-        return self.flat_index(coords)
+        """Site-index permutation x -> x + offset (wrapped): the index grid
+        rolled by -offset, with no (n_sites, d) coordinate table."""
+        grid = np.arange(self.n_sites).reshape((self.L,) * self.d)
+        return np.roll(grid, np.negative(offset), axis=tuple(range(self.d))).ravel()
 
     def unit_moves(self) -> np.ndarray:
         """(2d, n_sites) table of x -> x + e for the unit vectors e, in the
@@ -201,23 +201,38 @@ def _fourier_grid_size(tau: float, m_max: int) -> int:
     return max(64, n)
 
 
+@lru_cache(maxsize=256)
+def _fourier_grid(n: int) -> tuple:
+    """(k, 1 - cos k) on the n-point grid k = 2 pi j / n, read-only."""
+    k = 2.0 * np.pi * np.arange(n) / n
+    rate = 1.0 - np.cos(k)
+    k.flags.writeable = rate.flags.writeable = False
+    return k, rate
+
+
 def heat1d(ms: np.ndarray, tau: float) -> np.ndarray:
     """p_tau(0, m) for the 1-d rate-1 simple walk, via the Fourier integral."""
     ms = np.atleast_1d(np.asarray(ms, dtype=int))
     if tau < 0:
         raise ValueError("negative time")
     n = _fourier_grid_size(tau, int(np.max(np.abs(ms))) if ms.size else 0)
-    k = 2.0 * np.pi * np.arange(n) / n
-    decay = np.exp(-tau * (1.0 - np.cos(k)))
-    return np.cos(np.outer(ms, k)) @ decay / n
+    k, rate = _fourier_grid(n)
+    return np.cos(np.outer(ms, k)) @ np.exp(-tau * rate) / n
+
+
+@lru_cache(maxsize=8)
+def _cycle_modes(L: int) -> tuple:
+    """(1 - cos k, cos(m k)) over the L-cycle's modes k and sites m, read-only."""
+    k, rate = _fourier_grid(L)
+    modes = np.cos(np.outer(np.arange(L), k))
+    modes.flags.writeable = False
+    return rate, modes
 
 
 def cycle_heat1d(L: int, tau: float) -> np.ndarray:
     """Wrapped p_tau(0, m mod L) on the L-cycle; exact finite Fourier sum."""
-    k = 2.0 * np.pi * np.arange(L) / L
-    decay = np.exp(-tau * (1.0 - np.cos(k)))
-    m = np.arange(L)
-    return np.cos(np.outer(m, k)) @ decay / L
+    rate, modes = _cycle_modes(L)
+    return modes @ np.exp(-tau * rate) / L
 
 
 # ---------------------------------------------------------------------------

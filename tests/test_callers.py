@@ -139,3 +139,41 @@ def test_benchmark_span_hooks_resolve_and_restore():
     for module, attr, original in patched:
         assert before[module.__name__.rsplit(".", 1)[1]][attr] is original
         assert getattr(module, attr) is original
+
+
+def test_field_transforms_reach_the_benchmark_fft_hook(monkeypatch):
+    # perfbench/spans.py sees the field transforms only by replacing
+    # `fields.np` with a numpy whose `fft` namespace counts calls: a psi_field
+    # that computes its FFTs any other way would leave that span silent
+    import types
+
+    import numpy as np
+
+    fields = importlib.import_module("pamse.fields")
+    lattice = importlib.import_module("pamse.lattice")
+    counts = {}
+
+    def counted(name):
+        def fn(*args, **kwargs):
+            counts[name] = counts.get(name, 0) + 1
+            return getattr(np.fft, name)(*args, **kwargs)
+        return fn
+
+    class CountingNumpy:
+        fft = types.SimpleNamespace(**{name: counted(name) for name in dir(np.fft)
+                                       if not name.startswith("_")})
+
+        def __getattr__(self, attr):
+            return getattr(np, attr)
+
+    spec = fields.PsiSpec(kappa=2.0, T=1.0, torus=lattice.Torus(3, 5), rho=0.4)
+    eta = np.arange(spec.torus.n_sites) % 2
+    want = fields.psi_field(eta, spec)
+    fields._chi_spectrum.cache_clear()
+    monkeypatch.setattr(fields, "np", CountingNumpy())
+    got = fields.psi_field(eta, spec)
+    monkeypatch.undo()
+    np.testing.assert_array_equal(got, want)
+    # forward and inverse passes of the configuration and of chi
+    assert counts.get("rfft", 0) == 2 and counts.get("irfft", 0) == 1
+    assert counts.get("fft", 0) >= 1 and counts.get("ifft", 0) >= 1

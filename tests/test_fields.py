@@ -77,6 +77,24 @@ class TestPsiField:
         assert fields._chi_spectrum.cache_info().currsize == 0
         np.testing.assert_array_equal(fields._chi_spectrum(spec), spectrum)
 
+    # odd and even sides; L = 2 is all DC and Nyquist, and an even side puts a
+    # Nyquist column in the half-spectrum
+    @pytest.mark.parametrize("d, L", [(1, 2), (1, 7), (1, 8), (2, 2), (2, 5), (2, 6),
+                                      (3, 2), (3, 5), (3, 6), (3, 15)])
+    def test_axis_passes_equal_numpy_rfftn(self, d, L):
+        rng = np.random.default_rng(10 * d + L)
+        shape = (L,) * d
+        grid = rng.random(shape) - 0.5
+        grid += (-1.0) ** np.arange(L)  # a Nyquist mode along the last axis
+        np.testing.assert_array_equal(fields._rfft_grid(grid), np.fft.rfftn(grid))
+        # any half-spectrum, Hermitian or not, inverts as irfftn's does
+        half = shape[:-1] + (L // 2 + 1,)
+        spectrum = rng.standard_normal(half) + 1j * rng.standard_normal(half)
+        want = np.fft.irfftn(spectrum, s=shape, axes=tuple(range(d)))
+        got = fields._irfft_grid(spectrum.copy(), L)
+        assert got.shape == shape
+        np.testing.assert_array_equal(got, want)
+
     def test_density_outside_unit_interval_rejected(self):
         # one rule for every model: the spec, the catalyst start, the IRW product
         from pamse import exclusion, irw

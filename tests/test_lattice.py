@@ -341,6 +341,43 @@ class TestTorusWrap:
             back = trs.coords(neg)
             assert trs.index(tuple(-x for x in back)) == idx
 
+    @pytest.mark.parametrize("d, L", [(1, 2), (1, 7), (2, 3), (2, 4), (3, 5), (4, 3)])
+    def test_shift_table_is_coordinate_shift(self, d, L):
+        # x -> x + offset read off the coordinates, for negative offsets and
+        # offsets beyond +-L
+        trs = lat.Torus(d, L)
+        rng = np.random.default_rng(d * L)
+        offsets = [(0,) * d, (-1,) * d, (L,) * d, (-L - 1,) * d]
+        offsets += [tuple(int(v) for v in rng.integers(-3 * L, 3 * L + 1, d)) for _ in range(6)]
+        for offset in offsets:
+            want = trs.flat_index(trs.all_coords() + np.asarray(offset))
+            got = trs.shift_table(offset)
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(trs.shift_table(np.asarray(offsets[-1])),
+                                      trs.shift_table(offsets[-1]))
+
+    @pytest.mark.parametrize("tau", [0.0, 0.4, 9.5, 350.0])
+    def test_cached_fourier_grids_keep_heat_bits(self, tau):
+        # the Fourier sums read read-only cached mode tables; the values are
+        # those of the tables built afresh
+        lat._fourier_grid.cache_clear()
+        lat._cycle_modes.cache_clear()
+        ms = np.arange(-12, 13)
+        n = lat._fourier_grid_size(tau, 12)
+        k = 2.0 * np.pi * np.arange(n) / n
+        want = np.cos(np.outer(ms, k)) @ np.exp(-tau * (1.0 - np.cos(k))) / n
+        for _ in range(2):
+            np.testing.assert_array_equal(lat.heat1d(ms, tau), want)
+        for L in (2, 9, 75):
+            k = 2.0 * np.pi * np.arange(L) / L
+            want = np.cos(np.outer(np.arange(L), k)) @ np.exp(-tau * (1.0 - np.cos(k))) / L
+            for _ in range(2):
+                np.testing.assert_array_equal(lat.cycle_heat1d(L, tau), want)
+        rate, modes = lat._cycle_modes(9)
+        assert not rate.flags.writeable and not modes.flags.writeable
+        assert not any(a.flags.writeable for a in lat._fourier_grid(n))
+
     def test_wrapped_row_is_image_sum(self):
         trs = lat.Torus(1, 5)
         k = lat.srw_kernel(1)
