@@ -89,10 +89,16 @@ def nu_weights(n_sites: int, rho: float) -> np.ndarray:
 
 def shifted_configs(torus: Torus, offset) -> np.ndarray:
     """Index of the translated configuration eta(. + offset), for every
-    configuration index eta."""
-    n = torus.n_sites
-    bits = occupation_bits(n)[:, torus.shift_table(offset)].astype(np.int64)
-    return bits @ (np.int64(1) << np.arange(n, dtype=np.int64))
+    configuration index eta: bit j of the result is bit shift_table(offset)[j]
+    of eta, moved one site at a time through one scratch array."""
+    eta = np.arange(2**torus.n_sites, dtype=np.int64)
+    out, bit = np.zeros_like(eta), np.empty_like(eta)
+    for j, src in enumerate(torus.shift_table(offset)):
+        np.right_shift(eta, src, out=bit)
+        bit &= 1
+        bit <<= j
+        out |= bit
+    return out
 
 
 def rate_matrix(n: int, src, dst, rates) -> sp.csr_matrix:
