@@ -89,16 +89,10 @@ def nu_weights(n_sites: int, rho: float) -> np.ndarray:
 
 def shifted_configs(torus: Torus, offset) -> np.ndarray:
     """Index of the translated configuration eta(. + offset), for every
-    configuration index eta: bit j of the result is bit shift_table(offset)[j]
-    of eta, moved one site at a time through one scratch array."""
-    eta = np.arange(2**torus.n_sites, dtype=np.int64)
-    out, bit = np.zeros_like(eta), np.empty_like(eta)
-    for j, src in enumerate(torus.shift_table(offset)):
-        np.right_shift(eta, src, out=bit)
-        bit &= 1
-        bit <<= j
-        out |= bit
-    return out
+    configuration index eta."""
+    n = torus.n_sites
+    bits = occupation_bits(n)[:, torus.shift_table(offset)].astype(np.int64)
+    return bits @ (np.int64(1) << np.arange(n, dtype=np.int64))
 
 
 def rate_matrix(n: int, src, dst, rates) -> sp.csr_matrix:
@@ -202,15 +196,16 @@ def lift_frame_vector(spec: OperatorSpec, g: np.ndarray) -> np.ndarray:
     g = np.asarray(g)
     if spec.p == 0:
         return g.copy()
-    trs, n, m = spec.torus, spec.n_sites, spec.n_sites ** (spec.p - 1)
-    place = n ** np.arange(spec.p - 2, -1, -1)
-    xs = np.arange(m)[:, None] // place % n  # (x_2, ..., x_p) of every block column
-    out = np.empty((spec.n_eta, n, m), dtype=g.dtype)
-    for x_1 in range(n):  # one walker-1 site at a time: no (n, 2^n) table
-        offset = trs.coords(x_1)
-        rel = trs.shift_table(tuple(-c for c in offset))[xs] @ place
-        out[:, x_1] = g[shifted_configs(trs, offset)[:, None] * m + rel]
-    return out.ravel()
+    trs, n, p = spec.torus, spec.n_sites, spec.p
+    coords = trs.all_coords()
+    walker = np.arange(spec.n_walker)
+    x = [(walker // n ** (p - 1 - i)) % n for i in range(p)]
+    rel = np.zeros(spec.n_walker, dtype=np.int64)
+    for x_i in x[1:]:
+        rel = rel * n + trs.flat_index(coords[x_i] - coords[x[0]])
+    recentred = np.stack([shifted_configs(trs, coords[s]) for s in range(n)])
+    idx = recentred[x[0]].T * n ** (p - 1) + rel[None, :]
+    return g[idx.ravel()]
 
 
 def build_scaled_generator(spec: OperatorSpec) -> sp.csr_matrix:

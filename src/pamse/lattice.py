@@ -201,31 +201,23 @@ def _fourier_grid_size(tau: float, m_max: int) -> int:
     return max(64, n)
 
 
-@lru_cache(maxsize=256)
-def _fourier_grid(n: int) -> tuple:
-    """(k, 1 - cos k) on the n-point grid k = 2 pi j / n, read-only."""
-    k = 2.0 * np.pi * np.arange(n) / n
-    rate = 1.0 - np.cos(k)
-    k.flags.writeable = rate.flags.writeable = False
-    return k, rate
-
-
 def heat1d(ms: np.ndarray, tau: float) -> np.ndarray:
     """p_tau(0, m) for the 1-d rate-1 simple walk, via the Fourier integral."""
     ms = np.atleast_1d(np.asarray(ms, dtype=int))
     if tau < 0:
         raise ValueError("negative time")
     n = _fourier_grid_size(tau, int(np.max(np.abs(ms))) if ms.size else 0)
-    k, rate = _fourier_grid(n)
-    return np.cos(np.outer(ms, k)) @ np.exp(-tau * rate) / n
+    k = 2.0 * np.pi * np.arange(n) / n
+    decay = np.exp(-tau * (1.0 - np.cos(k)))
+    return np.cos(np.outer(ms, k)) @ decay / n
 
 
 @lru_cache(maxsize=8)
 def _cycle_modes(L: int) -> tuple:
     """(1 - cos k, cos(m k)) over the L-cycle's modes k and sites m, read-only."""
-    k, rate = _fourier_grid(L)
-    modes = np.cos(np.outer(np.arange(L), k))
-    modes.flags.writeable = False
+    k = 2.0 * np.pi * np.arange(L) / L
+    rate, modes = 1.0 - np.cos(k), np.cos(np.outer(np.arange(L), k))
+    rate.flags.writeable = modes.flags.writeable = False
     return rate, modes
 
 

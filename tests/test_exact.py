@@ -221,44 +221,6 @@ class TestWalkerFrame:
         back = (np.arange(5) - 1) % 5
         np.testing.assert_array_equal(f[shifted][:, back][:, :, back], f)
 
-    @pytest.mark.parametrize("d, L", [(1, 2), (1, 3), (1, 10), (2, 2), (2, 3), (3, 2)])
-    def test_shifted_configs_match_bits_table(self, d, L):
-        # bit j of the translated index is bit shift_table(offset)[j] of eta,
-        # as the (2^n, n) occupation table weighted by powers of two gives it
-        trs = Torus(d, L)
-        bits = exact.occupation_bits(trs.n_sites).astype(np.int64)
-        powers = np.int64(1) << np.arange(trs.n_sites, dtype=np.int64)
-        for offset in [(0,) * d, (1,) * d, (-1,) + (0,) * (d - 1), (L + 2,) * d, (-2 * L - 1,) * d]:
-            want = bits[:, trs.shift_table(offset)] @ powers
-            got = exact.shifted_configs(trs, offset)
-            assert got.dtype == want.dtype
-            np.testing.assert_array_equal(got, want)
-
-    @pytest.mark.parametrize("d, L, p", [(1, 3, 0), (1, 3, 1), (1, 3, 2), (1, 3, 3),
-                                         (1, 6, 1), (1, 5, 2), (2, 2, 0), (2, 2, 1),
-                                         (2, 2, 2), (2, 2, 3), (2, 3, 1), (2, 3, 2)])
-    def test_lift_matches_stacked_formula(self, d, L, p):
-        # the lift gathers, one walker-1 site at a time, what the (n, 2^n)
-        # stack of recentred configurations indexes
-        spec = _frame_spec(d, L, p, 0.3, 1.0)
-        trs, n = spec.torus, spec.n_sites
-        m = n ** max(p - 1, 0)
-        g = np.random.default_rng(p).random(spec.n_eta * m)
-        if p == 0:
-            want = g
-        else:
-            coords = trs.all_coords()
-            walker = np.arange(spec.n_walker)
-            x = [(walker // n ** (p - 1 - i)) % n for i in range(p)]
-            rel = np.zeros(spec.n_walker, dtype=np.int64)
-            for x_i in x[1:]:
-                rel = rel * n + trs.flat_index(coords[x_i] - coords[x[0]])
-            recentred = np.stack([exact.shifted_configs(trs, coords[s]) for s in range(n)])
-            want = g[(recentred[x[0]].T * m + rel[None, :]).ravel()]
-        got = exact.lift_frame_vector(spec, g)
-        assert got.dtype == want.dtype
-        np.testing.assert_array_equal(got, want)
-
 
 class TestMoments:
     def test_time_zero(self, spec6):
